@@ -29,7 +29,8 @@ from .config import PowerSetpoint, SystemSpec, load_system_spec
 from .errors import SyncstabError
 from .frequency_response import OperatingPoint, per_converter_gamma, write_curves_csv
 from .modal import adjustment_compare, modal_weights_from_report, sensitivities, write_sensitivity_csv
-from .pipeline import AnalysisResult, run_analysis, run_oracle
+from .network import ReducedNetwork, build_reduced_network
+from .pipeline import AnalysisResult, operating_point, run_analysis, run_oracle
 from .stability import MARGINAL, NO_CROSSING, STABLE, UNSTABLE
 from .statespace import AnglePulse, simulate, write_modes_csv, write_timeseries_csv
 from .textio import KVWriter, g12, write_csv
@@ -102,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 class _Outputs:
-    """Collects emitted files for the run manifest."""
+    """Routes each output to --out or stdout; collects the files for the run manifest."""
 
     def __init__(self, out_dir: str | None):
         self.out_dir = out_dir
@@ -110,13 +111,15 @@ class _Outputs:
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
 
-    def write(self, name: str, text: str) -> str:
-        assert self.out_dir is not None
-        path = os.path.join(self.out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        self.files.append(name)
-        return path
+    def emit(self, name: str, text: str, echo: bool = False) -> None:
+        """Write ``text`` to DIR/``name`` under --out, else to stdout; ``echo``
+        prints it to stdout in either case."""
+        if self.out_dir:
+            with open(os.path.join(self.out_dir, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+            self.files.append(name)
+        if echo or not self.out_dir:
+            sys.stdout.write(text)
 
     def manifest(self, args: argparse.Namespace, spec: SystemSpec, started: float) -> None:
         if not self.out_dir:
@@ -145,11 +148,11 @@ class _Outputs:
             fh.write(doc.render())
 
 
-def _b_matrix_csv(result: AnalysisResult) -> str:
-    names = list(result.net.converter_index)
+def _b_matrix_csv(net: ReducedNetwork) -> str:
+    names = list(net.converter_index)
     buf = io.StringIO()
     write_csv(buf, ["node", *names],
-              ([names[i], *result.net.b_matrix[i]] for i in range(result.net.n)))
+              ([names[i], *net.b_matrix[i]] for i in range(net.n)))
     return buf.getvalue()
 
 
@@ -211,7 +214,7 @@ def _report_document(args, result: AnalysisResult) -> tuple[str, str]:
                 doc.field(f"eta_complex_{name}", f"{g12(z.real)}{z.imag:+.12g}j")
         doc.field("dominant_converter", names[sens.dominant])
 
-    _ss, modeset, check = run_oracle(result, force_first_pll=args.force_first_pll)
+    _ss, modeset, check = run_oracle(result)
     doc.section("state-space oracle")
     if modeset.dominant is None:
         doc.field("dominant_mode", "none")
@@ -229,8 +232,7 @@ def _report_document(args, result: AnalysisResult) -> tuple[str, str]:
     return doc.render(), report.verdict
 
 
-def _cmd_analyze(args, out: _Outputs) -> int:
-    spec = load_system_spec(args.config)
+def _cmd_analyze(args, spec: SystemSpec, out: _Outputs) -> int:
     result = run_analysis(spec, args.case, flat_voltage=args.flat_voltage,
                           force_first_pll=args.force_first_pll)
     text, verdict = _report_document(args, result)
@@ -241,19 +243,11 @@ def _cmd_analyze(args, out: _Outputs) -> int:
         with open(args.curves, "w", encoding="utf-8") as fh:
             fh.write(buf.getvalue())
         out.files.append(os.path.abspath(args.curves))
-    if args.dump_b:
-        if out.out_dir:
-            out.write("b_matrix.csv", _b_matrix_csv(result))
-        else:
-            sys.stdout.write(_b_matrix_csv(result))
-    if out.out_dir:
-        out.write("report.txt", text)
-    sys.stdout.write(text)
+    out.emit("report.txt", text, echo=True)
     return _EXIT[verdict]
 
 
-def _cmd_curves(args, out: _Outputs) -> int:
-    spec = load_system_spec(args.config)
+def _cmd_curves(args, spec: SystemSpec, out: _Outputs) -> int:
     result = run_analysis(spec, args.case, flat_voltage=args.flat_voltage,
                           force_first_pll=args.force_first_pll)
     extra = None
@@ -262,14 +256,7 @@ def _cmd_curves(args, out: _Outputs) -> int:
     buf = io.StringIO()
     write_curves_csv(result.curves, buf, per_converter=extra,
                      names=spec.converter_names if extra is not None else ())
-    if out.out_dir:
-        out.write("curves.csv", buf.getvalue())
-        if args.dump_b:
-            out.write("b_matrix.csv", _b_matrix_csv(result))
-    else:
-        if args.dump_b:
-            sys.stdout.write(_b_matrix_csv(result))
-        sys.stdout.write(buf.getvalue())
+    out.emit("curves.csv", buf.getvalue())
     return 0
 
 
@@ -291,8 +278,7 @@ def _parse_range(text: str) -> np.ndarray:
     return start + step * np.arange(count)
 
 
-def _cmd_sweep(args, out: _Outputs) -> int:
-    spec = load_system_spec(args.config)
+def _cmd_sweep(args, spec: SystemSpec, out: _Outputs) -> int:
     if args.converter not in spec.converter_names:
         raise SyncstabError(f"unknown converter {args.converter!r}",
                             code="UNKNOWN_CONVERTER")
@@ -324,15 +310,11 @@ def _cmd_sweep(args, out: _Outputs) -> int:
 
     buf = io.StringIO()
     write_csv(buf, ["value", "D_net1", "f_c1", "verdict"], rows)
-    if out.out_dir:
-        out.write("sweep.csv", buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    out.emit("sweep.csv", buf.getvalue())
     return 0
 
 
-def _cmd_sensitivity(args, out: _Outputs) -> int:
-    spec = load_system_spec(args.config)
+def _cmd_sensitivity(args, spec: SystemSpec, out: _Outputs) -> int:
     result = run_analysis(spec, args.case, flat_voltage=args.flat_voltage,
                           force_first_pll=args.force_first_pll)
     if result.report.critical is None:
@@ -345,10 +327,7 @@ def _cmd_sensitivity(args, out: _Outputs) -> int:
     buf = io.StringIO()
     write_sensitivity_csv(weights, sens, spec.converter_names, buf,
                           eta_complex=args.eta_complex)
-    if out.out_dir:
-        out.write("sensitivity.csv", buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    out.emit("sensitivity.csv", buf.getvalue())
     return _EXIT[result.report.verdict]
 
 
@@ -377,22 +356,22 @@ def _parse_assignments(chunks: list[str], spec: SystemSpec) -> dict[str, float]:
     return out
 
 
-def _cmd_adjust(args, out: _Outputs) -> int:
-    spec = load_system_spec(args.config)
+def _cmd_adjust(args, spec: SystemSpec, out: _Outputs) -> int:
     assignments = _parse_assignments(args.set, spec)
-    result = run_analysis(spec, args.case, flat_voltage=args.flat_voltage,
-                          force_first_pll=args.force_first_pll)
+    net = build_reduced_network(spec)
+    case, _steady, op = operating_point(spec, args.case, flat_voltage=args.flat_voltage)
 
-    p_after = result.op.p_pu.copy()
+    p_after = op.p_pu.copy()
     for name, value in assignments.items():
         p_after[spec.converter_names.index(name)] = value
-    op_after = OperatingPoint(p_after, result.op.q_pu, result.op.u_pu)
-    cmp = adjustment_compare(spec, result.net, result.op, op_after)
+    op_after = OperatingPoint(p_after, op.q_pu, op.u_pu)
+    cmp = adjustment_compare(spec, net, op, op_after,
+                             force_first_pll=args.force_first_pll)
 
     doc = KVWriter()
     doc.section("syncstab adjustment comparison")
     doc.field("config", args.config)
-    doc.field("case", result.case)
+    doc.field("case", case)
     doc.field("assignments", ", ".join(f"{k}={g12(v)}" for k, v in assignments.items()))
     doc.field("d_net1_before", cmp.d_net1_before)
     doc.field("d_net1_after", cmp.d_net1_after)
@@ -407,19 +386,15 @@ def _cmd_adjust(args, out: _Outputs) -> int:
     for i, name in enumerate(spec.converter_names):
         doc.field(f"delta_p_{name}", float(cmp.per_converter_delta_p[i]))
     doc.field("improvement", cmp.improvement)
-    text = doc.render()
-
-    if out.out_dir:
-        out.write("adjust.txt", text)
-    sys.stdout.write(text)
+    out.emit("adjust.txt", doc.render(), echo=True)
     return _EXIT[cmp.verdict_after]
 
 
-def _cmd_simulate(args, out: _Outputs) -> int:
-    spec = load_system_spec(args.config)
-    result = run_analysis(spec, args.case, flat_voltage=args.flat_voltage,
-                          force_first_pll=args.force_first_pll)
-    ss, modeset, _check = run_oracle(result, force_first_pll=args.force_first_pll)
+def _cmd_simulate(args, spec: SystemSpec, out: _Outputs) -> int:
+    # the curves are not kept alive through the simulation and its CSV
+    ss, modeset, _check = run_oracle(run_analysis(
+        spec, args.case, flat_voltage=args.flat_voltage,
+        force_first_pll=args.force_first_pll))
     pulse = AnglePulse(start_s=args.pulse_start, width_s=args.pulse_width,
                        amplitude_rad=args.pulse_amplitude)
     sim = simulate(ss, pulse, dt=spec.options.sim_dt_s,
@@ -438,11 +413,9 @@ def _cmd_simulate(args, out: _Outputs) -> int:
     else:
         sys.stderr.write(f"syncstab: {modeset.note}\n")
 
-    if out.out_dir:
-        out.write("modes.csv", modes_buf.getvalue())
-        out.write("timeseries.csv", series_buf.getvalue())
-    else:
-        sys.stdout.write(modes_buf.getvalue())
+    out.emit("modes.csv", modes_buf.getvalue())
+    if out.out_dir:                  # the time series goes to files only
+        out.emit("timeseries.csv", series_buf.getvalue())
     return 0
 
 
@@ -457,13 +430,20 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:            # --help, --version
+            raise
+        return 1                     # usage error; argparse printed it to stderr
     started = time.monotonic()
     out = _Outputs(args.out)
     try:
-        code = _HANDLERS[args.command](args, out)
-        if out.out_dir:
-            out.manifest(args, load_system_spec(args.config), started)
+        spec = load_system_spec(args.config)
+        if args.dump_b:
+            out.emit("b_matrix.csv", _b_matrix_csv(build_reduced_network(spec)))
+        code = _HANDLERS[args.command](args, spec, out)
+        out.manifest(args, spec, started)
     except SyncstabError as exc:
         sys.stderr.write(f"syncstab: error [{exc.code}]: {exc}\n")
         return 1

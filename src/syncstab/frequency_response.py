@@ -106,6 +106,21 @@ def sym_parts(net: ReducedNetwork, op: OperatingPoint) -> tuple[np.ndarray, np.n
     return 0.5 * (s_p + s_p.T), 0.5 * (s_q + s_q.T)
 
 
+def eigpair(s_p: np.ndarray, s_q: np.ndarray, omega_r: float,
+            ref_vec: np.ndarray | None = None) -> tuple[complex, np.ndarray]:
+    """One eigenpair of G′_net = −S_P + j·omega_r·S_Q, with omega_r = ω0/ω.
+
+    With ``ref_vec`` the pair whose eigenvector overlaps it most is taken
+    (the tracked branch); without, the pair with minimal Re λ.
+    """
+    vals, vecs = np.linalg.eig(-s_p + 1j * omega_r * s_q)
+    if ref_vec is None:
+        j = int(np.argmin(vals.real))
+    else:
+        j = int(np.argmax(np.abs(np.asarray(ref_vec).conj() @ vecs)))
+    return vals[j], vecs[:, j]
+
+
 def build_gnet(omega: float, net: ReducedNetwork, op: OperatingPoint,
                omega0: float) -> np.ndarray:
     """Network-side matrix −B^{-1}·P̃ + j·(ω0/ω)·B^{-1}·Q̃ at one frequency."""
@@ -172,8 +187,8 @@ class SubsystemCurves:
     kp: float
     ki: float
     omega0: float
-    net: ReducedNetwork
-    op: OperatingPoint
+    s_p: np.ndarray               # (n, n)
+    s_q: np.ndarray               # (n, n)
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -269,7 +284,7 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
         d_net=lam.real, k_net=lam.imag,
         eigvecs=vec_store, branch_jumps=jumps,
         u_ref=u_ref, kp=kp, ki=ki, omega0=omega0,
-        net=net, op=op, warnings=warnings)
+        s_p=s_p, s_q=s_q, warnings=warnings)
 
 
 def per_converter_gamma(spec: SystemSpec, op: OperatingPoint,

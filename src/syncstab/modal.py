@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import SystemSpec
 from .errors import AnalysisError
-from .frequency_response import OperatingPoint, sym_parts, trace_curves
+from .frequency_response import OperatingPoint, eigpair, sym_parts, trace_curves
 from .network import ReducedNetwork
 from .stability import StabilityReport, assess
 from .textio import write_csv
@@ -91,12 +91,7 @@ def modal_weights(net: ReducedNetwork, op: OperatingPoint, omega_c1: float,
     if omega_c1 <= 0:
         raise AnalysisError("crossing frequency must be positive", code="DEGENERATE_FREQ")
     s_p, s_q = sym_parts(net, op)
-    vals, vecs = np.linalg.eig(-s_p + 1j * (omega0 / omega_c1) * s_q)
-    if ref_vec is not None:
-        j = int(np.argmax(np.abs(np.asarray(ref_vec).conj() @ vecs)))
-    else:
-        j = int(np.argmin(vals.real))
-    lam, phi = vals[j], vecs[:, j]
+    lam, phi = eigpair(s_p, s_q, omega0 / omega_c1, ref_vec)
     if ref_lambda is not None and abs(lam - ref_lambda) > _EIG_MATCH_TOL * max(1.0, abs(ref_lambda)):
         raise AnalysisError(
             f"no eigenvalue within {_EIG_MATCH_TOL} of the tracked critical value "
@@ -135,14 +130,15 @@ def sensitivities(weights: ModalWeights) -> Sensitivities:
                          dominant=int(np.argmax(eta)))
 
 
-def _d_net1(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
-            grid_hz: np.ndarray | None) -> tuple[float, StabilityReport]:
-    curves = trace_curves(spec, net, op, grid_hz)
+def _critical(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
+              grid_hz: np.ndarray | None, force_first_pll: bool) -> StabilityReport:
+    """Trace and assess one operating point; the report always has a critical crossing."""
+    curves = trace_curves(spec, net, op, grid_hz, force_first_pll=force_first_pll)
     report = assess(spec, net, op, curves)
     if report.critical is None:
         raise AnalysisError("no crossing found while evaluating the indicator",
                             code="NO_CROSSING")
-    return report.critical.d_net1, report
+    return report
 
 
 def finite_difference_check(spec: SystemSpec, net: ReducedNetwork,
@@ -155,14 +151,15 @@ def finite_difference_check(spec: SystemSpec, net: ReducedNetwork,
     is a total-derivative estimate; the predicted value is the first-order
     partial −η_i.
     """
-    base, report = _d_net1(spec, net, op, grid_hz)
+    report = _critical(spec, net, op, grid_hz, False)
+    base = report.critical.d_net1
     weights = modal_weights_from_report(net, op, report, spec.omega0)
     predicted = -float(weights.eta[i])
 
     p2 = op.p_pu.copy()
     p2[i] += delta_p
     op2 = OperatingPoint(p2, op.q_pu.copy(), op.u_pu.copy())
-    bumped, _ = _d_net1(spec, net, op2, grid_hz)
+    bumped = _critical(spec, net, op2, grid_hz, False).critical.d_net1
     measured = (bumped - base) / delta_p
     rel_err = abs(measured - predicted) / max(abs(predicted), 1e-300)
     return FDCheck(predicted=predicted, measured=measured, rel_err=rel_err)
@@ -170,27 +167,23 @@ def finite_difference_check(spec: SystemSpec, net: ReducedNetwork,
 
 def adjustment_compare(spec: SystemSpec, net: ReducedNetwork,
                        op_before: OperatingPoint, op_after: OperatingPoint,
-                       grid_hz: np.ndarray | None = None) -> AdjustmentResult:
+                       grid_hz: np.ndarray | None = None, *,
+                       force_first_pll: bool = False) -> AdjustmentResult:
     """Full before/after pipeline comparison for an active-power adjustment.
 
     ``op_after`` may differ from ``op_before`` only in P (Q must be unchanged;
     raises ``AnalysisError`` ADJUST_Q_CHANGED otherwise).  Voltages are frozen
     to the before-point amplitudes, honoring the small-perturbation voltage
     assumption.  Each point is assessed at its own critical frequency.
+    ``force_first_pll`` is passed to :func:`trace_curves`.
     """
     if not np.allclose(op_before.q_pu, op_after.q_pu, rtol=0, atol=1e-12):
         raise AnalysisError("adjustment may only change active power",
                             code="ADJUST_Q_CHANGED")
     frozen_after = OperatingPoint(op_after.p_pu, op_before.q_pu, op_before.u_pu)
 
-    curves_b = trace_curves(spec, net, op_before, grid_hz)
-    report_b = assess(spec, net, op_before, curves_b)
-    curves_a = trace_curves(spec, net, frozen_after, grid_hz)
-    report_a = assess(spec, net, frozen_after, curves_a)
-    if report_b.critical is None or report_a.critical is None:
-        raise AnalysisError("no crossing on one side of the adjustment",
-                            code="NO_CROSSING")
-
+    report_b = _critical(spec, net, op_before, grid_hz, force_first_pll)
+    report_a = _critical(spec, net, frozen_after, grid_hz, force_first_pll)
     cb, ca = report_b.critical, report_a.critical
     return AdjustmentResult(
         d_net1_before=cb.d_net1, d_net1_after=ca.d_net1,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemSpec
-from .frequency_response import OperatingPoint, SubsystemCurves, resolve_pll_gains, trace_curves
+from .frequency_response import OperatingPoint, SubsystemCurves, trace_curves
 from .network import ReducedNetwork, build_reduced_network
 from .powerflow import SteadyState, solve_steady_state
 from .stability import StabilityReport, assess
@@ -29,13 +29,11 @@ class AnalysisResult:
 
 
 def operating_point(spec: SystemSpec, case: str | None = None,
-                    steady: SteadyState | None = None,
                     flat_voltage: bool | None = None) -> tuple[str, SteadyState, OperatingPoint]:
     """Resolve a named case into an OperatingPoint with solved (or flat) U."""
     name = spec.default_case() if case is None else case
     p, q = spec.case_injections(name)
-    if steady is None:
-        steady = solve_steady_state(spec, p, q, flat_voltage=flat_voltage)
+    steady = solve_steady_state(spec, p, q, flat_voltage=flat_voltage)
     return name, steady, OperatingPoint(p, q, steady.u_pu)
 
 
@@ -52,10 +50,9 @@ def run_analysis(spec: SystemSpec, case: str | None = None, *,
                           op=op, curves=curves, report=report)
 
 
-def run_oracle(result: AnalysisResult, *, force_first_pll: bool = False
-               ) -> tuple[StateSpace, ModeSet, CrossCheck]:
-    """State-space oracle for an analysis result, plus the agreement record."""
-    kp, ki, _ = resolve_pll_gains(result.spec, force_first_pll=force_first_pll)
-    ss = assemble_state_space(result.net, result.op, kp, ki, result.spec.omega0)
+def run_oracle(result: AnalysisResult) -> tuple[StateSpace, ModeSet, CrossCheck]:
+    """State-space oracle, on the PLL gains the analysis ran with, plus the agreement record."""
+    ss = assemble_state_space(result.net, result.op, result.curves.kp, result.curves.ki,
+                              result.spec.omega0)
     modeset = modes(ss)
     return ss, modeset, crosscheck(result.report, modeset)

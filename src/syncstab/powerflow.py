@@ -43,16 +43,6 @@ class SteadyState:
     flat: bool = False
 
 
-def _injections(w: np.ndarray, d: np.ndarray, theta: np.ndarray, u: np.ndarray):
-    """P, Q at every node for angle/magnitude state (w = offdiag b, d = row sums)."""
-    diff = theta[:, None] - theta[None, :]
-    sin_part = (w * np.sin(diff)) @ u
-    cos_part = (w * np.cos(diff)) @ u
-    p = u * sin_part
-    q = d * u * u - u * cos_part
-    return p, q
-
-
 def solve_steady_state(
     spec: SystemSpec,
     p_conv: np.ndarray,
@@ -106,7 +96,13 @@ def solve_steady_state(
 
     iterations = 0
     for _ in range(_MAX_ITER + 1):
-        p, q = _injections(w, d, theta, u)
+        diff = theta[:, None] - theta[None, :]
+        c_full = w * np.cos(diff)
+        s_full = w * np.sin(diff)
+        a = c_full @ u            # sum_j b_ij U_j cos
+        s = s_full @ u            # sum_j b_ij U_j sin
+        p = u * s
+        q = d * u * u - u * a
         mismatch = np.concatenate([(target_p - p)[free], (target_q - q)[free]])
         if np.max(np.abs(mismatch)) <= _TOL:
             break
@@ -115,11 +111,6 @@ def solve_steady_state(
                 f"no convergence after {_MAX_ITER} iterations "
                 f"(residual {np.max(np.abs(mismatch)):.3e})", code="PF_DIVERGED")
 
-        diff = theta[:, None] - theta[None, :]
-        c_full = w * np.cos(diff)
-        s_full = w * np.sin(diff)
-        a = c_full @ u            # sum_j b_ij U_j cos
-        s = s_full @ u            # sum_j b_ij U_j sin
         uu = np.outer(u, u)
         h = -uu * c_full + np.diag(u * a)             # dP/dtheta
         nmat = u[:, None] * s_full + np.diag(s)       # dP/dU
@@ -146,9 +137,9 @@ def solve_steady_state(
             f"{np.array2string(u_conv, precision=4)}",
             code="PF_VOLTAGE_OUT_OF_BAND")
 
-    p_all, q_all = _injections(w, d, theta, u)
+    # p, q are from the last iteration, which did not move the state
     return SteadyState(
         u_pu=u_conv, delta0_rad=theta[conv_rows].copy(),
         converged=True, iterations=iterations,
-        slack_p_pu=float(p_all[slack]), slack_q_pu=float(q_all[slack]),
+        slack_p_pu=float(p[slack]), slack_q_pu=float(q[slack]),
         flat=False)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemSpec
-from .frequency_response import OperatingPoint, SubsystemCurves, gamma, sym_parts
+from .frequency_response import OperatingPoint, SubsystemCurves, eigpair, gamma
 from .network import ReducedNetwork
 from .powerflow import SteadyState
 
@@ -87,24 +87,6 @@ class StabilityReport:
     notes: tuple[str, ...] = ()
 
 
-def _eig_by_overlap(net: ReducedNetwork, op: OperatingPoint, omega0: float,
-                    omega: float, ref_vec: np.ndarray) -> tuple[complex, np.ndarray]:
-    """Exact eigenpair of G'_net(jω) closest (by eigenvector overlap) to ref."""
-    s_p, s_q = sym_parts(net, op)
-    vals, vecs = np.linalg.eig(-s_p + 1j * (omega0 / omega) * s_q)
-    scores = np.abs(ref_vec.conj() @ vecs)
-    j = int(np.argmax(scores))
-    return vals[j], vecs[:, j]
-
-
-def _k_total(curves: SubsystemCurves, omega: float, ref_vec: np.ndarray
-             ) -> tuple[float, complex, np.ndarray]:
-    """K_con(ω) + Im λ(ω) with the tracked eigenpair, re-evaluated exactly."""
-    lam, vec = _eig_by_overlap(curves.net, curves.op, curves.omega0, omega, ref_vec)
-    g = gamma(omega, curves.u_ref, curves.kp, curves.ki, curves.omega0)
-    return g.imag + lam.imag, lam, vec
-
-
 def _refine(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float
             ) -> Crossing:
     """Bisect the sign change of subsystem i inside grid cell [k_lo, k_lo+1]."""
@@ -114,8 +96,11 @@ def _refine(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float
 
     while (f_hi - f_lo) > root_tol_hz:
         f_mid = 0.5 * (f_lo + f_hi)
-        g_mid, _lam, vec = _k_total(curves, 2.0 * np.pi * f_mid, ref)
-        ref = vec                      # carry the branch identity inward
+        omega = 2.0 * np.pi * f_mid
+        # the new eigenvector becomes the reference: branch identity carried inward
+        lam, ref = eigpair(curves.s_p, curves.s_q, curves.omega0 / omega, ref)
+        g = gamma(omega, curves.u_ref, curves.kp, curves.ki, curves.omega0)
+        g_mid = g.imag + lam.imag
         if (g_mid < 0.0) == (g_lo < 0.0):
             f_lo, g_lo = f_mid, g_mid
         else:
@@ -123,8 +108,8 @@ def _refine(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float
 
     f_c = 0.5 * (f_lo + f_hi)
     omega_c = 2.0 * np.pi * f_c
-    _g, lam, _vec = _k_total(curves, omega_c, ref)
-    return _make_crossing(curves, i, omega_c, lam, _vec)
+    lam, vec = eigpair(curves.s_p, curves.s_q, curves.omega0 / omega_c, ref)
+    return _make_crossing(curves, i, omega_c, lam, vec)
 
 
 def _make_crossing(curves: SubsystemCurves, i: int, omega_c: float,
@@ -145,18 +130,13 @@ def find_crossings(curves: SubsystemCurves, i: int,
     """
     g = curves.k_con + curves.k_net[i]
     out: list[Crossing] = []
-    for k in range(curves.m - 1):
+    for k in range(curves.m):
         if g[k] == 0.0:
             lam = curves.d_net[i, k] + 1j * curves.k_net[i, k]
             out.append(_make_crossing(curves, i, curves.omega_rad_s[k], lam,
                                       curves.eigvecs[k][:, i]))
-        elif (g[k] < 0.0) != (g[k + 1] < 0.0) and g[k + 1] != 0.0:
+        elif k + 1 < curves.m and (g[k] < 0.0) != (g[k + 1] < 0.0) and g[k + 1] != 0.0:
             out.append(_refine(curves, i, k, root_tol_hz))
-    if curves.m and g[-1] == 0.0:
-        k = curves.m - 1
-        lam = curves.d_net[i, k] + 1j * curves.k_net[i, k]
-        out.append(_make_crossing(curves, i, curves.omega_rad_s[k], lam,
-                                  curves.eigvecs[k][:, i]))
     return out
 
 

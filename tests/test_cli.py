@@ -334,3 +334,120 @@ def test_force_first_pll_on_identical_gains_is_noop(station_cfg, tmp_path, capsy
     ra = [l for l in _read(a / "report.txt").splitlines() if "=" in l]
     rb = [l for l in _read(b / "report.txt").splitlines() if "=" in l]
     assert ra == rb
+
+
+# ------------------------------------------------------------- usage errors
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--bogus"],
+    # argparse reads "-0.5:..." as an option, so --range has no argument
+    ["sweep", "--converter", "WTG1", "--quantity", "p", "--range", "-0.5:0.5:0.1"],
+], ids=["unknown-flag", "range-looks-like-option"])
+def test_usage_error_exits_one_not_unstable(station_cfg, capsys, argv):
+    code = main([argv[0], "--config", station_cfg, *argv[1:]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage: syncstab" in err
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["analyze", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out
+
+
+# ------------------------------------------------------- forced PLL gains
+
+@pytest.fixture()
+def mixed_cfg(station_cfg, tmp_path):
+    """The station with WTG3 on a different PLL proportional gain."""
+    text = _read(station_cfg)
+    mixed = text.replace("WTG3 wtg3 6.5 15782", "WTG3 wtg3 7.0 15782")
+    assert mixed != text
+    path = tmp_path / "mixed.cfg"
+    path.write_text(mixed, encoding="utf-8")
+    return str(path)
+
+
+def _kv(text):
+    return dict(l.split(" = ", 1) for l in text.splitlines() if " = " in l)
+
+
+def test_adjust_force_first_pll_runs_on_mixed_gains(mixed_cfg, capsys):
+    base = ["--config", mixed_cfg, "--case", "heavy", "--force-first-pll"]
+    code = main(["adjust", *base, "--set", "ES1=-0.8"])
+    adjust = _kv(capsys.readouterr().out)
+    assert code == {"Stable": 0, "Unstable": 2, "Marginal": 3}[adjust["verdict_after"]]
+
+    main(["analyze", *base])
+    report = _kv(capsys.readouterr().out)
+    assert adjust["d_net1_before"] == report["D_net1"]
+    assert adjust["verdict_before"] == report["verdict"]
+
+
+def test_adjust_without_force_rejects_mixed_gains(mixed_cfg, capsys):
+    code = main(["adjust", "--config", mixed_cfg, "--case", "heavy", "--set", "ES1=-0.8"])
+    assert code == 1
+    assert "[NONIDENTICAL_PLL]" in capsys.readouterr().err
+
+
+# -------------------------------------------------------- repeated work
+
+def _count_calls(monkeypatch, name, modules):
+    """Count calls of ``name`` through every module that may look it up."""
+    import importlib
+    calls = []
+    original = getattr(importlib.import_module(modules[0]), name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for modname in modules:
+        monkeypatch.setattr(importlib.import_module(modname), name, counted,
+                            raising=False)
+    return calls
+
+
+def test_analyze_out_parses_config_once(station_cfg, tmp_path, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, "parse_system_spec",
+                         ["syncstab.config", "syncstab.cli", "syncstab.pipeline"])
+    code = main(["analyze", "--config", station_cfg, "--case", "light",
+                 "--out", str(tmp_path / "o")])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_adjust_traces_each_point_once(station_cfg, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, "trace_curves",
+                         ["syncstab.frequency_response", "syncstab.cli",
+                          "syncstab.pipeline", "syncstab.modal"])
+    code = main(["adjust", "--config", station_cfg, "--case", "heavy",
+                 "--set", "ES1=-0.8,ES2=-0.6"])
+    capsys.readouterr()
+    assert code in (0, 2, 3)
+    assert len(calls) == 2
+
+
+# ------------------------------------------------------------ --dump-b
+
+def test_dump_b_honoured_by_every_command(station_cfg, tmp_path, capsys):
+    base = ["--config", station_cfg, "--case", "light", "--dump-b"]
+    main(["analyze", *base])
+    reference = capsys.readouterr().out.split("# syncstab stability report")[0]
+    assert reference.startswith("node,ES1,WTG1,ES2,WTG2,WTG3\n")
+    extra = {
+        "curves": [], "sensitivity": [], "simulate": [],
+        "sweep": ["--converter", "WTG1", "--quantity", "p", "--range", "0.4:0.5:0.1"],
+        "adjust": ["--set", "ES1=-0.8"],
+    }
+    for command, args in extra.items():
+        out_dir = tmp_path / command
+        main([command, *base, *args, "--out", str(out_dir)])
+        assert _read(out_dir / "b_matrix.csv") == reference, command
+        assert "b_matrix.csv" in _read(out_dir / "manifest.txt"), command
+    capsys.readouterr()

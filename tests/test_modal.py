@@ -141,6 +141,19 @@ def test_finite_difference_multivariable():
     assert float(np.median(rel_errs)) < 0.1
 
 
+def test_finite_difference_rejects_mixed_pll_gains(station_path):
+    # no force option: the check runs only on a system with one shared PLL
+    with open(station_path, encoding="utf-8") as fh:
+        spec = parse_system_spec(fh.read().replace("WTG3 wtg3 6.5 15782",
+                                                   "WTG3 wtg3 7.0 15782"))
+    net = build_reduced_network(spec)
+    p, q = spec.case_injections("heavy")
+    op = OperatingPoint(p, q, np.ones(spec.n_converters))
+    with pytest.raises(AnalysisError) as info:
+        finite_difference_check(spec, net, op, 0)
+    assert info.value.code == "NONIDENTICAL_PLL"
+
+
 def test_adjustment_scalar_flip():
     spec = parse_system_spec(TWO_BUS_CFG)
     net = build_reduced_network(spec)

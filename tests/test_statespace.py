@@ -191,3 +191,14 @@ def test_crosscheck_agree_disagree_skip(station_path):
     ss = assemble_state_space(net, op, KP, KI, W0)
     chk = crosscheck(report, modes(ss))
     assert chk.status == "SKIPPED"
+
+
+def test_run_oracle_uses_the_gains_the_analysis_ran_with(station_path):
+    with open(station_path, encoding="utf-8") as fh:
+        spec = parse_system_spec(fh.read().replace("WTG3 wtg3 6.5 15782",
+                                                   "WTG3 wtg3 7.0 15782"))
+    result = run_analysis(spec, "heavy", force_first_pll=True)
+    ss, _ms, chk = run_oracle(result)
+    assert chk.status in ("AGREE", "DISAGREE", "SKIPPED")
+    expected = assemble_state_space(result.net, result.op, KP, KI, spec.omega0)
+    assert np.array_equal(ss.a_matrix, expected.a_matrix)
