@@ -395,15 +395,8 @@ def _cmd_simulate(args, spec: SystemSpec, out: _Outputs) -> int:
     ss, modeset, _check = run_oracle(run_analysis(
         spec, args.case, flat_voltage=args.flat_voltage,
         force_first_pll=args.force_first_pll))
-    pulse = AnglePulse(start_s=args.pulse_start, width_s=args.pulse_width,
-                       amplitude_rad=args.pulse_amplitude)
-    sim = simulate(ss, pulse, dt=spec.options.sim_dt_s,
-                   duration=spec.options.sim_duration_s)
-
     modes_buf = io.StringIO()
     write_modes_csv(modeset, modes_buf)
-    series_buf = io.StringIO()
-    write_timeseries_csv(sim, series_buf)
 
     if modeset.dominant is not None:
         d = modeset.dominant
@@ -415,6 +408,12 @@ def _cmd_simulate(args, spec: SystemSpec, out: _Outputs) -> int:
 
     out.emit("modes.csv", modes_buf.getvalue())
     if out.out_dir:                  # the time series goes to files only
+        pulse = AnglePulse(start_s=args.pulse_start, width_s=args.pulse_width,
+                           amplitude_rad=args.pulse_amplitude)
+        sim = simulate(ss, pulse, dt=spec.options.sim_dt_s,
+                       duration=spec.options.sim_duration_s)
+        series_buf = io.StringIO()
+        write_timeseries_csv(sim, series_buf)
         out.emit("timeseries.csv", series_buf.getvalue())
     return 0
 

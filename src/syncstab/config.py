@@ -175,7 +175,6 @@ class SystemSpec:
 # --------------------------------------------------------------------------
 
 _KNOWN_SECTIONS = {"system", "nodes", "branches", "slack", "converters", "operating_point", "options"}
-_SINGLETON_SECTIONS = {"system", "nodes", "branches", "slack", "converters", "options"}
 
 _OPTION_KEYS = {
     "flat_voltage": bool,

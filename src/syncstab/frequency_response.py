@@ -106,6 +106,12 @@ def sym_parts(net: ReducedNetwork, op: OperatingPoint) -> tuple[np.ndarray, np.n
     return 0.5 * (s_p + s_p.T), 0.5 * (s_q + s_q.T)
 
 
+def _eig(s_p: np.ndarray, s_q: np.ndarray, omega_r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of G′_net = −S_P + j·omega_r·S_Q; every solve builds the
+    matrix with this one expression, so a repeated solve is bit-identical."""
+    return np.linalg.eig(-s_p + 1j * omega_r * s_q)
+
+
 def eigpair(s_p: np.ndarray, s_q: np.ndarray, omega_r: float,
             ref_vec: np.ndarray | None = None) -> tuple[complex, np.ndarray]:
     """One eigenpair of G′_net = −S_P + j·omega_r·S_Q, with omega_r = ω0/ω.
@@ -113,7 +119,7 @@ def eigpair(s_p: np.ndarray, s_q: np.ndarray, omega_r: float,
     With ``ref_vec`` the pair whose eigenvector overlaps it most is taken
     (the tracked branch); without, the pair with minimal Re λ.
     """
-    vals, vecs = np.linalg.eig(-s_p + 1j * omega_r * s_q)
+    vals, vecs = _eig(s_p, s_q, omega_r)
     if ref_vec is None:
         j = int(np.argmin(vals.real))
     else:
@@ -172,7 +178,8 @@ class SubsystemCurves:
     """Damping/spring curves for every tracked subsystem over a grid.
 
     ``d_net[i, k] + 1j*k_net[i, k]`` is tracked eigenvalue branch i at grid
-    point k; ``eigvecs[k][:, i]`` the matching unit eigenvector of G′_net.
+    point k; ``columns[k, i]`` the column of the eigensolver output at point k
+    that became branch i (see :meth:`eigpair_at`).
     """
 
     f_hz: np.ndarray              # (m,)
@@ -181,7 +188,7 @@ class SubsystemCurves:
     k_con: np.ndarray             # (m,)
     d_net: np.ndarray             # (n, m)
     k_net: np.ndarray             # (n, m)
-    eigvecs: np.ndarray           # (m, n, n) complex
+    columns: np.ndarray           # (m, n) int
     branch_jumps: list[tuple[int, int]]   # (grid index, branch index)
     u_ref: float
     kp: float
@@ -199,34 +206,32 @@ class SubsystemCurves:
     def m(self) -> int:
         return len(self.f_hz)
 
+    def eigpair_at(self, k: int, i: int) -> tuple[complex, np.ndarray]:
+        """Branch i's eigenpair at grid point k, solved again (bit-identical)."""
+        vals, vecs = _eig(self.s_p, self.s_q, self.omega0 / self.omega_rad_s[k])
+        j = self.columns[k, i]
+        return vals[j], vecs[:, j]
+
 
 def _match_branches(prev_vecs: np.ndarray, vals: np.ndarray, vecs: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy assignment of new eigenpairs to previous branches.
 
     Candidates ranked by descending overlap |<prev_i, new_j>|, ties broken by
-    ascending (Re λ_j, Im λ_j, i).  Returns (values, vectors, overlaps) in
-    branch order.
+    ascending (Re λ_j, Im λ_j, i), then by j.  Returns (columns, overlaps):
+    branch i takes candidate ``columns[i]`` with overlap ``overlaps[i]``.
     """
     n = len(vals)
     overlap = np.abs(prev_vecs.conj().T @ vecs)   # (branch i, candidate j)
-    order = sorted(
-        ((i, j) for i in range(n) for j in range(n)),
-        key=lambda ij: (-overlap[ij], vals[ij[1]].real, vals[ij[1]].imag, ij[0]))
-    taken_i = np.zeros(n, dtype=bool)
-    taken_j = np.zeros(n, dtype=bool)
-    assign = np.empty(n, dtype=int)
-    matched = 0
-    for i, j in order:
-        if taken_i[i] or taken_j[j]:
-            continue
-        assign[i] = j
-        taken_i[i] = True
-        taken_j[j] = True
-        matched += 1
-        if matched == n:
-            break
-    return vals[assign], vecs[:, assign], overlap[np.arange(n), assign]
+    jj = np.arange(n * n) % n                     # flattened i-major, j-minor
+    # lexsort is stable, so the flattened order settles full ties: i, then j
+    order = np.lexsort((vals.imag[jj], vals.real[jj], -overlap.ravel()))
+    assign, free = [-1] * n, [True] * n
+    for i, j in zip((order // n).tolist(), (order % n).tolist()):
+        if assign[i] < 0 and free[j]:
+            assign[i], free[j] = j, False
+    columns = np.array(assign)
+    return columns, overlap[np.arange(n), columns]
 
 
 def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
@@ -260,29 +265,25 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     n, m = op.n, len(grid_hz)
     s_p, s_q = sym_parts(net, op)
     lam = np.empty((n, m), dtype=complex)
-    vec_store = np.empty((m, n, n), dtype=complex)
+    columns = np.empty((m, n), dtype=int)
     jumps: list[tuple[int, int]] = []
 
     prev_vecs: np.ndarray | None = None
     for k, w in enumerate(omega_grid):
-        vals, vecs = np.linalg.eig(-s_p + 1j * (omega0 / w) * s_q)
+        vals, vecs = _eig(s_p, s_q, omega0 / w)
         if prev_vecs is None:
-            order = np.lexsort((vals.imag, vals.real))
-            vals, vecs = vals[order], vecs[:, order]
-            overlaps = np.ones(n)
+            order, overlaps = np.lexsort((vals.imag, vals.real)), np.ones(n)
         else:
-            vals, vecs, overlaps = _match_branches(prev_vecs, vals, vecs)
-        lam[:, k] = vals
-        vec_store[k] = vecs
-        for i in np.nonzero(overlaps < OVERLAP_THRESHOLD)[0]:
-            jumps.append((k, int(i)))
-        prev_vecs = vecs
+            order, overlaps = _match_branches(prev_vecs, vals, vecs)
+        lam[:, k], prev_vecs = vals[order], vecs[:, order]
+        columns[k] = order
+        jumps.extend((k, int(i)) for i in np.flatnonzero(overlaps < OVERLAP_THRESHOLD))
 
     return SubsystemCurves(
         f_hz=grid_hz, omega_rad_s=omega_grid,
         d_con=gamma_vals.real, k_con=gamma_vals.imag,
         d_net=lam.real, k_net=lam.imag,
-        eigvecs=vec_store, branch_jumps=jumps,
+        columns=columns, branch_jumps=jumps,
         u_ref=u_ref, kp=kp, ki=ki, omega0=omega0,
         s_p=s_p, s_q=s_q, warnings=warnings)
 

@@ -32,6 +32,7 @@ __all__ = [
 
 # tracked-vs-recomputed eigenvalue agreement demanded at the crossing
 _EIG_MATCH_TOL = 1e-6
+_FD_DELTA_P = 1e-4     # active-power step of the finite-difference check, pu
 
 
 @dataclass(frozen=True)
@@ -131,9 +132,9 @@ def sensitivities(weights: ModalWeights) -> Sensitivities:
 
 
 def _critical(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
-              grid_hz: np.ndarray | None, force_first_pll: bool) -> StabilityReport:
+              force_first_pll: bool) -> StabilityReport:
     """Trace and assess one operating point; the report always has a critical crossing."""
-    curves = trace_curves(spec, net, op, grid_hz, force_first_pll=force_first_pll)
+    curves = trace_curves(spec, net, op, force_first_pll=force_first_pll)
     report = assess(spec, net, op, curves)
     if report.critical is None:
         raise AnalysisError("no crossing found while evaluating the indicator",
@@ -142,8 +143,7 @@ def _critical(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
 
 
 def finite_difference_check(spec: SystemSpec, net: ReducedNetwork,
-                            op: OperatingPoint, i: int, delta_p: float = 1e-4,
-                            grid_hz: np.ndarray | None = None) -> FDCheck:
+                            op: OperatingPoint, i: int) -> FDCheck:
     """Compare −η_i against a finite difference of the full pipeline.
 
     Voltages are frozen: the perturbed operating point reuses ``op.u_pu``.
@@ -151,23 +151,22 @@ def finite_difference_check(spec: SystemSpec, net: ReducedNetwork,
     is a total-derivative estimate; the predicted value is the first-order
     partial −η_i.
     """
-    report = _critical(spec, net, op, grid_hz, False)
+    report = _critical(spec, net, op, False)
     base = report.critical.d_net1
     weights = modal_weights_from_report(net, op, report, spec.omega0)
     predicted = -float(weights.eta[i])
 
     p2 = op.p_pu.copy()
-    p2[i] += delta_p
+    p2[i] += _FD_DELTA_P
     op2 = OperatingPoint(p2, op.q_pu.copy(), op.u_pu.copy())
-    bumped = _critical(spec, net, op2, grid_hz, False).critical.d_net1
-    measured = (bumped - base) / delta_p
+    bumped = _critical(spec, net, op2, False).critical.d_net1
+    measured = (bumped - base) / _FD_DELTA_P
     rel_err = abs(measured - predicted) / max(abs(predicted), 1e-300)
     return FDCheck(predicted=predicted, measured=measured, rel_err=rel_err)
 
 
 def adjustment_compare(spec: SystemSpec, net: ReducedNetwork,
-                       op_before: OperatingPoint, op_after: OperatingPoint,
-                       grid_hz: np.ndarray | None = None, *,
+                       op_before: OperatingPoint, op_after: OperatingPoint, *,
                        force_first_pll: bool = False) -> AdjustmentResult:
     """Full before/after pipeline comparison for an active-power adjustment.
 
@@ -182,8 +181,8 @@ def adjustment_compare(spec: SystemSpec, net: ReducedNetwork,
                             code="ADJUST_Q_CHANGED")
     frozen_after = OperatingPoint(op_after.p_pu, op_before.q_pu, op_before.u_pu)
 
-    report_b = _critical(spec, net, op_before, grid_hz, force_first_pll)
-    report_a = _critical(spec, net, frozen_after, grid_hz, force_first_pll)
+    report_b = _critical(spec, net, op_before, force_first_pll)
+    report_a = _critical(spec, net, frozen_after, force_first_pll)
     cb, ca = report_b.critical, report_a.critical
     return AdjustmentResult(
         d_net1_before=cb.d_net1, d_net1_after=ca.d_net1,

@@ -3,8 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import SystemSpec
 from .frequency_response import OperatingPoint, SubsystemCurves, trace_curves
 from .network import ReducedNetwork, build_reduced_network
@@ -39,12 +37,11 @@ def operating_point(spec: SystemSpec, case: str | None = None,
 
 def run_analysis(spec: SystemSpec, case: str | None = None, *,
                  flat_voltage: bool | None = None,
-                 force_first_pll: bool = False,
-                 grid_hz: np.ndarray | None = None) -> AnalysisResult:
+                 force_first_pll: bool = False) -> AnalysisResult:
     """Full criterion pipeline for one operating-point case."""
     net = build_reduced_network(spec)
     name, steady, op = operating_point(spec, case, flat_voltage=flat_voltage)
-    curves = trace_curves(spec, net, op, grid_hz, force_first_pll=force_first_pll)
+    curves = trace_curves(spec, net, op, force_first_pll=force_first_pll)
     report = assess(spec, net, op, curves, steady)
     return AnalysisResult(spec=spec, case=name, net=net, steady=steady,
                           op=op, curves=curves, report=report)

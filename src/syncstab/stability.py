@@ -58,12 +58,6 @@ class SubsystemAssessment:
     index: int
     crossings: tuple[Crossing, ...]
 
-    @property
-    def worst(self) -> Crossing | None:
-        if not self.crossings:
-            return None
-        return min(self.crossings, key=lambda c: c.net_damping)
-
 
 @dataclass(frozen=True)
 class CriticalPoint:
@@ -91,7 +85,7 @@ def _refine(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float
             ) -> Crossing:
     """Bisect the sign change of subsystem i inside grid cell [k_lo, k_lo+1]."""
     f_lo, f_hi = curves.f_hz[k_lo], curves.f_hz[k_lo + 1]
-    ref = curves.eigvecs[k_lo][:, i]
+    ref = curves.eigpair_at(k_lo, i)[1]
     g_lo = curves.k_con[k_lo] + curves.k_net[i, k_lo]
 
     while (f_hi - f_lo) > root_tol_hz:
@@ -129,13 +123,15 @@ def find_crossings(curves: SubsystemCurves, i: int,
     exact zeros at grid points are taken as crossings directly.
     """
     g = curves.k_con + curves.k_net[i]
+    zero, neg = g == 0.0, g < 0.0
+    # a cell with an exact zero at either end is not a sign change
+    cell = np.append((neg[:-1] != neg[1:]) & ~zero[:-1] & ~zero[1:], False)
     out: list[Crossing] = []
-    for k in range(curves.m):
-        if g[k] == 0.0:
-            lam = curves.d_net[i, k] + 1j * curves.k_net[i, k]
-            out.append(_make_crossing(curves, i, curves.omega_rad_s[k], lam,
-                                      curves.eigvecs[k][:, i]))
-        elif k + 1 < curves.m and (g[k] < 0.0) != (g[k + 1] < 0.0) and g[k + 1] != 0.0:
+    for k in np.flatnonzero(zero | cell).tolist():
+        if zero[k]:
+            lam, phi = curves.eigpair_at(k, i)
+            out.append(_make_crossing(curves, i, curves.omega_rad_s[k], lam, phi))
+        else:
             out.append(_refine(curves, i, k, root_tol_hz))
     return out
 

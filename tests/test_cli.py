@@ -204,6 +204,16 @@ def test_sweep_bad_range_exits_one(two_bus_cfg, capsys):
     assert "[RANGE_INVALID]" in capsys.readouterr().err
 
 
+def test_sweep_negative_start_equals_form(station_cfg, capsys):
+    # with a space, a START below zero reads as an option; the '=' form works
+    code = main(["sweep", "--config", station_cfg, "--case", "heavy",
+                 "--converter", "ES1", "--quantity", "q", "--range=-0.3:0.3:0.1"])
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert code == 0
+    assert len(rows) == 7
+    assert float(rows[0].split(",")[0]) == pytest.approx(-0.3)
+
+
 def test_sweep_unknown_converter_exits_one(two_bus_cfg, capsys):
     code = main(["sweep", "--config", two_bus_cfg, "--converter", "C9",
                  "--quantity", "p", "--range", "0:1:0.5"])
@@ -295,6 +305,19 @@ def test_simulate_outputs(two_bus_cfg, tmp_path, capsys):
     assert series_lines[0] == "t_s,theta_1,omega_1,dp_1"
     manifest = _read(out_dir / "manifest.txt")
     assert "modes.csv" in manifest and "timeseries.csv" in manifest
+
+
+def test_simulate_without_out_skips_integration(two_bus_cfg, monkeypatch, capsys):
+    # the time series is written to files only, so nothing integrates it here
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate() called without --out")
+
+    monkeypatch.setattr("syncstab.cli.simulate", refuse)
+    code = main(["simulate", "--config", two_bus_cfg, "--case", "inject"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines()[0] == "re,im,f_hz,damping_ratio"
+    assert "dominant mode sigma=" in captured.err
 
 
 def test_simulate_pulse_flags(two_bus_cfg, tmp_path, capsys):

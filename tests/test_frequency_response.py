@@ -14,20 +14,26 @@ Independent oracles used here:
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from syncstab.config import parse_system_spec
+from syncstab.config import PowerSetpoint, load_system_spec, parse_system_spec
 from syncstab.errors import AnalysisError
-from syncstab.frequency_response import (OperatingPoint, build_gnet,
-                                         build_gnet_sym, gamma,
+from syncstab.frequency_response import (OperatingPoint, _match_branches,
+                                         build_gnet, build_gnet_sym, gamma,
                                          per_converter_gamma,
                                          resolve_pll_gains, sym_parts,
                                          trace_curves)
 from syncstab.network import ReducedNetwork, build_reduced_network
+from syncstab.pipeline import operating_point
 
-from conftest import (KI, KP, TWO_BUS_CFG, random_operating_point,
-                      random_pd_network, synthetic_spec)
+from conftest import (KI, KP, STATION_CFG_PATH, TWO_BUS_CFG,
+                      random_operating_point, random_pd_network,
+                      synthetic_spec)
 
 W0 = 2 * np.pi * 50
 
@@ -236,6 +242,102 @@ def test_branch_order_is_deterministic():
     b = trace_curves(spec, net, op)
     np.testing.assert_array_equal(a.d_net, b.d_net)
     np.testing.assert_array_equal(a.k_net, b.k_net)
+
+
+# ------------------------------------------------------- branch matching
+
+def _match_reference(prev_vecs, vals, vecs):
+    """The greedy rule written as a keyed sort of every (branch, candidate)
+    pair: descending overlap, then ascending (Re λ_j, Im λ_j, i), then the
+    i-major, j-minor generation order (the sort is stable)."""
+    n = len(vals)
+    overlap = np.abs(prev_vecs.conj().T @ vecs)
+    order = sorted(
+        ((i, j) for i in range(n) for j in range(n)),
+        key=lambda ij: (-overlap[ij], vals[ij[1]].real, vals[ij[1]].imag, ij[0]))
+    taken_i = np.zeros(n, dtype=bool)
+    taken_j = np.zeros(n, dtype=bool)
+    assign = np.empty(n, dtype=int)
+    for i, j in order:
+        if not (taken_i[i] or taken_j[j]):
+            assign[i] = j
+            taken_i[i] = taken_j[j] = True
+    return assign, overlap[np.arange(n), assign]
+
+
+# small integers and one-decimal values make exactly equal overlaps and
+# eigenvalues common; unrestricted floats cover the generic case
+_ENTRY = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.floats(-1.0, 1.0).map(lambda x: round(x, 1)),
+    st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _matching_problem(draw):
+    n = draw(st.integers(1, 6))
+    entries = st.lists(_ENTRY, min_size=2 * n * n, max_size=2 * n * n)
+
+    def complex_matrix():
+        x = np.array(draw(entries)).reshape(2, n, n)
+        return x[0] + 1j * x[1]
+
+    prev_vecs, vecs = complex_matrix(), complex_matrix()
+    vals = complex_matrix()[0]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for a, b in draw(st.lists(pairs, max_size=3)):    # duplicated columns
+        vecs[:, b] = vecs[:, a]
+    for a, b in draw(st.lists(pairs, max_size=3)):    # repeated eigenvalues
+        vals[b] = vals[a]
+    return prev_vecs, vals, vecs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matching_problem())
+def test_match_branches_follows_the_sorted_greedy_rule(problem):
+    columns, overlaps = _match_branches(*problem)
+    expect_columns, expect_overlaps = _match_reference(*problem)
+    np.testing.assert_array_equal(columns, expect_columns)
+    np.testing.assert_array_equal(overlaps, expect_overlaps)
+    assert sorted(columns.tolist()) == list(range(len(columns)))
+
+
+def _station_curves(case_setpoints=None, grid_hz=None):
+    spec = load_system_spec(STATION_CFG_PATH)
+    case = "heavy"
+    if case_setpoints is not None:
+        p, q = spec.case_injections(case)
+        block = {name: PowerSetpoint(p[i], q[i])
+                 for i, name in enumerate(spec.converter_names)}
+        block.update(case_setpoints)
+        spec, case = spec.with_case("_repro", block), "_repro"
+    _name, _steady, op = operating_point(spec, case)
+    return trace_curves(spec, build_reduced_network(spec), op, grid_hz)
+
+
+# the station's heavy case, and the same case with WTG1-3 (three identical
+# units on one collector) at one setpoint, which makes an eigenvalue 2-fold
+@pytest.mark.parametrize("setpoints", [
+    None,
+    {name: PowerSetpoint(0.9, 0.1) for name in ("WTG1", "WTG2", "WTG3")},
+], ids=["heavy", "identical_units"])
+def test_eigpair_at_reproduces_the_scan_bit_for_bit(setpoints):
+    curves = _station_curves(setpoints)
+    for k in range(curves.m):
+        for i in range(curves.n):
+            lam, phi = curves.eigpair_at(k, i)
+            assert lam == curves.d_net[i, k] + 1j * curves.k_net[i, k], (k, i)
+            assert abs(np.linalg.norm(phi) - 1.0) < 1e-12
+
+
+def test_curves_hold_no_per_point_eigenvectors():
+    curves = _station_curves()
+    for f in dataclasses.fields(curves):
+        value = getattr(curves, f.name)
+        assert np.ndim(value) <= 2, f.name
+    assert curves.columns.shape == (curves.m, curves.n)
+    for k in range(curves.m):
+        assert sorted(curves.columns[k].tolist()) == list(range(curves.n))
 
 
 def test_per_converter_gamma_shapes():

@@ -8,9 +8,14 @@ Scalar oracle facts used below (single converter, branch L, slack):
 """
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from syncstab import stability
 from syncstab.config import parse_system_spec
 from syncstab.frequency_response import OperatingPoint, build_gnet, trace_curves
 from syncstab.network import build_reduced_network
@@ -165,6 +170,54 @@ def test_find_crossings_exact_grid_zero_taken_directly():
     crossings = find_crossings(curves, 0)
     assert len(crossings) == 1
     assert crossings[0].f_ci == grid[1]
+
+
+@pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+def test_find_crossings_exact_zero_at_grid_end(end):
+    # an exact zero on the first or last grid point is a crossing of its own;
+    # the cell next to it is not a sign change
+    spec = parse_system_spec(TWO_BUS_CFG)
+    net = build_reduced_network(spec)
+    op = OperatingPoint(np.array([0.4]), np.array([0.0]), np.array([1.0]))
+    f_star = scalar_crossing_hz(1.0)
+    grid = f_star + (np.array([0.0, 1.0, 2.0]) if end == 0
+                     else np.array([-2.0, -1.0, 0.0]))
+    curves = trace_curves(spec, net, op, grid_hz=grid)
+    curves.k_con[end] = -curves.k_net[0, end]
+    crossings = find_crossings(curves, 0)
+    assert [c.f_ci for c in crossings] == [grid[end]]
+    assert crossings[0].lam == curves.d_net[0, end] + 1j * curves.k_net[0, end]
+
+
+def _crossing_events_reference(g):
+    """The grid rule as a loop over every point: an exact zero is a crossing;
+    a sign change is a cell to refine unless either end is an exact zero."""
+    events = []
+    for k in range(len(g)):
+        if g[k] == 0.0:
+            events.append(("zero", k))
+        elif k + 1 < len(g) and (g[k] < 0.0) != (g[k + 1] < 0.0) and g[k + 1] != 0.0:
+            events.append(("cell", k))
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-3.0, 3.0),
+                min_size=2, max_size=40))
+def test_find_crossings_visits_the_same_points_as_the_loop_rule(values):
+    g = np.array(values)
+    events = []
+    curves = SimpleNamespace(
+        k_con=np.zeros_like(g), k_net=g[None, :], omega_rad_s=np.arange(len(g)),
+        eigpair_at=lambda k, i: (0j, None))
+    original = (stability._make_crossing, stability._refine)
+    stability._make_crossing = lambda curves, i, omega, lam, phi: events.append(("zero", omega))
+    stability._refine = lambda curves, i, k, tol: events.append(("cell", k))
+    try:
+        stability.find_crossings(curves, 0)
+    finally:
+        stability._make_crossing, stability._refine = original
+    assert events == _crossing_events_reference(g)
 
 
 def test_multiple_crossings_reported_and_min_selected():
