@@ -21,17 +21,19 @@ import io
 import os
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .config import PowerSetpoint, SystemSpec, load_system_spec
+from .config import SystemSpec, load_system_spec
 from .errors import SyncstabError
-from .frequency_response import OperatingPoint, per_converter_gamma, write_curves_csv
+from .frequency_response import OperatingPoint, per_converter_gamma, trace_curves, write_curves_csv
 from .modal import adjustment_compare, modal_weights_from_report, sensitivities, write_sensitivity_csv
 from .network import ReducedNetwork, build_reduced_network
 from .pipeline import AnalysisResult, operating_point, run_analysis, run_oracle
-from .stability import MARGINAL, NO_CROSSING, STABLE, UNSTABLE
+from .powerflow import solve_steady_state
+from .stability import MARGINAL, NO_CROSSING, STABLE, UNSTABLE, assess
 from .statespace import AnglePulse, simulate, write_modes_csv, write_timeseries_csv
 from .textio import KVWriter, g12, write_csv
 
@@ -260,7 +262,7 @@ def _cmd_curves(args, spec: SystemSpec, out: _Outputs) -> int:
     return 0
 
 
-def _parse_range(text: str) -> np.ndarray:
+def _parse_range(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise SyncstabError(f"range must be START:STOP:STEP, got {text!r}",
@@ -270,12 +272,15 @@ def _parse_range(text: str) -> np.ndarray:
     except ValueError:
         raise SyncstabError(f"range values must be numbers: {text!r}",
                             code="RANGE_INVALID") from None
+    if not np.all(np.isfinite([start, stop, step])):
+        raise SyncstabError(f"range values must be finite: {text!r}",
+                            code="RANGE_INVALID")
     if step <= 0:
         raise SyncstabError("range STEP must be positive", code="RANGE_INVALID")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    if count <= 0:
-        return np.empty(0)
-    return start + step * np.arange(count)
+    # each value is the decimal START + k*STEP rounded once, so 0 comes out as 0
+    start_x, step_x = Fraction(parts[0]), Fraction(parts[2])
+    return [float(start_x + k * step_x) for k in range(count)]
 
 
 def _cmd_sweep(args, spec: SystemSpec, out: _Outputs) -> int:
@@ -283,28 +288,24 @@ def _cmd_sweep(args, spec: SystemSpec, out: _Outputs) -> int:
         raise SyncstabError(f"unknown converter {args.converter!r}",
                             code="UNKNOWN_CONVERTER")
     idx = spec.converter_names.index(args.converter)
-    case = args.case or spec.default_case()
     values = _parse_range(args.range)
+    net = build_reduced_network(spec)
+    p0, q0 = spec.case_injections(args.case)
 
     rows: list[list[object]] = []
     for value in values:
-        p, q = spec.case_injections(case)
-        if args.quantity == "p":
-            p[idx] = value
-        else:
-            q[idx] = value
-        swept = spec.with_case("_sweep", {
-            name: PowerSetpoint(p[i], q[i])
-            for i, name in enumerate(spec.converter_names)})
+        p, q = p0.copy(), q0.copy()
+        (p if args.quantity == "p" else q)[idx] = value
         try:
-            result = run_analysis(swept, "_sweep", flat_voltage=args.flat_voltage,
+            steady = solve_steady_state(spec, p, q, flat_voltage=args.flat_voltage)
+            curves = trace_curves(spec, net, OperatingPoint(p, q, steady.u_pu),
                                   force_first_pll=args.force_first_pll)
-            critical = result.report.critical
+            report = assess(spec, curves)
+            critical = report.critical
             if critical is None:
-                rows.append([value, float("nan"), float("nan"), result.report.verdict])
+                rows.append([value, float("nan"), float("nan"), report.verdict])
             else:
-                rows.append([value, critical.d_net1, critical.f_c1,
-                             result.report.verdict])
+                rows.append([value, critical.d_net1, critical.f_c1, report.verdict])
         except SyncstabError as exc:
             rows.append([value, float("nan"), float("nan"), f"Error[{exc.code}]"])
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -379,29 +378,6 @@ def load_system_spec(path: str) -> SystemSpec:
 # validation
 # --------------------------------------------------------------------------
 
-def _connected_components(nodes: Iterable[str], branches: Iterable[Branch]) -> list[set[str]]:
-    adjacency: dict[str, set[str]] = {n: set() for n in nodes}
-    for b in branches:
-        if b.from_node in adjacency and b.to_node in adjacency:
-            adjacency[b.from_node].add(b.to_node)
-            adjacency[b.to_node].add(b.from_node)
-    seen: set[str] = set()
-    components: list[set[str]] = []
-    for start in adjacency:
-        if start in seen:
-            continue
-        stack, comp = [start], set()
-        while stack:
-            node = stack.pop()
-            if node in comp:
-                continue
-            comp.add(node)
-            stack.extend(adjacency[node] - comp)
-        seen |= comp
-        components.append(comp)
-    return components
-
-
 def validate(spec: SystemSpec) -> list[Violation]:
     """Collect every semantic problem with ``spec`` (empty list = valid)."""
     out: list[Violation] = []
@@ -458,12 +434,19 @@ def validate(spec: SystemSpec) -> list[Violation]:
                                  f"kp={c.pll_kp}, ki={c.pll_ki}"))
 
     # connectivity: every declared node must reach the slack through branches
-    if spec.slack_node in node_set and node_set:
-        positive = [b for b in spec.branches
-                    if b.from_node in node_set and b.to_node in node_set]
-        components = _connected_components(node_set, positive)
-        slack_comp = next((c for c in components if spec.slack_node in c), set())
-        stranded = sorted(node_set - slack_comp)
+    if spec.slack_node in node_set:
+        adjacency: dict[str, list[str]] = {n: [] for n in node_set}
+        for b in spec.branches:
+            if b.from_node in node_set and b.to_node in node_set:
+                adjacency[b.from_node].append(b.to_node)
+                adjacency[b.to_node].append(b.from_node)
+        reached, stack = {spec.slack_node}, [spec.slack_node]
+        while stack:
+            for nxt in adjacency[stack.pop()]:
+                if nxt not in reached:
+                    reached.add(nxt)
+                    stack.append(nxt)
+        stranded = sorted(node_set - reached)
         if stranded:
             out.append(Violation("GRAPH_DISCONNECTED",
                                  f"node(s) not connected to the slack: {', '.join(stranded)}"))

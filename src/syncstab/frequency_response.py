@@ -82,7 +82,7 @@ class OperatingPoint:
 
 
 def gamma(omega, u: float, kp: float, ki: float, omega0: float):
-    """Converter-side frequency function Γ(jω); vectorized over ``omega``.
+    """Converter-side Γ(jω); ``u``, ``kp`` and ``ki`` broadcast against ``omega``.
 
     Raises ``AnalysisError`` (code DEGENERATE_FREQ) for any ω ≤ 0.
     """
@@ -296,11 +296,9 @@ def per_converter_gamma(spec: SystemSpec, op: OperatingPoint,
     this (it assumes identical PLLs and a common U).
     """
     omega_grid = 2.0 * np.pi * np.asarray(grid_hz, dtype=float)
-    out = np.empty((op.n, len(omega_grid)), dtype=complex)
-    for i, conv in enumerate(spec.converters):
-        out[i] = gamma(omega_grid, float(op.u_pu[i]), conv.pll_kp, conv.pll_ki,
-                       spec.omega0)
-    return out
+    kp = np.array([c.pll_kp for c in spec.converters])[:, None]
+    ki = np.array([c.pll_ki for c in spec.converters])[:, None]
+    return gamma(omega_grid, op.u_pu[:, None], kp, ki, spec.omega0)
 
 
 def write_curves_csv(curves: SubsystemCurves, fh, *,

@@ -30,8 +30,6 @@ __all__ = [
     "finite_difference_check", "adjustment_compare", "write_sensitivity_csv",
 ]
 
-# tracked-vs-recomputed eigenvalue agreement demanded at the crossing
-_EIG_MATCH_TOL = 1e-6
 _FD_DELTA_P = 1e-4     # active-power step of the finite-difference check, pu
 
 
@@ -79,26 +77,20 @@ class AdjustmentResult:
 
 
 def modal_weights(net: ReducedNetwork, op: OperatingPoint, omega_c1: float,
-                  omega0: float, ref_vec: np.ndarray | None = None,
-                  ref_lambda: complex | None = None) -> ModalWeights:
-    """Weights η at the critical crossing frequency.
+                  omega0: float) -> ModalWeights:
+    """Weights η at frequency ``omega_c1``, on the eigenvalue with minimal Re λ.
 
-    ``ref_vec``/``ref_lambda`` identify the tracked critical branch (from the
-    stability report); the matching eigenpair is selected by maximal
-    eigenvector overlap and must agree with ``ref_lambda`` to 1e-6, else
-    ``AnalysisError`` (EIGPAIR_MISMATCH).  Without a reference the eigenvalue
-    with minimal real part is used.
+    A stability report already carries the critical branch's eigenpair; use
+    :func:`modal_weights_from_report` to read the weights off it.
     """
     if omega_c1 <= 0:
         raise AnalysisError("crossing frequency must be positive", code="DEGENERATE_FREQ")
-    s_p, s_q = sym_parts(net, op)
-    lam, phi = eigpair(s_p, s_q, omega0 / omega_c1, ref_vec)
-    if ref_lambda is not None and abs(lam - ref_lambda) > _EIG_MATCH_TOL * max(1.0, abs(ref_lambda)):
-        raise AnalysisError(
-            f"no eigenvalue within {_EIG_MATCH_TOL} of the tracked critical value "
-            f"(tracked {ref_lambda:.6g}, nearest by overlap {lam:.6g})",
-            code="EIGPAIR_MISMATCH")
+    lam, phi = eigpair(*sym_parts(net, op), omega0 / omega_c1)
+    return _weights(net, op, omega_c1, omega0, lam, phi)
 
+
+def _weights(net: ReducedNetwork, op: OperatingPoint, omega_c1: float,
+             omega0: float, lam: complex, phi: np.ndarray) -> ModalWeights:
     phi = phi / np.linalg.norm(phi)            # phi* phi = 1
     phi_b1 = net.b_inv_sqrt @ phi
     eta = np.abs(phi_b1) ** 2 / op.u_pu**2
@@ -110,13 +102,12 @@ def modal_weights(net: ReducedNetwork, op: OperatingPoint, omega_c1: float,
 
 def modal_weights_from_report(net: ReducedNetwork, op: OperatingPoint,
                               report: StabilityReport, omega0: float) -> ModalWeights:
-    """Convenience wrapper binding the report's critical crossing."""
+    """Weights η from the eigenpair the report's critical crossing was found on."""
     if report.critical is None:
         raise AnalysisError("report has no critical crossing (NoCrossing verdict)",
                             code="NO_CROSSING")
     c = report.critical
-    return modal_weights(net, op, c.omega_c1, omega0, ref_vec=c.phi,
-                         ref_lambda=c.lam1)
+    return _weights(net, op, c.omega_c1, omega0, c.lam1, c.phi)
 
 
 def sensitivities(weights: ModalWeights) -> Sensitivities:
@@ -135,7 +126,7 @@ def _critical(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
               force_first_pll: bool) -> StabilityReport:
     """Trace and assess one operating point; the report always has a critical crossing."""
     curves = trace_curves(spec, net, op, force_first_pll=force_first_pll)
-    report = assess(spec, net, op, curves)
+    report = assess(spec, curves)
     if report.critical is None:
         raise AnalysisError("no crossing found while evaluating the indicator",
                             code="NO_CROSSING")

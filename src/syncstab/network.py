@@ -100,20 +100,15 @@ def kron_reduce(lap: np.ndarray, index: dict[str, int], spec: SystemSpec) -> Red
     when the reduced matrix fails the definiteness check (both indicate a
     physically meaningless description, e.g. an interior island).
     """
+    # neither list holds the slack, so indexing the Laplacian grounds it
     keep = [index[c.node] for c in spec.converters]
     slack = index[spec.slack_node]
     interior = [i for i in range(lap.shape[0]) if i != slack and i not in set(keep)]
 
-    grounded = np.delete(np.delete(lap, slack, axis=0), slack, axis=1)
-    # re-map indices after slack removal
-    shift = lambda i: i - (i > slack)
-    keep_g = [shift(i) for i in keep]
-    interior_g = [shift(i) for i in interior]
-
-    b_kk = grounded[np.ix_(keep_g, keep_g)]
-    if interior_g:
-        b_ii = grounded[np.ix_(interior_g, interior_g)]
-        b_ki = grounded[np.ix_(keep_g, interior_g)]
+    b_kk = lap[np.ix_(keep, keep)]
+    if interior:
+        b_ii = lap[np.ix_(interior, interior)]
+        b_ki = lap[np.ix_(keep, interior)]
         if np.linalg.cond(b_ii) > _COND_LIMIT:
             raise NetworkError(
                 "interior node block is numerically singular; "

@@ -42,7 +42,7 @@ def run_analysis(spec: SystemSpec, case: str | None = None, *,
     net = build_reduced_network(spec)
     name, steady, op = operating_point(spec, case, flat_voltage=flat_voltage)
     curves = trace_curves(spec, net, op, force_first_pll=force_first_pll)
-    report = assess(spec, net, op, curves, steady)
+    report = assess(spec, curves)
     return AnalysisResult(spec=spec, case=name, net=net, steady=steady,
                           op=op, curves=curves, report=report)
 

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemSpec
-from .frequency_response import OperatingPoint, SubsystemCurves, eigpair, gamma
-from .network import ReducedNetwork
-from .powerflow import SteadyState
+from .frequency_response import SubsystemCurves, eigpair, gamma
 
 __all__ = [
     "MARGINAL_BAND",
@@ -77,7 +75,6 @@ class StabilityReport:
     margin: float | None
     critical: CriticalPoint | None
     per_subsystem: tuple[SubsystemAssessment, ...]
-    steady: SteadyState | None
     notes: tuple[str, ...] = ()
 
 
@@ -136,9 +133,7 @@ def find_crossings(curves: SubsystemCurves, i: int,
     return out
 
 
-def assess(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
-           curves: SubsystemCurves, steady: SteadyState | None = None
-           ) -> StabilityReport:
+def assess(spec: SystemSpec, curves: SubsystemCurves) -> StabilityReport:
     """Evaluate the positive-net-damping criterion over every subsystem.
 
     The verdict follows the globally minimal net damping over all crossings:
@@ -160,8 +155,7 @@ def assess(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     if not all_crossings:
         notes.append("NO_CROSSING: K_con + K_neti has no zero in the scan "
                      "band for any subsystem; criterion not applicable")
-        return StabilityReport(NO_CROSSING, None, None, assessments, steady,
-                               tuple(notes))
+        return StabilityReport(NO_CROSSING, None, None, assessments, tuple(notes))
 
     worst = min(all_crossings, key=lambda c: c.net_damping)
     critical = CriticalPoint(
@@ -176,4 +170,4 @@ def assess(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     else:
         verdict = MARGINAL
     return StabilityReport(verdict, critical.margin, critical, assessments,
-                           steady, tuple(notes))
+                           tuple(notes))

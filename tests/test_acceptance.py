@@ -145,7 +145,7 @@ def test_criterion_04_state_space_oracle_agreement():
         spec = synthetic_spec(op.n)
         try:
             curves = trace_curves(spec, net, op)
-            report = assess(spec, net, op, curves)
+            report = assess(spec, curves)
         except SyncstabError:
             continue
         if report.critical is None or abs(report.critical.margin) <= 0.01:
@@ -197,7 +197,7 @@ def test_criterion_05_sensitivity_finite_difference():
         spec = synthetic_spec(op.n)
         try:
             curves = trace_curves(spec, net, op)
-            report = assess(spec, net, op, curves)
+            report = assess(spec, curves)
             if report.critical is None:
                 continue
             weights = modal_weights_from_report(net, op, report, W0)

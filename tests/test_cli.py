@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from syncstab import network
 from syncstab.cli import main
 
 from conftest import TWO_BUS_CFG
@@ -197,9 +198,11 @@ def test_sweep_error_rows_inline(two_bus_cfg, capsys):
         assert row.split(",")[3].startswith("Error[")
 
 
-def test_sweep_bad_range_exits_one(two_bus_cfg, capsys):
+@pytest.mark.parametrize("bad", ["0:1:-0.1", "0:inf:0.1", "nan:1:0.1", "0:1:inf"],
+                         ids=["negative-step", "inf-stop", "nan-start", "inf-step"])
+def test_sweep_bad_range_exits_one(two_bus_cfg, capsys, bad):
     code = main(["sweep", "--config", two_bus_cfg, "--converter", "C1",
-                 "--quantity", "p", "--range", "0:1:-0.1"])
+                 "--quantity", "p", "--range", bad])
     assert code == 1
     assert "[RANGE_INVALID]" in capsys.readouterr().err
 
@@ -212,6 +215,40 @@ def test_sweep_negative_start_equals_form(station_cfg, capsys):
     assert code == 0
     assert len(rows) == 7
     assert float(rows[0].split(",")[0]) == pytest.approx(-0.3)
+
+
+def test_sweep_reduces_once_and_writes_exact_values(station_cfg, monkeypatch, capsys):
+    # every point shares one reduced network; values are START + k*STEP in
+    # decimal, rounded once, so the Q = 0 row reads 0
+    calls = []
+    reduce = network.kron_reduce
+
+    def counted(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(network, "kron_reduce", counted)
+    code = main(["sweep", "--config", station_cfg, "--case", "heavy",
+                 "--converter", "ES1", "--quantity", "q", "--range=-0.3:0.3:0.1"])
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert code == 0
+    assert len(calls) == 1
+    assert [r.split(",")[0] for r in rows] == ["-0.3", "-0.2", "-0.1", "0",
+                                               "0.1", "0.2", "0.3"]
+
+
+def test_sweep_unreducible_network_exits_one(tmp_path, capsys):
+    # interior nodes i1, i2 form a block with cond ~ 1e18: B cannot be reduced
+    cfg = tmp_path / "unreducible.cfg"
+    cfg.write_text(TWO_BUS_CFG.replace("bus1\ngrid\n", "bus1\ni1\ni2\ngrid\n")
+                   .replace("bus1 grid 0.3\n", "bus1 i1 1e9\ni1 i2 1e-9\n"
+                            "i2 grid 1e9\nbus1 grid 0.3\n"), encoding="utf-8")
+    code = main(["sweep", "--config", str(cfg), "--converter", "C1",
+                 "--quantity", "p", "--range", "0.1:0.3:0.1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "[SINGULAR_INTERIOR]" in captured.err
+    assert captured.out == ""
 
 
 def test_sweep_unknown_converter_exits_one(two_bus_cfg, capsys):

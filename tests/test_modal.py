@@ -13,13 +13,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from syncstab.config import parse_system_spec
+from syncstab.config import PowerSetpoint, load_system_spec, parse_system_spec
 from syncstab.errors import AnalysisError
-from syncstab.frequency_response import OperatingPoint, build_gnet_sym, trace_curves
-from syncstab.modal import (adjustment_compare, finite_difference_check,
+from syncstab.frequency_response import (OperatingPoint, build_gnet_sym, eigpair,
+                                         sym_parts, trace_curves)
+from syncstab.modal import (_weights, adjustment_compare, finite_difference_check,
                             modal_weights, modal_weights_from_report,
                             sensitivities)
 from syncstab.network import build_reduced_network
+from syncstab.pipeline import run_analysis
 from syncstab.stability import assess
 
 from conftest import (KI, KP, TWO_BUS_CFG, random_operating_point,
@@ -33,14 +35,14 @@ def test_scalar_eta_closed_form():
     net = build_reduced_network(spec)
     op = OperatingPoint(np.array([0.5]), np.array([0.0]), np.array([1.0]))
     curves = trace_curves(spec, net, op)
-    report = assess(spec, net, op, curves)
+    report = assess(spec, curves)
     w = modal_weights_from_report(net, op, report, W0)
     assert w.eta[0] == pytest.approx(0.3, abs=1e-12)
     assert abs(w.phi[0]) == pytest.approx(1.0, abs=1e-12)
     # scaled voltage: eta = L/U^2
     op2 = OperatingPoint(np.array([0.5]), np.array([0.0]), np.array([0.9]))
     curves2 = trace_curves(spec, net, op2)
-    report2 = assess(spec, net, op2, curves2)
+    report2 = assess(spec, curves2)
     w2 = modal_weights_from_report(net, op2, report2, W0)
     assert w2.eta[0] == pytest.approx(0.3 / 0.81, rel=1e-10)
 
@@ -91,7 +93,7 @@ def test_modal_weights_reference_vector_selection():
     op = random_operating_point(rng, 4)
     spec = synthetic_spec(4, scan_points=600)
     curves = trace_curves(spec, net, op)
-    report = assess(spec, net, op, curves)
+    report = assess(spec, curves)
     if report.critical is None:
         pytest.skip("no crossing for this draw")
     via_report = modal_weights_from_report(net, op, report, W0)
@@ -99,6 +101,36 @@ def test_modal_weights_reference_vector_selection():
     assert via_report.lam1 == pytest.approx(report.critical.lam1, abs=1e-9)
     # the min-Re fallback agrees here because the critical branch is minimal
     assert direct.lam1.real <= via_report.lam1.real + 1e-12
+
+
+# the station's heavy case flat and solved, and the degenerate repro with
+# WTG1-3 (three identical units on one collector) at one setpoint
+@pytest.mark.parametrize("flat,setpoints", [
+    (True, None),
+    (False, None),
+    (None, {name: PowerSetpoint(0.9, 0.1) for name in ("WTG1", "WTG2", "WTG3")}),
+], ids=["heavy_flat", "heavy_solved", "identical_units"])
+def test_weights_read_off_the_critical_crossing(station_path, monkeypatch,
+                                                flat, setpoints):
+    spec, case = load_system_spec(station_path), "heavy"
+    if setpoints is not None:
+        p, q = spec.case_injections(case)
+        block = {name: PowerSetpoint(p[i], q[i])
+                 for i, name in enumerate(spec.converter_names)}
+        spec, case = spec.with_case("_repro", {**block, **setpoints}), "_repro"
+    result = run_analysis(spec, case, flat_voltage=flat)
+    net, op, c = result.net, result.op, result.report.critical
+    lam, phi = eigpair(*sym_parts(net, op), spec.omega0 / c.omega_c1, c.phi)
+    resolved = _weights(net, op, c.omega_c1, spec.omega0, lam, phi)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the weights solved an eigenproblem again")
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    weights = modal_weights_from_report(net, op, result.report, spec.omega0)
+    assert weights.lam1 == resolved.lam1
+    for name in ("eta", "eta_complex", "phi", "phi_b1"):
+        np.testing.assert_array_equal(getattr(weights, name), getattr(resolved, name))
 
 
 def test_sensitivities_structure():
@@ -197,7 +229,7 @@ def test_adjustment_first_order_prediction():
     op = random_operating_point(rng, 3)
     spec = synthetic_spec(3, scan_points=600)
     curves = trace_curves(spec, net, op)
-    report = assess(spec, net, op, curves)
+    report = assess(spec, curves)
     if report.critical is None:
         pytest.skip("no crossing for this draw")
     weights = modal_weights_from_report(net, op, report, W0)

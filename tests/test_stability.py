@@ -43,7 +43,7 @@ def _two_bus(case_p: float, case_q: float = 0.0, u: float = 1.0):
 
 def test_scalar_crossing_frequency_and_dcon():
     spec, net, op, curves = _two_bus(0.5)
-    report = assess(spec, net, op, curves)
+    report = assess(spec, curves)
     c = report.critical
     assert c is not None
     assert c.f_c1 == pytest.approx(scalar_crossing_hz(1.0), abs=2e-4)
@@ -59,7 +59,7 @@ def test_d_net1_equals_eig_recompute():
     # the reported D_net1 must equal Re lambda_1{G_net(j w_c1)} recomputed
     # from scratch at the reported crossing
     spec, net, op, curves = _two_bus(0.37, 0.21)
-    report = assess(spec, net, op, curves)
+    report = assess(spec, curves)
     c = report.critical
     lam = np.linalg.eigvals(build_gnet(c.omega_c1, net, op, W0))
     best = lam[np.argmin(np.abs(lam - (c.d_net1 + 1j * 0)))]
@@ -76,7 +76,7 @@ def test_multivariable_d_net1_recompute():
         op = random_operating_point(rng, n)
         spec = synthetic_spec(n, scan_points=600)
         curves = trace_curves(spec, net, op)
-        report = assess(spec, net, op, curves)
+        report = assess(spec, curves)
         if report.critical is None:
             continue
         c = report.critical
@@ -93,7 +93,7 @@ def test_grid_density_invariance():
         net = build_reduced_network(spec)
         op = OperatingPoint(np.array([0.5]), np.array([0.15]), np.array([1.0]))
         curves = trace_curves(spec, net, op)
-        report = assess(spec, net, op, curves)
+        report = assess(spec, curves)
         results.append((report.critical.f_c1, report.critical.d_net1))
     f_vals = [r[0] for r in results]
     d_vals = [r[1] for r in results]
@@ -106,7 +106,7 @@ def test_margin_monotone_in_p():
     margins = []
     for p in (0.1, 0.3, 0.5, 0.7):
         spec, net, op, curves = _two_bus(p)
-        margins.append(assess(spec, net, op, curves).margin)
+        margins.append(assess(spec, curves).margin)
     assert all(a > b for a, b in zip(margins, margins[1:]))
 
 
@@ -115,13 +115,13 @@ def test_verdict_boundaries_and_marginal_band():
     # margin = w0 kp/ki - P*L/U^2 = 0 at P* = (w0 kp/ki)/0.3
     p_star = (W0 * KP / KI) / 0.3
     spec, net, op, curves = _two_bus(p_star)
-    report = assess(spec, net, op, curves)
+    report = assess(spec, curves)
     assert abs(report.margin) < MARGINAL_BAND
     assert report.verdict == MARGINAL
     spec, net, op, curves = _two_bus(p_star + 0.02)
-    assert assess(spec, net, op, curves).verdict == UNSTABLE
+    assert assess(spec, curves).verdict == UNSTABLE
     spec, net, op, curves = _two_bus(p_star - 0.02)
-    assert assess(spec, net, op, curves).verdict == STABLE
+    assert assess(spec, curves).verdict == STABLE
 
 
 def test_no_crossing_verdict():
@@ -134,7 +134,7 @@ def test_no_crossing_verdict():
     net = build_reduced_network(spec)
     op = OperatingPoint(np.array([0.5]), np.array([0.0]), np.array([1.0]))
     curves = trace_curves(spec, net, op)
-    report = assess(spec, net, op, curves)
+    report = assess(spec, curves)
     assert report.verdict == NO_CROSSING
     assert report.critical is None
     assert report.margin is None
@@ -228,7 +228,7 @@ def test_multiple_crossings_reported_and_min_selected():
     op = random_operating_point(rng, 4)
     spec = synthetic_spec(4, scan_points=800)
     curves = trace_curves(spec, net, op)
-    report = assess(spec, net, op, curves)
+    report = assess(spec, curves)
     if report.critical is None:
         pytest.skip("ensemble draw happened to have no crossing")
     nets = [c.net_damping for sub in report.per_subsystem for c in sub.crossings]

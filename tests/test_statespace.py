@@ -187,7 +187,7 @@ def test_crosscheck_agree_disagree_skip(station_path):
     net = build_reduced_network(two)
     op = OperatingPoint(np.array([0.5]), np.array([0.0]), np.array([1.0]))
     curves = trace_curves(two, net, op)
-    report = assess(two, net, op, curves)
+    report = assess(two, curves)
     ss = assemble_state_space(net, op, KP, KI, W0)
     chk = crosscheck(report, modes(ss))
     assert chk.status == "SKIPPED"
