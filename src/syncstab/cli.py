@@ -21,6 +21,7 @@ import io
 import os
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,9 @@ from .statespace import AnglePulse, simulate, write_modes_csv, write_timeseries_
 from .textio import KVWriter, g12, write_csv
 
 _EXIT = {STABLE: 0, UNSTABLE: 2, MARGINAL: 3, NO_CROSSING: 3}
+
+MAX_SWEEP_POINTS = 100_000     # about 2 h of analysis at ~70 ms per point
+_MIN_EXP, _MAX_EXP = sys.float_info.min_10_exp, sys.float_info.max_10_exp
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -277,10 +281,21 @@ def _parse_range(text: str) -> list[float]:
                             code="RANGE_INVALID")
     if step <= 0:
         raise SyncstabError("range STEP must be positive", code="RANGE_INVALID")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    # the exact decimals below take time that grows with a field's exponent
+    if any(not _MIN_EXP <= Decimal(p).adjusted() <= _MAX_EXP for p in parts):
+        raise SyncstabError(f"range values must lie within the float exponent range: "
+                            f"{text!r}", code="RANGE_INVALID")
+    count = np.floor((stop - start) / step + 1e-9) + 1
+    if count > MAX_SWEEP_POINTS:
+        raise SyncstabError(f"range has more than {MAX_SWEEP_POINTS} points",
+                            code="RANGE_INVALID")
     # each value is the decimal START + k*STEP rounded once, so 0 comes out as 0
-    start_x, step_x = Fraction(parts[0]), Fraction(parts[2])
-    return [float(start_x + k * step_x) for k in range(count)]
+    try:
+        start_x, step_x = Fraction(parts[0]), Fraction(parts[2])
+    except ValueError:               # more digits than int() converts
+        raise SyncstabError("range values have too many digits to read exactly",
+                            code="RANGE_INVALID") from None
+    return [float(start_x + k * step_x) for k in range(int(count))]
 
 
 def _cmd_sweep(args, spec: SystemSpec, out: _Outputs) -> int:
@@ -354,6 +369,9 @@ def _parse_assignments(chunks: list[str], spec: SystemSpec) -> dict[str, float]:
             except ValueError:
                 raise SyncstabError(f"assignment value {value!r} is not a number",
                                     code="ASSIGN_INVALID") from None
+            if not np.isfinite(out[name]):
+                raise SyncstabError(f"assignment value {value!r} is not finite",
+                                    code="ASSIGN_INVALID")
     return out
 
 

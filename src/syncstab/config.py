@@ -43,7 +43,7 @@ programmatically built :class:`SystemSpec`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -175,39 +175,62 @@ class SystemSpec:
 
 _KNOWN_SECTIONS = {"system", "nodes", "branches", "slack", "converters", "operating_point", "options"}
 
-_OPTION_KEYS = {
-    "flat_voltage": bool,
-    "scan_fmin_hz": float,
-    "scan_fmax_hz": float,
-    "scan_points": int,
-    "root_tol_hz": float,
-    "sim_dt_s": float,
-    "sim_duration_s": float,
-}
+# [options] keys and their value types are read off the dataclass
+_OPTION_KEYS = {f.name: type(f.default) for f in fields(AnalysisOptions)}
+
+_Rows = list[tuple[int, list[str]]]
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
-
-
-def _parse_float(token: str, what: str, lineno: int) -> float:
+def _parse_value(token: str, what: str, lineno: int, kind: type = float):
+    """One ``kind`` value (bool, int or float); numbers must be finite."""
+    if kind is bool:
+        low = token.lower()
+        if low in ("true", "yes", "on", "1"):
+            return True
+        if low in ("false", "no", "off", "0"):
+            return False
+        raise ConfigSyntaxError(f"{what}: {token!r} is not a boolean", line=lineno)
     try:
         value = float(token)
     except ValueError:
         raise ConfigSyntaxError(f"{what}: {token!r} is not a number", line=lineno) from None
     if not math.isfinite(value):
         raise ConfigSyntaxError(f"{what}: {token!r} is not finite", line=lineno)
+    if kind is int:
+        if value != int(value):
+            raise ConfigSyntaxError(f"{what}: {token!r} is not an integer", line=lineno)
+        return int(value)
     return value
 
 
-def _parse_bool(token: str, what: str, lineno: int) -> bool:
-    low = token.lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigSyntaxError(f"{what}: {token!r} is not a boolean", line=lineno)
+def _read_keys(rows: _Rows, section: str, kinds: dict[str, type]) -> dict[str, object]:
+    """``key = value`` rows of ``[section]``, each value parsed as ``kinds[key]``."""
+    values: dict[str, object] = {}
+    for lineno, tokens in rows:
+        key, sep, value = (part.strip() for part in " ".join(tokens).partition("="))
+        if not sep:
+            raise ConfigSyntaxError("expected key = value", line=lineno)
+        if key not in kinds:
+            raise ConfigSyntaxError(f"unknown [{section}] key {key!r}", line=lineno)
+        values[key] = _parse_value(value, key, lineno, kinds[key])
+    return values
+
+
+def _fixed_rows(rows: _Rows, what: str, cls: type, lead: tuple[str, ...] = ()):
+    """Yield (lineno, tokens) for rows with one token per column: ``lead``, then
+    the fields of ``cls``; the usage text names the columns."""
+    columns = (*lead, *(f.name for f in fields(cls)))
+    for lineno, tokens in rows:
+        if len(tokens) != len(columns):
+            raise ConfigSyntaxError(f"{what} row must be: {' '.join(columns)}", line=lineno)
+        yield lineno, tokens
+
+
+def _record(cls: type, tokens: list[str], lineno: int):
+    """``cls`` from one row's tokens; fields annotated ``float`` are parsed
+    (annotations are strings under ``from __future__ import annotations``)."""
+    return cls(*(_parse_value(token, f.name, lineno) if f.type == "float" else token
+                 for f, token in zip(fields(cls), tokens)))
 
 
 def parse_system_spec(text: str) -> SystemSpec:
@@ -221,12 +244,12 @@ def parse_system_spec(text: str) -> SystemSpec:
         When the text parses but describes an inconsistent system.
     """
     # sections[name] -> list of (lineno, tokens); operating points keyed separately
-    sections: dict[str, list[tuple[int, list[str]]]] = {}
-    op_blocks: dict[str, list[tuple[int, list[str]]]] = {}
-    current: list[tuple[int, list[str]]] | None = None
+    sections: dict[str, _Rows] = {}
+    op_blocks: dict[str, _Rows] = {}
+    current: _Rows | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("["):
@@ -263,31 +286,16 @@ def parse_system_spec(text: str) -> SystemSpec:
             raise ConfigSyntaxError(f"missing required section [{required}]")
 
     # -- [system] ---------------------------------------------------------
-    rated = None
-    for lineno, tokens in sections["system"]:
-        joined = " ".join(tokens)
-        if "=" not in joined:
-            raise ConfigSyntaxError("expected key = value", line=lineno)
-        key, _, value = (part.strip() for part in joined.partition("="))
-        if key != "rated_frequency_hz":
-            raise ConfigSyntaxError(f"unknown [system] key {key!r}", line=lineno)
-        rated = _parse_float(value, "rated_frequency_hz", lineno)
-    if rated is None:
+    system = _read_keys(sections["system"], "system", {"rated_frequency_hz": float})
+    if "rated_frequency_hz" not in system:
         raise ConfigSyntaxError("[system] must set rated_frequency_hz")
 
     # -- [nodes] ----------------------------------------------------------
-    nodes: list[str] = []
-    for _lineno, tokens in sections["nodes"]:
-        nodes.extend(tokens)
+    nodes = [node for _lineno, tokens in sections["nodes"] for node in tokens]
 
     # -- [branches] -------------------------------------------------------
-    branches: list[Branch] = []
-    for lineno, tokens in sections["branches"]:
-        if len(tokens) != 3:
-            raise ConfigSyntaxError(
-                "branch row must be: from_node to_node inductance_pu", line=lineno)
-        branches.append(Branch(tokens[0], tokens[1],
-                               _parse_float(tokens[2], "inductance_pu", lineno)))
+    branches = [_record(Branch, tokens, lineno)
+                for lineno, tokens in _fixed_rows(sections["branches"], "branch", Branch)]
 
     # -- [slack] ----------------------------------------------------------
     slack_rows = sections["slack"]
@@ -297,64 +305,35 @@ def parse_system_spec(text: str) -> SystemSpec:
     slack = slack_rows[0][1][0]
 
     # -- [converters] -----------------------------------------------------
-    converters: list[Converter] = []
-    for lineno, tokens in sections["converters"]:
-        if len(tokens) != 4:
-            raise ConfigSyntaxError(
-                "converter row must be: name node pll_kp pll_ki", line=lineno)
-        converters.append(Converter(
-            tokens[0], tokens[1],
-            _parse_float(tokens[2], "pll_kp", lineno),
-            _parse_float(tokens[3], "pll_ki", lineno)))
+    converters = [_record(Converter, tokens, lineno)
+                  for lineno, tokens in _fixed_rows(sections["converters"], "converter",
+                                                    Converter)]
 
     # -- [operating_point ...] ---------------------------------------------
     operating_points: dict[str, dict[str, PowerSetpoint]] = {}
     declared = {c.name for c in converters}
     pending: list[Violation] = []
-    for case, rows in op_blocks.items():
+    # no block declared: one all-zero case called "default"
+    for case, rows in (op_blocks or {"default": []}).items():
         block: dict[str, PowerSetpoint] = {}
-        for lineno, tokens in rows:
-            if len(tokens) != 3:
-                raise ConfigSyntaxError(
-                    "operating point row must be: converter p_pu q_pu", line=lineno)
+        for lineno, tokens in _fixed_rows(rows, "operating point", PowerSetpoint,
+                                          ("converter",)):
             name = tokens[0]
             if name not in declared:
                 pending.append(Violation(
                     "OP_UNKNOWN_CONVERTER",
                     f"case {case!r} sets power for undeclared converter {name!r}"))
                 continue
-            block[name] = PowerSetpoint(
-                _parse_float(tokens[1], "p_pu", lineno),
-                _parse_float(tokens[2], "q_pu", lineno))
+            block[name] = _record(PowerSetpoint, tokens[1:], lineno)
         # normalize: every converter present
         operating_points[case] = {
             c.name: block.get(c.name, PowerSetpoint(0.0, 0.0)) for c in converters}
-    if not operating_points:
-        operating_points["default"] = {
-            c.name: PowerSetpoint(0.0, 0.0) for c in converters}
 
     # -- [options] ----------------------------------------------------------
-    overrides: dict[str, object] = {}
-    for lineno, tokens in sections.get("options", []):
-        joined = " ".join(tokens)
-        if "=" not in joined:
-            raise ConfigSyntaxError("expected key = value", line=lineno)
-        key, _, value = (part.strip() for part in joined.partition("="))
-        if key not in _OPTION_KEYS:
-            raise ConfigSyntaxError(f"unknown [options] key {key!r}", line=lineno)
-        kind = _OPTION_KEYS[key]
-        if kind is bool:
-            overrides[key] = _parse_bool(value, key, lineno)
-        elif kind is int:
-            number = _parse_float(value, key, lineno)
-            if number != int(number):
-                raise ConfigSyntaxError(f"{key}: {value!r} is not an integer", line=lineno)
-            overrides[key] = int(number)
-        else:
-            overrides[key] = _parse_float(value, key, lineno)
+    overrides = _read_keys(sections.get("options", []), "options", _OPTION_KEYS)
 
     spec = SystemSpec(
-        rated_frequency_hz=rated,
+        rated_frequency_hz=system["rated_frequency_hz"],
         nodes=tuple(nodes),
         branches=tuple(branches),
         slack_node=slack,

@@ -6,6 +6,8 @@ can branch on failure class without string matching.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 
 class SyncstabError(Exception):
     """Base class for all errors raised by this package."""
@@ -30,6 +32,7 @@ class ConfigSyntaxError(SyncstabError):
         super().__init__(message)
 
 
+@dataclass(frozen=True)
 class Violation:
     """One semantic problem found while validating a parsed system.
 
@@ -37,20 +40,8 @@ class Violation:
     says what is wrong in terms of the offending names.
     """
 
-    __slots__ = ("code", "message")
-
-    def __init__(self, code: str, message: str):
-        self.code = code
-        self.message = message
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Violation({self.code!r}, {self.message!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Violation)
-            and (self.code, self.message) == (other.code, other.message)
-        )
+    code: str
+    message: str
 
 
 class SpecValidationError(SyncstabError):

@@ -48,7 +48,11 @@ OVERLAP_THRESHOLD = 0.7
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """Converter injections plus the steady-state voltage amplitudes."""
+    """Converter injections plus the steady-state voltage amplitudes.
+
+    Raises ``AnalysisError`` (OP_INVALID) for vectors of unequal length,
+    non-finite values or a voltage amplitude U ≤ 0.
+    """
 
     p_pu: np.ndarray
     q_pu: np.ndarray
@@ -59,9 +63,12 @@ class OperatingPoint:
         q = np.atleast_1d(np.asarray(self.q_pu, dtype=float))
         u = np.atleast_1d(np.asarray(self.u_pu, dtype=float))
         if not (p.shape == q.shape == u.shape) or p.ndim != 1:
-            raise ValueError("p_pu, q_pu, u_pu must be equal-length vectors")
+            raise AnalysisError("p_pu, q_pu, u_pu must be equal-length vectors",
+                                code="OP_INVALID")
+        if not np.isfinite([p, q, u]).all():
+            raise AnalysisError("p_pu, q_pu, u_pu must be finite", code="OP_INVALID")
         if np.any(u <= 0):
-            raise ValueError("voltage amplitudes must be positive")
+            raise AnalysisError("voltage amplitudes must be positive", code="OP_INVALID")
         object.__setattr__(self, "p_pu", p)
         object.__setattr__(self, "q_pu", q)
         object.__setattr__(self, "u_pu", u)
@@ -226,10 +233,13 @@ def _match_branches(prev_vecs: np.ndarray, vals: np.ndarray, vecs: np.ndarray
     jj = np.arange(n * n) % n                     # flattened i-major, j-minor
     # lexsort is stable, so the flattened order settles full ties: i, then j
     order = np.lexsort((vals.imag[jj], vals.real[jj], -overlap.ravel()))
-    assign, free = [-1] * n, [True] * n
+    assign, free, left = [-1] * n, [True] * n, n
     for i, j in zip((order // n).tolist(), (order % n).tolist()):
         if assign[i] < 0 and free[j]:
             assign[i], free[j] = j, False
+            left -= 1
+            if not left:              # every branch has its column
+                break
     columns = np.array(assign)
     return columns, overlap[np.arange(n), columns]
 

@@ -7,9 +7,11 @@ At the critical crossing the indicator decomposes exactly into
 with η_i = |(B^{-1/2}·φ)_i|²/U_i² ≥ 0 built from the unit eigenvector φ of
 G′_net(jω_c1).  This is a Rayleigh-quotient identity (λ1 = φ*G′_netφ holds
 exactly for a unit right eigenvector), so η needs no normality assumption.
-The η_i act as first-order sensitivities ∂D_net1/∂P_i = −η_i, rank converters
-by influence, and explain why flipping generation to consumption at dominant
-converters raises the indicator.
+The η_i rank converters by influence and explain why flipping generation to
+consumption at dominant converters raises the indicator.  They are the paper's
+weights, not derivatives: G′_net is complex symmetric, so its left eigenvector
+is φᵀ and ∂D_net1/∂P_i = −Re[(B^{-1/2}·φ)_i² / (φᵀφ)] / U_i², which equals
+−η_i only when φ is real up to a phase.
 """
 from __future__ import annotations
 
@@ -48,8 +50,8 @@ class ModalWeights:
 
 @dataclass(frozen=True)
 class Sensitivities:
-    dd_dp: np.ndarray          # -eta
-    dd_dq: np.ndarray          # zeros (first-order partial)
+    dd_dp: np.ndarray          # -eta (the paper's table, not the derivative)
+    dd_dq: np.ndarray          # zeros (likewise)
     dominant: int              # argmax |eta|, ties -> lowest index
 
 
@@ -111,11 +113,11 @@ def modal_weights_from_report(net: ReducedNetwork, op: OperatingPoint,
 
 
 def sensitivities(weights: ModalWeights) -> Sensitivities:
-    """First-order sensitivities of D_net1 and the dominant converter.
+    """The paper's sensitivity table, −η for P and zero for Q, and the
+    dominant converter.
 
-    ∂D_net1/∂P_i = −η_i ≤ 0 by construction; the partial with respect to Q_i
-    is zero (reactive power moves the crossing frequency, a second-order
-    route quantified by :func:`finite_difference_check`, not by this table).
+    Neither column is the exact derivative of D_net1 (see the module
+    docstring); :func:`finite_difference_check` measures the real one.
     """
     eta = weights.eta
     return Sensitivities(dd_dp=-eta, dd_dq=np.zeros_like(eta),
@@ -139,8 +141,10 @@ def finite_difference_check(spec: SystemSpec, net: ReducedNetwork,
 
     Voltages are frozen: the perturbed operating point reuses ``op.u_pu``.
     The crossing is re-solved on the perturbed point, so the measured value
-    is a total-derivative estimate; the predicted value is the first-order
-    partial −η_i.
+    is a total-derivative estimate; the predicted value is the paper's
+    weight −η_i.  The two differ because −η_i is not the partial derivative
+    at fixed ω (see the module docstring), not because the crossing moves:
+    on the station's cases that partial already matches the measured total.
     """
     report = _critical(spec, net, op, False)
     base = report.critical.d_net1

@@ -198,8 +198,12 @@ def test_sweep_error_rows_inline(two_bus_cfg, capsys):
         assert row.split(",")[3].startswith("Error[")
 
 
-@pytest.mark.parametrize("bad", ["0:1:-0.1", "0:inf:0.1", "nan:1:0.1", "0:1:inf"],
-                         ids=["negative-step", "inf-stop", "nan-start", "inf-step"])
+@pytest.mark.parametrize("bad", ["0:1:-0.1", "0:inf:0.1", "nan:1:0.1", "0:1:inf",
+                                 "0:1e300:1e-300", "1." + "0" * 5000 + ":2:0.5",
+                                 "1e-9999999:1:0.5", "0:1e300:1e-5"],
+                         ids=["negative-step", "inf-stop", "nan-start", "inf-step",
+                              "overflowing-count", "5001-digit-start",
+                              "tiny-exponent", "too-many-points"])
 def test_sweep_bad_range_exits_one(two_bus_cfg, capsys, bad):
     code = main(["sweep", "--config", two_bus_cfg, "--converter", "C1",
                  "--quantity", "p", "--range", bad])
@@ -317,6 +321,14 @@ def test_adjust_unknown_converter(station_cfg, capsys):
                  "--set", "nosuch=0.1"])
     assert code == 1
     assert "[UNKNOWN_CONVERTER]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_adjust_non_finite_assignment(station_cfg, capsys, value):
+    code = main(["adjust", "--config", station_cfg, "--case", "heavy",
+                 "--set", f"ES1={value}"])
+    assert code == 1
+    assert "[ASSIGN_INVALID]" in capsys.readouterr().err
 
 
 def test_adjust_malformed_assignment(station_cfg, capsys):

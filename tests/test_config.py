@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import os
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -239,3 +241,80 @@ def test_serialize_round_trip_random_star(data):
 def test_validate_returns_empty_for_good_spec():
     spec = parse_system_spec(TWO_BUS_CFG)
     assert validate(spec) == []
+
+
+# --- grammar: exact messages --------------------------------------------------
+
+def _syntax_error(text: str) -> ConfigSyntaxError:
+    with pytest.raises(ConfigSyntaxError) as exc:
+        parse_system_spec(text)
+    assert exc.value.code == "CONFIG_SYNTAX"
+    return exc.value
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("rated_frequency_hz = 50", "base_mva = 100",
+     "unknown [system] key 'base_mva'"),
+    ("[slack]\ngrid", "[slack]\ngrid bus1",
+     "[slack] must contain exactly one node name"),
+    ("bus1 grid 0.3", "bus1 grid",
+     "branch row must be: from_node to_node inductance_pu"),
+    ("C1 bus1 6.5 15782", "C1 bus1 6.5",
+     "converter row must be: name node pll_kp pll_ki"),
+    ("C1 0.5 0.0", "C1 0.5",
+     "operating point row must be: converter p_pu q_pu"),
+], ids=["system-key", "slack-two-names", "short-branch", "short-converter",
+        "short-operating-point"])
+def test_grammar_messages(old, new, message):
+    text = _mutated(old, new)
+    line = 1 + text.splitlines().index(new.splitlines()[-1])
+    err = _syntax_error(text)
+    assert err.line == line
+    assert str(err) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("option, message", [
+    ("scan_fmax = 40", "unknown [options] key 'scan_fmax'"),
+    ("flat_voltage = maybe", "flat_voltage: 'maybe' is not a boolean"),
+    ("scan_points = 300.5", "scan_points: '300.5' is not an integer"),
+], ids=["options-key", "bool", "int"])
+def test_option_grammar_messages(option, message):
+    text = TWO_BUS_CFG + "\n[options]\n" + option + "\n"
+    line = len(text.splitlines())
+    err = _syntax_error(text)
+    assert err.line == line
+    assert str(err) == f"line {line}: {message}"
+
+
+def test_system_without_rated_frequency():
+    err = _syntax_error(_mutated("rated_frequency_hz = 50", ""))
+    assert err.line is None
+    assert str(err) == "[system] must set rated_frequency_hz"
+
+
+def test_serialize_round_trip_every_option():
+    options = AnalysisOptions(flat_voltage=True, scan_fmin_hz=0.75,
+                              scan_fmax_hz=59.5, scan_points=701,
+                              root_tol_hz=2.5e-5, sim_dt_s=2.5e-4,
+                              sim_duration_s=2.5)
+    spec = replace(parse_system_spec(TWO_BUS_CFG), options=options)
+    text = serialize(spec)
+    for f in fields(AnalysisOptions):
+        assert getattr(options, f.name) != f.default
+        assert f"\n{f.name} = " in text
+    again = parse_system_spec(text)
+    assert again.options == options
+    assert again == spec
+
+
+def test_readme_options_list_every_field_at_its_default():
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(path, encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    spec = parse_system_spec(block)
+    assert spec.options == AnalysisOptions()
+    listed = block.split("[options]", 1)[1]
+    keys = [line.split("=")[0].strip() for line in listed.splitlines()
+            if "=" in line.split("#")[0]]
+    assert keys == [f.name for f in fields(AnalysisOptions)]

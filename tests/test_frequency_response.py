@@ -111,6 +111,20 @@ def test_resolve_pll_gains_identical_and_forced():
     assert warnings  # carries a note about the unused second tuning
 
 
+@pytest.mark.parametrize("p, q, u", [
+    ([0.5, np.nan], [0.0, 0.0], [1.0, 1.0]),
+    ([0.5, 0.1], [np.inf, 0.0], [1.0, 1.0]),
+    ([0.5, 0.1], [0.0, 0.0], [1.0, np.nan]),
+    ([0.5, 0.1], [0.0, 0.0], [1.0, np.inf]),
+    ([0.5, 0.1], [0.0], [1.0, 1.0]),
+    ([0.5, 0.1], [0.0, 0.0], [1.0, 0.0]),
+], ids=["nan-p", "inf-q", "nan-u", "inf-u", "shape", "zero-u"])
+def test_operating_point_rejects_bad_values_with_code(p, q, u):
+    with pytest.raises(AnalysisError) as exc:
+        OperatingPoint(np.array(p), np.array(q), np.array(u))
+    assert exc.value.code == "OP_INVALID"
+
+
 # --- network side ------------------------------------------------------------
 
 def test_gnet_scalar_closed_form():
