@@ -26,7 +26,7 @@ import numpy as np
 from .config import SystemSpec
 from .errors import AnalysisError
 from .network import ReducedNetwork
-from .textio import write_csv
+from .textio import write_table
 
 __all__ = [
     "OperatingPoint",
@@ -230,6 +230,16 @@ def _match_branches(prev_vecs: np.ndarray, vals: np.ndarray, vecs: np.ndarray
     """
     n = len(vals)
     overlap = np.abs(prev_vecs.conj().T @ vecs)   # (branch i, candidate j)
+    # fast path: when every branch has a strict best candidate and no two
+    # branches share one, the greedy pass below takes exactly those pairs
+    rows = np.arange(n)
+    best = overlap.argmax(axis=1)
+    top = overlap[rows, best]
+    overlap[rows, best] = -np.inf           # read the runner-up without a copy
+    runner_up = overlap.max(axis=1)
+    overlap[rows, best] = top
+    if (top > runner_up).all() and np.bincount(best, minlength=n).max() == 1:
+        return best, top
     jj = np.arange(n * n) % n                     # flattened i-major, j-minor
     # lexsort is stable, so the flattened order settles full ties: i, then j
     order = np.lexsort((vals.imag[jj], vals.real[jj], -overlap.ravel()))
@@ -241,7 +251,7 @@ def _match_branches(prev_vecs: np.ndarray, vals: np.ndarray, vecs: np.ndarray
             if not left:              # every branch has its column
                 break
     columns = np.array(assign)
-    return columns, overlap[np.arange(n), columns]
+    return columns, overlap[rows, columns]
 
 
 def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
@@ -261,6 +271,8 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     grid_hz = np.asarray(grid_hz, dtype=float)
     if grid_hz.ndim != 1 or len(grid_hz) < 2:
         raise AnalysisError("frequency grid needs at least 2 points", code="GRID_INVALID")
+    if not np.isfinite(grid_hz).all():
+        raise AnalysisError("frequency grid must be finite", code="GRID_INVALID")
     if np.any(grid_hz <= 0) or np.any(np.diff(grid_hz) <= 0):
         raise AnalysisError("frequency grid must be positive and ascending",
                             code="GRID_INVALID")
@@ -328,14 +340,8 @@ def write_curves_csv(curves: SubsystemCurves, fh, *,
         for name in names:
             header += [f"D_con_{name}", f"K_con_{name}"]
 
-    def rows():
-        for k in range(curves.m):
-            row = [curves.f_hz[k], curves.d_con[k], curves.k_con[k]]
-            row += list(curves.d_net[:, k])
-            row += list(curves.k_net[:, k])
-            if per_converter is not None:
-                for i in range(per_converter.shape[0]):
-                    row += [per_converter[i, k].real, per_converter[i, k].imag]
-            yield row
-
-    write_csv(fh, header, rows())
+    columns = [curves.f_hz, curves.d_con, curves.k_con, curves.d_net.T, curves.k_net.T]
+    if per_converter is not None:
+        # a complex (m, n) array viewed as float is (m, 2n): (Re, Im) pairs
+        columns.append(np.ascontiguousarray(per_converter.T).view(float))
+    write_table(fh, header, columns)

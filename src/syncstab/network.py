@@ -59,6 +59,8 @@ def _inv_sqrt_pd(b: np.ndarray) -> np.ndarray:
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise NetworkError(f"reduced matrix must be square, got shape {b.shape}",
                            code="NOT_SQUARE")
+    if not np.isfinite(b).all():
+        raise NetworkError("reduced matrix has non-finite entries", code="NOT_FINITE")
     asymmetry = np.max(np.abs(b - b.T)) if b.size else 0.0
     if asymmetry > 1e-9 * max(1.0, np.max(np.abs(b))):
         raise NetworkError(f"reduced matrix is not symmetric (|B - B^T| up to {asymmetry:.3e})",

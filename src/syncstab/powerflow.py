@@ -55,10 +55,10 @@ def solve_steady_state(
     ``p_conv``/``q_conv`` follow converter declaration order.  ``flat_voltage``
     overrides ``spec.options.flat_voltage`` when given.
 
-    Raises ``PowerFlowError`` with code ``PF_DIVERGED`` when Newton-Raphson
-    fails to reach 1e-8 mismatch in 50 iterations, and
-    ``PF_VOLTAGE_OUT_OF_BAND`` when a converged solution leaves (0.5, 1.5) pu
-    at a converter terminal.
+    Raises ``PowerFlowError`` with code ``PF_NOT_FINITE`` for a NaN or
+    infinite injection, ``PF_DIVERGED`` when Newton-Raphson fails to reach
+    1e-8 mismatch in 50 iterations, and ``PF_VOLTAGE_OUT_OF_BAND`` when a
+    converged solution leaves (0.5, 1.5) pu at a converter terminal.
     """
     n = spec.n_converters
     p_conv = np.asarray(p_conv, dtype=float)
@@ -66,6 +66,8 @@ def solve_steady_state(
     if p_conv.shape != (n,) or q_conv.shape != (n,):
         raise PowerFlowError(
             f"injection vectors must have shape ({n},)", code="PF_BAD_SHAPE")
+    if not (np.isfinite(p_conv).all() and np.isfinite(q_conv).all()):
+        raise PowerFlowError("injections must be finite", code="PF_NOT_FINITE")
 
     flat = spec.options.flat_voltage if flat_voltage is None else flat_voltage
     if flat:

@@ -28,7 +28,7 @@ from .errors import AnalysisError
 from .frequency_response import OperatingPoint
 from .network import ReducedNetwork
 from .stability import MARGINAL_BAND, NO_CROSSING, STABLE, UNSTABLE, StabilityReport
-from .textio import write_csv
+from .textio import write_csv, write_table
 
 __all__ = [
     "StateSpace", "DominantMode", "ModeSet", "AnglePulse", "SimResult",
@@ -111,13 +111,17 @@ def assemble_state_space(net: ReducedNetwork, op: OperatingPoint,
     """Assemble A (2n×2n) and the disturbance column for the reduced model.
 
     ``kp``/``ki`` may be scalars (shared PLL) or per-converter vectors.
-    Raises ``AnalysisError`` (ALGEBRAIC_LOOP_SINGULAR) when the Δω loop
-    matrix is numerically singular.
+    Raises ``AnalysisError`` (ORACLE_PARAMS_INVALID) for a non-finite gain or
+    ω0, and (ALGEBRAIC_LOOP_SINGULAR) when the Δω loop matrix is numerically
+    singular.
     """
     n = op.n
     u = op.u_pu
     kp_v = np.broadcast_to(np.asarray(kp, dtype=float), (n,))
     ki_v = np.broadcast_to(np.asarray(ki, dtype=float), (n,))
+    if not np.isfinite([*kp_v, *ki_v, omega0]).all():
+        raise AnalysisError("PLL gains and omega0 must be finite",
+                            code="ORACLE_PARAMS_INVALID")
 
     m_p = np.linalg.solve(net.b_matrix, np.diag(op.p_tilde))
     m_q = np.linalg.solve(net.b_matrix, np.diag(op.q_tilde))
@@ -177,7 +181,8 @@ def simulate(ss: StateSpace, disturbance: AnglePulse | None = None,
              dt: float = 1e-4, duration: float = 3.0) -> SimResult:
     """Trapezoidal integration of ż = A·z + b·d(t) from rest.
 
-    ``d(t)`` is the rectangular pulse; outputs are reconstructed per step
+    ``d(t)`` is the rectangular pulse; the state is zero, and is not stepped,
+    before the first nonzero input sample.  Outputs are reconstructed per step
     (Δω from the loop solution, the active-power proxy as P̃·Δδ).
     """
     if dt <= 0 or duration <= dt:
@@ -196,8 +201,12 @@ def simulate(ss: StateSpace, disturbance: AnglePulse | None = None,
     step_mat = left_inv @ (eye + half * ss.a_matrix)
     step_in = left_inv @ (half * ss.b_pulse)
 
+    # from rest, z stays exactly zero until the step into the first nonzero
+    # input sample, so the loop starts there (or never runs when d == 0)
     z = np.zeros((steps + 1, n2))
-    for k in range(steps):
+    nonzero = np.flatnonzero(d)
+    first = max(int(nonzero[0]) - 1, 0) if len(nonzero) else steps
+    for k in range(first, steps):
         z[k + 1] = step_mat @ z[k] + step_in * (d[k] + d[k + 1])
 
     n = ss.n
@@ -242,9 +251,7 @@ def write_timeseries_csv(sim: SimResult, fh) -> None:
               + [f"theta_{i + 1}" for i in range(n)]
               + [f"omega_{i + 1}" for i in range(n)]
               + [f"dp_{i + 1}" for i in range(n)])
-    rows = ([sim.t_s[k], *sim.theta[k], *sim.omega[k], *sim.dp[k]]
-            for k in range(len(sim.t_s)))
-    write_csv(fh, header, rows)
+    write_table(fh, header, [sim.t_s, sim.theta, sim.omega, sim.dp])
 
 
 def write_modes_csv(modeset: ModeSet, fh) -> None:

@@ -384,6 +384,22 @@ def test_simulate_pulse_flags(two_bus_cfg, tmp_path, capsys):
     assert during > 0.0
 
 
+def test_simulate_zero_amplitude_writes_zeros(two_bus_cfg, tmp_path, capsys):
+    series = []
+    for run in ("a", "b"):
+        out_dir = tmp_path / run
+        code = main(["simulate", "--config", two_bus_cfg, "--case", "inject",
+                     "--out", str(out_dir), "--pulse-amplitude", "0"])
+        assert code == 0
+        series.append(_read(out_dir / "timeseries.csv"))
+    capsys.readouterr()
+    assert series[0] == series[1]
+    rows = series[0].strip().splitlines()
+    assert rows[0] == "t_s,theta_1,omega_1,dp_1"
+    assert len(rows) == 30_002
+    assert all(r.split(",")[1:] == ["0", "0", "0"] for r in rows[1:])
+
+
 # --------------------------------------------------------------------- flags
 
 def test_flat_voltage_flag_changes_steady_state(station_cfg, tmp_path, capsys):

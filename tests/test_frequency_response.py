@@ -15,10 +15,11 @@ Independent oracles used here:
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from syncstab.config import PowerSetpoint, load_system_spec, parse_system_spec
@@ -247,6 +248,16 @@ def test_branch_tracking_continuity():
     assert step < 0.02 * scale
 
 
+@pytest.mark.parametrize("grid_hz", [[1.0, np.nan], [1.0, np.inf], [np.nan, 2.0, 3.0],
+                                     [1.0, 2.0, np.inf]])
+def test_trace_rejects_non_finite_grid(grid_hz):
+    spec = load_system_spec(STATION_CFG_PATH)
+    _name, _steady, op = operating_point(spec, "heavy")
+    with pytest.raises(AnalysisError) as exc:
+        trace_curves(spec, build_reduced_network(spec), op, np.array(grid_hz))
+    assert exc.value.code == "GRID_INVALID"
+
+
 def test_branch_order_is_deterministic():
     rng = np.random.default_rng(33)
     net = random_pd_network(rng, 4)
@@ -306,14 +317,37 @@ def _matching_problem(draw):
     return prev_vecs, vals, vecs
 
 
+def _has_distinct_strict_bests(prev_vecs, vecs):
+    """Every branch has a strict best candidate and no two share one."""
+    overlap = np.abs(prev_vecs.conj().T @ vecs)
+    strict = all(np.count_nonzero(row == row.max()) == 1 for row in overlap)
+    return strict and len(set(overlap.argmax(axis=1).tolist())) == len(overlap)
+
+
+# one problem per path: distinct strict bests, and a tie in branch 0's row
+_FAST_PROBLEM = (np.eye(3, dtype=complex), np.array([1.0, 2.0, 3.0 + 0j]),
+                 np.array([[0.1, 0.9, 0.0], [0.8, 0.2, 0.1], [0.0, 0.3, 0.7]], dtype=complex))
+_FALLBACK_PROBLEM = (np.eye(2, dtype=complex), np.array([1.0, 1.0 + 0j]),
+                     np.array([[0.6, 0.6], [0.8, 0.8]], dtype=complex))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_matching_problem())
+@example(_FAST_PROBLEM)
+@example(_FALLBACK_PROBLEM)
 def test_match_branches_follows_the_sorted_greedy_rule(problem):
-    columns, overlaps = _match_branches(*problem)
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        columns, overlaps = _match_branches(*problem)
     expect_columns, expect_overlaps = _match_reference(*problem)
     np.testing.assert_array_equal(columns, expect_columns)
     np.testing.assert_array_equal(overlaps, expect_overlaps)
     assert sorted(columns.tolist()) == list(range(len(columns)))
+    # the sort runs exactly when the fast path does not apply
+    fast = _has_distinct_strict_bests(problem[0], problem[2])
+    assert lexsort.called is not fast
+    if problem is _FAST_PROBLEM or problem is _FALLBACK_PROBLEM:
+        assert fast is (problem is _FAST_PROBLEM)     # each example pins one path
+    event("fast path" if fast else "fallback")
 
 
 def _station_curves(case_setpoints=None, grid_hz=None):

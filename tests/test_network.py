@@ -150,6 +150,18 @@ def test_from_b_matrix_validates():
     assert exc.value.code == "NOT_POSITIVE_DEFINITE"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_b_matrix_rejects_non_finite(bad):
+    b = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    b[0, 1] = b[1, 0] = bad
+    with pytest.raises(NetworkError) as exc:
+        ReducedNetwork.from_b_matrix(b)
+    assert exc.value.code == "NOT_FINITE"
+    with pytest.raises(NetworkError) as exc:
+        ReducedNetwork.from_b_matrix(np.full((3, 3), bad))
+    assert exc.value.code == "NOT_FINITE"
+
+
 def test_singular_interior_detected():
     # interior node connected only through the slack-side after grounding:
     # hub2 hangs off the slack alone, so after grounding the slack its row

@@ -146,3 +146,11 @@ def test_multiconverter_station_balance(station_path):
     assert st8.converged
     assert st8.slack_p_pu == pytest.approx(-p.sum(), abs=1e-8)
     assert np.all(st8.u_pu > 0.5) and np.all(st8.u_pu < 1.5)
+
+
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "solved"])
+@pytest.mark.parametrize("p, q", [(np.nan, 0.0), (0.2, np.inf), (-np.inf, np.nan)])
+def test_non_finite_injections_rejected(spec, flat, p, q):
+    with pytest.raises(PowerFlowError) as exc:
+        solve_steady_state(spec, np.array([p]), np.array([q]), flat_voltage=flat)
+    assert exc.value.code == "PF_NOT_FINITE"

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from syncstab.config import parse_system_spec
+from syncstab.errors import AnalysisError
 from syncstab.frequency_response import OperatingPoint, trace_curves
 from syncstab.network import ReducedNetwork, build_reduced_network
 from syncstab.pipeline import run_analysis, run_oracle
@@ -202,3 +203,62 @@ def test_run_oracle_uses_the_gains_the_analysis_ran_with(station_path):
     assert chk.status in ("AGREE", "DISAGREE", "SKIPPED")
     expected = assemble_state_space(result.net, result.op, KP, KI, spec.omega0)
     assert np.array_equal(ss.a_matrix, expected.a_matrix)
+
+
+def _simulate_reference(ss, pulse, dt, duration):
+    """Every trapezoidal step from t = 0, as the integration was first written."""
+    steps = int(round(duration / dt))
+    t = np.arange(steps + 1) * dt
+    d = np.where((t >= pulse.start_s) & (t < pulse.start_s + pulse.width_s),
+                 pulse.amplitude_rad, 0.0)
+    eye = np.eye(ss.a_matrix.shape[0])
+    left_inv = np.linalg.inv(eye - 0.5 * dt * ss.a_matrix)
+    step_mat = left_inv @ (eye + 0.5 * dt * ss.a_matrix)
+    step_in = left_inv @ (0.5 * dt * ss.b_pulse)
+    z = np.zeros((steps + 1, len(eye)))
+    for k in range(steps):
+        z[k + 1] = step_mat @ z[k] + step_in * (d[k] + d[k + 1])
+    return z
+
+
+@pytest.mark.parametrize("pulse", [
+    AnglePulse(start_s=0.0),
+    AnglePulse(start_s=0.0, width_s=0.5, amplitude_rad=-0.3),
+    AnglePulse(start_s=0.1),
+    AnglePulse(start_s=0.3),                          # last sample only
+    AnglePulse(start_s=0.5),                          # past the end
+    AnglePulse(start_s=0.1, amplitude_rad=0.0),
+    AnglePulse(start_s=0.1, amplitude_rad=-0.0),
+], ids=["at_zero", "at_zero_wide", "mid_run", "last_sample", "past_end",
+        "amplitude_zero", "amplitude_minus_zero"])
+@pytest.mark.parametrize("case", ["light", "peak"])
+def test_simulate_is_bit_equal_to_the_full_loop(station_path, case, pulse):
+    from syncstab.config import load_system_spec
+    result = run_analysis(load_system_spec(station_path), case, flat_voltage=False)
+    ss, _ms, _chk = run_oracle(result)
+    sim = simulate(ss, pulse, dt=1e-4, duration=0.3)
+    z = _simulate_reference(ss, pulse, 1e-4, 0.3)
+    n = ss.n
+    # tobytes compares bit patterns, so the sign of every zero counts
+    assert sim.theta.tobytes() == np.ascontiguousarray(z[:, :n]).tobytes()
+    a11, a12 = ss.a_matrix[:n, :n], ss.a_matrix[:n, n:]
+    t = np.arange(len(z)) * 1e-4
+    d = np.where((t >= pulse.start_s) & (t < pulse.start_s + pulse.width_s),
+                 pulse.amplitude_rad, 0.0)
+    omega = z[:, :n] @ a11.T + z[:, n:] @ a12.T + np.outer(d, ss.b_omega)
+    assert sim.omega.tobytes() == omega.tobytes()
+    dp = ((omega / ss.omega0) @ ss.m_p.T + z[:, :n] @ ss.m_q.T) * ss.p_tilde
+    assert sim.dp.tobytes() == dp.tobytes()
+
+
+@pytest.mark.parametrize("kp, ki, omega0", [
+    (np.nan, KI, W0), (KP, np.inf, W0), (KP, KI, np.nan),
+    (np.array([KP, np.nan]), KI, W0),
+])
+def test_assemble_rejects_non_finite_parameters(kp, ki, omega0, capfd):
+    net = ReducedNetwork.from_b_matrix(np.array([[4.0, -1.0], [-1.0, 3.0]]))
+    op = OperatingPoint(np.array([0.5, -0.2]), np.array([0.1, 0.0]), np.ones(2))
+    with pytest.raises(AnalysisError) as exc:
+        assemble_state_space(net, op, kp, ki, omega0)
+    assert exc.value.code == "ORACLE_PARAMS_INVALID"
+    assert capfd.readouterr().err == ""      # no LAPACK complaint on stderr
