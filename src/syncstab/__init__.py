@@ -7,8 +7,9 @@ The package answers three questions about a lossless multi-converter network:
   spring coefficient crosses zero; the worst crossing yields the indicator
   D_net1, the margin, and the verdict.
 * **Who is responsible?**  The indicator decomposes exactly into per-converter
-  weights η_i, giving sensitivities ∂D_net1/∂P_i = −η_i and a dominant
-  converter ranking.
+  weights η_i ≥ 0, which rank the converters by influence and name a dominant
+  one.  They are not derivatives: the exact ∂D_net1/∂P_i differs from −η_i
+  (see :mod:`syncstab.modal`).
 * **Is the verdict right?**  An independent reduced-order state-space model of
   the same physics provides eigenvalues and time-domain simulation to
   cross-check every verdict.

@@ -17,12 +17,12 @@ and simulate return 0 on success.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -108,6 +108,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _save(path: str, write) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        write(fh)
+
+
 class _Outputs:
     """Routes each output to --out or stdout; collects the files for the run manifest."""
 
@@ -117,15 +122,14 @@ class _Outputs:
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
 
-    def emit(self, name: str, text: str, echo: bool = False) -> None:
-        """Write ``text`` to DIR/``name`` under --out, else to stdout; ``echo``
-        prints it to stdout in either case."""
+    def emit(self, name: str, write, echo: bool = False) -> None:
+        """Call ``write(fh)`` on DIR/``name`` under --out, else on stdout;
+        ``echo`` writes to stdout in either case."""
         if self.out_dir:
-            with open(os.path.join(self.out_dir, name), "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _save(os.path.join(self.out_dir, name), write)
             self.files.append(name)
         if echo or not self.out_dir:
-            sys.stdout.write(text)
+            write(sys.stdout)
 
     def manifest(self, args: argparse.Namespace, spec: SystemSpec, started: float) -> None:
         if not self.out_dir:
@@ -149,21 +153,17 @@ class _Outputs:
         doc.field("wall_time_s", round(time.monotonic() - started, 3))
         files = ", ".join(self.files + ["manifest.txt"])
         doc.field("outputs", files)
-        path = os.path.join(self.out_dir, "manifest.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(doc.render())
+        _save(os.path.join(self.out_dir, "manifest.txt"), doc.write)
 
 
-def _b_matrix_csv(net: ReducedNetwork) -> str:
+def _b_matrix_csv(net: ReducedNetwork, fh) -> None:
     names = list(net.converter_index)
-    buf = io.StringIO()
-    write_csv(buf, ["node", *names],
+    write_csv(fh, ["node", *names],
               ([names[i], *net.b_matrix[i]] for i in range(net.n)))
-    return buf.getvalue()
 
 
-def _report_document(args, result: AnalysisResult) -> tuple[str, str]:
-    """Render the full analyze report; returns (text, verdict)."""
+def _report_document(args, result: AnalysisResult) -> tuple[KVWriter, str]:
+    """Build the full analyze report; returns (document, verdict)."""
     spec, report = result.spec, result.report
     names = spec.converter_names
     doc = KVWriter()
@@ -235,21 +235,18 @@ def _report_document(args, result: AnalysisResult) -> tuple[str, str]:
     if check.reason:
         doc.note(check.reason)
 
-    return doc.render(), report.verdict
+    return doc, report.verdict
 
 
 def _cmd_analyze(args, spec: SystemSpec, out: _Outputs) -> int:
     result = run_analysis(spec, args.case, flat_voltage=args.flat_voltage,
                           force_first_pll=args.force_first_pll)
-    text, verdict = _report_document(args, result)
+    doc, verdict = _report_document(args, result)
 
     if args.curves:
-        buf = io.StringIO()
-        write_curves_csv(result.curves, buf)
-        with open(args.curves, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+        _save(args.curves, partial(write_curves_csv, result.curves))
         out.files.append(os.path.abspath(args.curves))
-    out.emit("report.txt", text, echo=True)
+    out.emit("report.txt", doc.write, echo=True)
     return _EXIT[verdict]
 
 
@@ -259,10 +256,8 @@ def _cmd_curves(args, spec: SystemSpec, out: _Outputs) -> int:
     extra = None
     if args.per_converter_gamma:
         extra = per_converter_gamma(spec, result.op, result.curves.f_hz)
-    buf = io.StringIO()
-    write_curves_csv(result.curves, buf, per_converter=extra,
-                     names=spec.converter_names if extra is not None else ())
-    out.emit("curves.csv", buf.getvalue())
+    out.emit("curves.csv", partial(write_curves_csv, result.curves, per_converter=extra,
+                                   names=spec.converter_names))
     return 0
 
 
@@ -324,9 +319,8 @@ def _cmd_sweep(args, spec: SystemSpec, out: _Outputs) -> int:
         except SyncstabError as exc:
             rows.append([value, float("nan"), float("nan"), f"Error[{exc.code}]"])
 
-    buf = io.StringIO()
-    write_csv(buf, ["value", "D_net1", "f_c1", "verdict"], rows)
-    out.emit("sweep.csv", buf.getvalue())
+    out.emit("sweep.csv", partial(write_csv, header=["value", "D_net1", "f_c1", "verdict"],
+                                  rows=rows))
     return 0
 
 
@@ -340,10 +334,8 @@ def _cmd_sensitivity(args, spec: SystemSpec, out: _Outputs) -> int:
     weights = modal_weights_from_report(result.net, result.op, result.report,
                                         spec.omega0)
     sens = sensitivities(weights)
-    buf = io.StringIO()
-    write_sensitivity_csv(weights, sens, spec.converter_names, buf,
-                          eta_complex=args.eta_complex)
-    out.emit("sensitivity.csv", buf.getvalue())
+    out.emit("sensitivity.csv", partial(write_sensitivity_csv, weights, sens,
+                                        spec.converter_names, eta_complex=args.eta_complex))
     return _EXIT[result.report.verdict]
 
 
@@ -405,17 +397,17 @@ def _cmd_adjust(args, spec: SystemSpec, out: _Outputs) -> int:
     for i, name in enumerate(spec.converter_names):
         doc.field(f"delta_p_{name}", float(cmp.per_converter_delta_p[i]))
     doc.field("improvement", cmp.improvement)
-    out.emit("adjust.txt", doc.render(), echo=True)
+    out.emit("adjust.txt", doc.write, echo=True)
     return _EXIT[cmp.verdict_after]
 
 
 def _cmd_simulate(args, spec: SystemSpec, out: _Outputs) -> int:
+    pulse = AnglePulse(start_s=args.pulse_start, width_s=args.pulse_width,
+                       amplitude_rad=args.pulse_amplitude)
     # the curves are not kept alive through the simulation and its CSV
     ss, modeset, _check = run_oracle(run_analysis(
         spec, args.case, flat_voltage=args.flat_voltage,
         force_first_pll=args.force_first_pll))
-    modes_buf = io.StringIO()
-    write_modes_csv(modeset, modes_buf)
 
     if modeset.dominant is not None:
         d = modeset.dominant
@@ -425,15 +417,11 @@ def _cmd_simulate(args, spec: SystemSpec, out: _Outputs) -> int:
     else:
         sys.stderr.write(f"syncstab: {modeset.note}\n")
 
-    out.emit("modes.csv", modes_buf.getvalue())
+    out.emit("modes.csv", partial(write_modes_csv, modeset))
     if out.out_dir:                  # the time series goes to files only
-        pulse = AnglePulse(start_s=args.pulse_start, width_s=args.pulse_width,
-                           amplitude_rad=args.pulse_amplitude)
         sim = simulate(ss, pulse, dt=spec.options.sim_dt_s,
                        duration=spec.options.sim_duration_s)
-        series_buf = io.StringIO()
-        write_timeseries_csv(sim, series_buf)
-        out.emit("timeseries.csv", series_buf.getvalue())
+        out.emit("timeseries.csv", partial(write_timeseries_csv, sim))
     return 0
 
 
@@ -455,11 +443,11 @@ def main(argv: list[str] | None = None) -> int:
             raise
         return 1                     # usage error; argparse printed it to stderr
     started = time.monotonic()
-    out = _Outputs(args.out)
     try:
+        out = _Outputs(args.out)
         spec = load_system_spec(args.config)
         if args.dump_b:
-            out.emit("b_matrix.csv", _b_matrix_csv(build_reduced_network(spec)))
+            out.emit("b_matrix.csv", partial(_b_matrix_csv, build_reduced_network(spec)))
         code = _HANDLERS[args.command](args, spec, out)
         out.manifest(args, spec, started)
     except SyncstabError as exc:

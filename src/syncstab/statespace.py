@@ -86,6 +86,11 @@ class AnglePulse:
     width_s: float = 0.02
     amplitude_rad: float = 0.1
 
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.start_s, self.width_s, self.amplitude_rad))):
+            raise AnalysisError(f"pulse fields must be finite: {self}",
+                                code="SIM_PARAMS_INVALID")
+
 
 @dataclass(frozen=True)
 class SimResult:
@@ -185,8 +190,9 @@ def simulate(ss: StateSpace, disturbance: AnglePulse | None = None,
     before the first nonzero input sample.  Outputs are reconstructed per step
     (Δω from the loop solution, the active-power proxy as P̃·Δδ).
     """
-    if dt <= 0 or duration <= dt:
-        raise AnalysisError("need 0 < dt < duration", code="SIM_PARAMS_INVALID")
+    if not 0 < dt < duration < math.inf:       # also false for NaN
+        raise AnalysisError(f"need 0 < dt < duration < inf, got dt={dt}, "
+                            f"duration={duration}", code="SIM_PARAMS_INVALID")
     pulse = disturbance or AnglePulse()
 
     steps = int(round(duration / dt))

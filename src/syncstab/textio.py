@@ -67,5 +67,5 @@ class KVWriter:
     def note(self, text: str) -> None:
         self._lines.append(f"# note: {text}")
 
-    def render(self) -> str:
-        return "\n".join(self._lines) + "\n"
+    def write(self, fh: TextIO) -> None:
+        fh.write("\n".join(self._lines) + "\n")

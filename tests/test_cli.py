@@ -143,6 +143,40 @@ def test_curves_per_converter_gamma_columns(two_bus_cfg, capsys):
     assert header == "f_hz,D_con,K_con,D_net_1,K_net_1,D_con_C1,K_con_C1"
 
 
+def test_out_that_is_a_file_exits_one(two_bus_cfg, tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("", encoding="utf-8")
+    code = main(["analyze", "--config", two_bus_cfg, "--out", str(blocker)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "syncstab: error [IO]:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["curves"], ["curves.csv"]),
+    (["curves", "--per-converter-gamma"], ["curves.csv"]),
+    (["sensitivity", "--eta-complex"], ["sensitivity.csv"]),
+    (["sweep", "--converter", "WTG1", "--quantity", "p", "--range", "0.4:0.6:0.1"],
+     ["sweep.csv"]),
+    (["simulate"], ["modes.csv"]),
+    (["sensitivity", "--dump-b"], ["b_matrix.csv", "sensitivity.csv"]),
+    (["analyze"], ["report.txt"]),
+    (["adjust", "--set", "ES1=-0.8"], ["adjust.txt"]),
+], ids=["curves", "curves-per-converter-gamma", "sensitivity-eta-complex", "sweep",
+        "simulate-modes", "dump-b", "analyze", "adjust"])
+def test_stdout_equals_the_out_files(station_cfg, tmp_path, capsys, argv, files):
+    base = [argv[0], "--config", station_cfg, "--case", "heavy", *argv[1:]]
+    code = main(base)
+    stdout = capsys.readouterr().out
+    assert main([*base, "--out", str(tmp_path)]) == code
+    echoed = capsys.readouterr().out
+    written = "".join(_read(tmp_path / name) for name in files)
+    assert stdout == written
+    # analyze and adjust print their document under --out as well
+    assert echoed == (written if argv[0] in ("analyze", "adjust") else "")
+
+
 def test_determinism_byte_identical(two_bus_cfg, tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
@@ -382,6 +416,21 @@ def test_simulate_pulse_flags(two_bus_cfg, tmp_path, capsys):
     during = max(abs(v) for v, tt in zip(th, t) if 0.5 <= tt < 0.56)
     assert before == 0.0
     assert during > 0.0
+
+
+@pytest.mark.parametrize("flag, value", [("--pulse-amplitude", "nan"),
+                                         ("--pulse-start", "inf"),
+                                         ("--pulse-width", "-inf")])
+def test_simulate_non_finite_pulse_writes_nothing(two_bus_cfg, tmp_path, capsys,
+                                                  flag, value):
+    out_dir = tmp_path / "sim"
+    code = main(["simulate", "--config", two_bus_cfg, "--case", "inject",
+                 "--out", str(out_dir), f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "[SIM_PARAMS_INVALID]" in captured.err
+    assert captured.out == ""
+    assert os.listdir(out_dir) == []
 
 
 def test_simulate_zero_amplitude_writes_zeros(two_bus_cfg, tmp_path, capsys):

@@ -262,3 +262,21 @@ def test_assemble_rejects_non_finite_parameters(kp, ki, omega0, capfd):
         assemble_state_space(net, op, kp, ki, omega0)
     assert exc.value.code == "ORACLE_PARAMS_INVALID"
     assert capfd.readouterr().err == ""      # no LAPACK complaint on stderr
+
+
+@pytest.mark.parametrize("dt, duration", [(np.nan, 1.0), (1e-3, np.inf), (1e-3, np.nan),
+                                          (0.0, 1.0), (0.1, 0.1)],
+                         ids=["nan-dt", "inf-duration", "nan-duration", "zero-dt",
+                              "dt-equals-duration"])
+def test_simulate_rejects_bad_step_or_duration(dt, duration):
+    with pytest.raises(AnalysisError) as exc:
+        simulate(_scalar_ss(0.4), AnglePulse(), dt=dt, duration=duration)
+    assert exc.value.code == "SIM_PARAMS_INVALID"
+
+
+@pytest.mark.parametrize("field", ["start_s", "width_s", "amplitude_rad"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_pulse_rejects_non_finite_fields(field, value):
+    with pytest.raises(AnalysisError) as exc:
+        AnglePulse(**{field: value})
+    assert exc.value.code == "SIM_PARAMS_INVALID"
