@@ -446,9 +446,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out = _Outputs(args.out)
         spec = load_system_spec(args.config)
-        if args.dump_b:
-            out.emit("b_matrix.csv", partial(_b_matrix_csv, build_reduced_network(spec)))
+        b_net = build_reduced_network(spec) if args.dump_b else None
         code = _HANDLERS[args.command](args, spec, out)
+        if b_net is not None:        # after the command, so a failed one writes no B
+            out.emit("b_matrix.csv", partial(_b_matrix_csv, b_net))
         out.manifest(args, spec, started)
     except SyncstabError as exc:
         sys.stderr.write(f"syncstab: error [{exc.code}]: {exc}\n")

@@ -91,11 +91,12 @@ class OperatingPoint:
 def gamma(omega, u: float, kp: float, ki: float, omega0: float):
     """Converter-side Γ(jω); ``u``, ``kp`` and ``ki`` broadcast against ``omega``.
 
-    Raises ``AnalysisError`` (code DEGENERATE_FREQ) for any ω ≤ 0.
+    Raises ``AnalysisError`` (code DEGENERATE_FREQ) unless every ω is finite
+    and > 0.
     """
     w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0):
-        raise AnalysisError("gamma undefined for omega <= 0", code="DEGENERATE_FREQ")
+    if not np.all((w > 0) & (w < np.inf)):
+        raise AnalysisError("gamma needs a finite omega > 0", code="DEGENERATE_FREQ")
     jw = 1j * w
     g_pll = kp + ki / jw
     value = omega0 * (jw / g_pll + u) / (jw * u)
@@ -119,26 +120,14 @@ def _eig(s_p: np.ndarray, s_q: np.ndarray, omega_r: float) -> tuple[np.ndarray, 
     return np.linalg.eig(-s_p + 1j * omega_r * s_q)
 
 
-def eigpair(s_p: np.ndarray, s_q: np.ndarray, omega_r: float,
-            ref_vec: np.ndarray | None = None) -> tuple[complex, np.ndarray]:
-    """One eigenpair of G′_net = −S_P + j·omega_r·S_Q, with omega_r = ω0/ω.
-
-    With ``ref_vec`` the pair whose eigenvector overlaps it most is taken
-    (the tracked branch); without, the pair with minimal Re λ.
-    """
-    vals, vecs = _eig(s_p, s_q, omega_r)
-    if ref_vec is None:
-        j = int(np.argmin(vals.real))
-    else:
-        j = int(np.argmax(np.abs(np.asarray(ref_vec).conj() @ vecs)))
-    return vals[j], vecs[:, j]
-
-
 def build_gnet(omega: float, net: ReducedNetwork, op: OperatingPoint,
                omega0: float) -> np.ndarray:
-    """Network-side matrix −B^{-1}·P̃ + j·(ω0/ω)·B^{-1}·Q̃ at one frequency."""
-    if omega <= 0:
-        raise AnalysisError("G_net undefined for omega <= 0", code="DEGENERATE_FREQ")
+    """Network-side matrix −B^{-1}·P̃ + j·(ω0/ω)·B^{-1}·Q̃ at one frequency.
+
+    Raises ``AnalysisError`` (DEGENERATE_FREQ) unless ω is finite and > 0.
+    """
+    if not 0 < omega < np.inf:
+        raise AnalysisError("G_net needs a finite omega > 0", code="DEGENERATE_FREQ")
     b_inv_p = np.linalg.solve(net.b_matrix, np.diag(op.p_tilde))
     b_inv_q = np.linalg.solve(net.b_matrix, np.diag(op.q_tilde))
     return -b_inv_p + 1j * (omega0 / omega) * b_inv_q
@@ -147,8 +136,8 @@ def build_gnet(omega: float, net: ReducedNetwork, op: OperatingPoint,
 def build_gnet_sym(omega: float, net: ReducedNetwork, op: OperatingPoint,
                    omega0: float) -> np.ndarray:
     """Symmetric similar form of :func:`build_gnet` (same eigenvalues)."""
-    if omega <= 0:
-        raise AnalysisError("G_net undefined for omega <= 0", code="DEGENERATE_FREQ")
+    if not 0 < omega < np.inf:
+        raise AnalysisError("G_net needs a finite omega > 0", code="DEGENERATE_FREQ")
     s_p, s_q = sym_parts(net, op)
     return -s_p + 1j * (omega0 / omega) * s_q
 
@@ -186,7 +175,9 @@ class SubsystemCurves:
 
     ``d_net[i, k] + 1j*k_net[i, k]`` is tracked eigenvalue branch i at grid
     point k; ``columns[k, i]`` the column of the eigensolver output at point k
-    that became branch i (see :meth:`eigpair_at`).
+    that became branch i (see :meth:`loop_at`).  :meth:`loop` and
+    :meth:`loop_at` are the one place the loop Γ(jω) + λ_i(G′_net(jω)) of a
+    tracked branch is evaluated off the grid or again on it.
     """
 
     f_hz: np.ndarray              # (m,)
@@ -213,11 +204,19 @@ class SubsystemCurves:
     def m(self) -> int:
         return len(self.f_hz)
 
-    def eigpair_at(self, k: int, i: int) -> tuple[complex, np.ndarray]:
-        """Branch i's eigenpair at grid point k, solved again (bit-identical)."""
-        vals, vecs = _eig(self.s_p, self.s_q, self.omega0 / self.omega_rad_s[k])
+    def loop(self, omega: float, ref: np.ndarray) -> tuple[complex, complex, np.ndarray]:
+        """(Γ, λ, φ) at ω for the eigenpair of G′_net(jω) whose eigenvector
+        overlaps ``ref`` most (the tracked branch)."""
+        vals, vecs = _eig(self.s_p, self.s_q, self.omega0 / omega)
+        j = int(np.argmax(np.abs(np.asarray(ref).conj() @ vecs)))
+        return gamma(omega, self.u_ref, self.kp, self.ki, self.omega0), vals[j], vecs[:, j]
+
+    def loop_at(self, k: int, i: int) -> tuple[complex, complex, np.ndarray]:
+        """(Γ, λ, φ) of branch i at grid point k, solved again (bit-identical)."""
+        omega = self.omega_rad_s[k]
+        vals, vecs = _eig(self.s_p, self.s_q, self.omega0 / omega)
         j = self.columns[k, i]
-        return vals[j], vecs[:, j]
+        return gamma(omega, self.u_ref, self.kp, self.ki, self.omega0), vals[j], vecs[:, j]
 
 
 def _match_branches(prev_vecs: np.ndarray, vals: np.ndarray, vecs: np.ndarray

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import SystemSpec
 from .errors import AnalysisError
-from .frequency_response import OperatingPoint, eigpair, sym_parts, trace_curves
+from .frequency_response import OperatingPoint, _eig, sym_parts, trace_curves
 from .network import ReducedNetwork
 from .stability import StabilityReport, assess
 from .textio import write_csv
@@ -83,12 +83,15 @@ def modal_weights(net: ReducedNetwork, op: OperatingPoint, omega_c1: float,
     """Weights η at frequency ``omega_c1``, on the eigenvalue with minimal Re λ.
 
     A stability report already carries the critical branch's eigenpair; use
-    :func:`modal_weights_from_report` to read the weights off it.
+    :func:`modal_weights_from_report` to read the weights off it.  Raises
+    ``AnalysisError`` (DEGENERATE_FREQ) unless ``omega_c1`` is finite and > 0.
     """
-    if omega_c1 <= 0:
-        raise AnalysisError("crossing frequency must be positive", code="DEGENERATE_FREQ")
-    lam, phi = eigpair(*sym_parts(net, op), omega0 / omega_c1)
-    return _weights(net, op, omega_c1, omega0, lam, phi)
+    if not 0 < omega_c1 < np.inf:
+        raise AnalysisError("crossing frequency must be finite and positive",
+                            code="DEGENERATE_FREQ")
+    vals, vecs = _eig(*sym_parts(net, op), omega0 / omega_c1)
+    j = int(np.argmin(vals.real))
+    return _weights(net, op, omega_c1, omega0, vals[j], vecs[:, j])
 
 
 def _weights(net: ReducedNetwork, op: OperatingPoint, omega_c1: float,

@@ -48,8 +48,10 @@ def run_analysis(spec: SystemSpec, case: str | None = None, *,
 
 
 def run_oracle(result: AnalysisResult) -> tuple[StateSpace, ModeSet, CrossCheck]:
-    """State-space oracle, on the PLL gains the analysis ran with, plus the agreement record."""
-    ss = assemble_state_space(result.net, result.op, result.curves.kp, result.curves.ki,
-                              result.spec.omega0)
+    """State-space oracle on each converter's declared PLL gains, also when the
+    analysis forced one shared gain, plus the agreement record."""
+    converters = result.spec.converters
+    ss = assemble_state_space(result.net, result.op, [c.pll_kp for c in converters],
+                              [c.pll_ki for c in converters], result.spec.omega0)
     modeset = modes(ss)
     return ss, modeset, crosscheck(result.report, modeset)

@@ -6,11 +6,12 @@ D_con(ω_ci) + D_neti(ω_ci) > 0 at every such crossing; the globally minimal
 sum defines the critical subsystem, its crossing frequency ω_c1, and the
 stability indicator D_net1 = D_neti(ω_c1).
 
-Crossings are bracketed on the scan grid and refined by bisection that
-re-evaluates Γ and the exact eigenvalue at each trial frequency, selecting the
-eigenpair by overlap with a carried reference eigenvector (no interpolation of
-eigenvalues).  Verdicts inside ``MARGINAL_BAND`` of zero are reported Marginal
-instead of being coin-flipped by rounding.
+Crossings are bracketed on the scan grid and refined by bisection.  Each
+trial frequency re-evaluates the loop exactly through
+:meth:`SubsystemCurves.loop`, which selects the eigenpair by overlap with a
+carried reference eigenvector (no interpolation of eigenvalues); this module
+never forms Γ or G′_net itself.  Verdicts inside ``MARGINAL_BAND`` of zero
+are reported Marginal instead of being coin-flipped by rounding.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemSpec
-from .frequency_response import SubsystemCurves, eigpair, gamma
+from .frequency_response import SubsystemCurves
 
 __all__ = [
     "MARGINAL_BAND",
@@ -82,30 +83,25 @@ def _refine(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float
             ) -> Crossing:
     """Bisect the sign change of subsystem i inside grid cell [k_lo, k_lo+1]."""
     f_lo, f_hi = curves.f_hz[k_lo], curves.f_hz[k_lo + 1]
-    ref = curves.eigpair_at(k_lo, i)[1]
+    ref = curves.loop_at(k_lo, i)[2]
     g_lo = curves.k_con[k_lo] + curves.k_net[i, k_lo]
 
     while (f_hi - f_lo) > root_tol_hz:
         f_mid = 0.5 * (f_lo + f_hi)
-        omega = 2.0 * np.pi * f_mid
         # the new eigenvector becomes the reference: branch identity carried inward
-        lam, ref = eigpair(curves.s_p, curves.s_q, curves.omega0 / omega, ref)
-        g = gamma(omega, curves.u_ref, curves.kp, curves.ki, curves.omega0)
+        g, lam, ref = curves.loop(2.0 * np.pi * f_mid, ref)
         g_mid = g.imag + lam.imag
         if (g_mid < 0.0) == (g_lo < 0.0):
             f_lo, g_lo = f_mid, g_mid
         else:
             f_hi = f_mid
 
-    f_c = 0.5 * (f_lo + f_hi)
-    omega_c = 2.0 * np.pi * f_c
-    lam, vec = eigpair(curves.s_p, curves.s_q, curves.omega0 / omega_c, ref)
-    return _make_crossing(curves, i, omega_c, lam, vec)
+    omega_c = 2.0 * np.pi * (0.5 * (f_lo + f_hi))
+    return _make_crossing(i, omega_c, *curves.loop(omega_c, ref))
 
 
-def _make_crossing(curves: SubsystemCurves, i: int, omega_c: float,
-                   lam: complex, phi: np.ndarray) -> Crossing:
-    g = gamma(omega_c, curves.u_ref, curves.kp, curves.ki, curves.omega0)
+def _make_crossing(i: int, omega_c: float, g: complex, lam: complex,
+                   phi: np.ndarray) -> Crossing:
     return Crossing(
         subsystem=i, omega_ci=omega_c, f_ci=omega_c / (2.0 * np.pi),
         d_con=g.real, d_neti=lam.real, k_neti=lam.imag,
@@ -126,8 +122,7 @@ def find_crossings(curves: SubsystemCurves, i: int,
     out: list[Crossing] = []
     for k in np.flatnonzero(zero | cell).tolist():
         if zero[k]:
-            lam, phi = curves.eigpair_at(k, i)
-            out.append(_make_crossing(curves, i, curves.omega_rad_s[k], lam, phi))
+            out.append(_make_crossing(i, curves.omega_rad_s[k], *curves.loop_at(k, i)))
         else:
             out.append(_refine(curves, i, k, root_tol_hz))
     return out

@@ -160,7 +160,7 @@ def test_out_that_is_a_file_exits_one(two_bus_cfg, tmp_path, capsys):
     (["sweep", "--converter", "WTG1", "--quantity", "p", "--range", "0.4:0.6:0.1"],
      ["sweep.csv"]),
     (["simulate"], ["modes.csv"]),
-    (["sensitivity", "--dump-b"], ["b_matrix.csv", "sensitivity.csv"]),
+    (["sensitivity", "--dump-b"], ["sensitivity.csv", "b_matrix.csv"]),
     (["analyze"], ["report.txt"]),
     (["adjust", "--set", "ES1=-0.8"], ["adjust.txt"]),
 ], ids=["curves", "curves-per-converter-gamma", "sensitivity-eta-complex", "sweep",
@@ -575,8 +575,11 @@ def test_adjust_traces_each_point_once(station_cfg, monkeypatch, capsys):
 def test_dump_b_honoured_by_every_command(station_cfg, tmp_path, capsys):
     base = ["--config", station_cfg, "--case", "light", "--dump-b"]
     main(["analyze", *base])
-    reference = capsys.readouterr().out.split("# syncstab stability report")[0]
-    assert reference.startswith("node,ES1,WTG1,ES2,WTG2,WTG3\n")
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("# syncstab stability report")
+    # B comes after the command's own output
+    reference = stdout[stdout.index("node,ES1,WTG1,ES2,WTG2,WTG3\n"):]
+    assert "# syncstab stability report" not in reference
     extra = {
         "curves": [], "sensitivity": [], "simulate": [],
         "sweep": ["--converter", "WTG1", "--quantity", "p", "--range", "0.4:0.5:0.1"],
@@ -586,5 +589,15 @@ def test_dump_b_honoured_by_every_command(station_cfg, tmp_path, capsys):
         out_dir = tmp_path / command
         main([command, *base, *args, "--out", str(out_dir)])
         assert _read(out_dir / "b_matrix.csv") == reference, command
-        assert "b_matrix.csv" in _read(out_dir / "manifest.txt"), command
+        assert "b_matrix.csv, manifest.txt\n" in _read(out_dir / "manifest.txt"), command
     capsys.readouterr()
+
+
+def test_failed_command_with_dump_b_writes_no_file(two_bus_cfg, tmp_path, capsys):
+    out_dir = tmp_path / "d"
+    code = main(["analyze", "--config", two_bus_cfg, "--case", "nope", "--dump-b",
+                 "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "[UNKNOWN_CASE]" in captured.err
+    assert list(out_dir.iterdir()) == []

@@ -29,8 +29,9 @@ from syncstab.frequency_response import (OperatingPoint, _match_branches,
                                          per_converter_gamma,
                                          resolve_pll_gains, sym_parts,
                                          trace_curves)
+from syncstab.modal import modal_weights
 from syncstab.network import ReducedNetwork, build_reduced_network
-from syncstab.pipeline import operating_point
+from syncstab.pipeline import operating_point, run_analysis
 
 from conftest import (KI, KP, STATION_CFG_PATH, TWO_BUS_CFG,
                       random_operating_point, random_pd_network,
@@ -91,9 +92,20 @@ def test_gamma_vectorized_and_degenerate():
     assert vals.shape == (3,)
     for wi, vi in zip(w, vals):
         assert vi == pytest.approx(gamma_oracle(wi, 1.0), rel=1e-12)
-    with pytest.raises(AnalysisError) as exc:
-        gamma(0.0, 1.0, KP, KI, W0)
-    assert exc.value.code == "DEGENERATE_FREQ"
+    net = ReducedNetwork.from_b_matrix(np.array([[1.0 / 0.3]]))
+    op = OperatingPoint(np.array([0.5]), np.array([0.1]), np.array([1.0]))
+    calls = {
+        "gamma": lambda w: gamma(w, 1.0, KP, KI, W0),
+        "gamma_vector": lambda w: gamma(np.array([1.0, w]), 1.0, KP, KI, W0),
+        "build_gnet": lambda w: build_gnet(w, net, op, W0),
+        "build_gnet_sym": lambda w: build_gnet_sym(w, net, op, W0),
+        "modal_weights": lambda w: modal_weights(net, op, w, W0),
+    }
+    for name, call in calls.items():
+        for w in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(AnalysisError) as exc:
+                call(w)
+            assert exc.value.code == "DEGENERATE_FREQ", (name, w)
 
 
 def test_resolve_pll_gains_identical_and_forced():
@@ -369,13 +381,38 @@ def _station_curves(case_setpoints=None, grid_hz=None):
     None,
     {name: PowerSetpoint(0.9, 0.1) for name in ("WTG1", "WTG2", "WTG3")},
 ], ids=["heavy", "identical_units"])
-def test_eigpair_at_reproduces_the_scan_bit_for_bit(setpoints):
+def test_loop_at_reproduces_the_scan_bit_for_bit(setpoints):
     curves = _station_curves(setpoints)
     for k in range(curves.m):
         for i in range(curves.n):
-            lam, phi = curves.eigpair_at(k, i)
+            g, lam, phi = curves.loop_at(k, i)
+            assert g == curves.d_con[k] + 1j * curves.k_con[k], (k, i)
             assert lam == curves.d_net[i, k] + 1j * curves.k_net[i, k], (k, i)
             assert abs(np.linalg.norm(phi) - 1.0) < 1e-12
+            # loop's overlap rule picks the branch its reference vector names
+            assert curves.loop(curves.omega_rad_s[k], phi)[1] == lam, (k, i)
+
+
+# the station's three cases flat and solved, and the degenerate repro
+@pytest.mark.parametrize("case,flat,setpoints", [
+    *((case, flat, None) for case in ("light", "heavy", "peak") for flat in (True, False)),
+    ("heavy", None, {name: PowerSetpoint(0.9, 0.1) for name in ("WTG1", "WTG2", "WTG3")}),
+], ids=["light_flat", "light_solved", "heavy_flat", "heavy_solved", "peak_flat",
+        "peak_solved", "identical_units"])
+def test_loop_reproduces_every_reported_crossing_bit_for_bit(case, flat, setpoints):
+    spec = load_system_spec(STATION_CFG_PATH)
+    if setpoints is not None:
+        p, q = spec.case_injections(case)
+        block = {name: PowerSetpoint(p[i], q[i])
+                 for i, name in enumerate(spec.converter_names)}
+        spec, case = spec.with_case("_repro", {**block, **setpoints}), "_repro"
+    result = run_analysis(spec, case, flat_voltage=flat)
+    crossings = [c for a in result.report.per_subsystem for c in a.crossings]
+    assert crossings
+    for c in crossings:
+        g, lam, phi = result.curves.loop(c.omega_ci, c.phi)
+        assert (g.real, lam) == (c.d_con, c.lam)
+        assert phi.tobytes() == c.phi.tobytes()
 
 
 def test_curves_hold_no_per_point_eigenvectors():

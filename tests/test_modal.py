@@ -15,8 +15,7 @@ import pytest
 
 from syncstab.config import PowerSetpoint, load_system_spec, parse_system_spec
 from syncstab.errors import AnalysisError
-from syncstab.frequency_response import (OperatingPoint, build_gnet_sym, eigpair,
-                                         sym_parts, trace_curves)
+from syncstab.frequency_response import OperatingPoint, build_gnet_sym, trace_curves
 from syncstab.modal import (_weights, adjustment_compare, finite_difference_check,
                             modal_weights, modal_weights_from_report,
                             sensitivities)
@@ -120,7 +119,7 @@ def test_weights_read_off_the_critical_crossing(station_path, monkeypatch,
         spec, case = spec.with_case("_repro", {**block, **setpoints}), "_repro"
     result = run_analysis(spec, case, flat_voltage=flat)
     net, op, c = result.net, result.op, result.report.critical
-    lam, phi = eigpair(*sym_parts(net, op), spec.omega0 / c.omega_c1, c.phi)
+    _g, lam, phi = result.curves.loop(c.omega_c1, c.phi)
     resolved = _weights(net, op, c.omega_c1, spec.omega0, lam, phi)
 
     def refuse(*args, **kwargs):

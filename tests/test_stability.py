@@ -8,23 +8,26 @@ Scalar oracle facts used below (single converter, branch L, slack):
 """
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncstab import stability
-from syncstab.config import parse_system_spec
+from syncstab.config import PowerSetpoint, load_system_spec, parse_system_spec
 from syncstab.frequency_response import OperatingPoint, build_gnet, trace_curves
+from syncstab.modal import modal_weights_from_report
 from syncstab.network import build_reduced_network
 from syncstab.pipeline import run_analysis
 from syncstab.stability import (MARGINAL, MARGINAL_BAND, NO_CROSSING, STABLE,
                                 UNSTABLE, assess, find_crossings)
 
-from conftest import KI, KP, TWO_BUS_CFG, synthetic_spec, random_pd_network, \
-    random_operating_point
+from conftest import KI, KP, STATION_CFG_PATH, TWO_BUS_CFG, synthetic_spec, \
+    random_pd_network, random_operating_point
 
 W0 = 2 * np.pi * 50
 
@@ -209,9 +212,9 @@ def test_find_crossings_visits_the_same_points_as_the_loop_rule(values):
     events = []
     curves = SimpleNamespace(
         k_con=np.zeros_like(g), k_net=g[None, :], omega_rad_s=np.arange(len(g)),
-        eigpair_at=lambda k, i: (0j, None))
+        loop_at=lambda k, i: (0j, 0j, None))
     original = (stability._make_crossing, stability._refine)
-    stability._make_crossing = lambda curves, i, omega, lam, phi: events.append(("zero", omega))
+    stability._make_crossing = lambda i, omega, g, lam, phi: events.append(("zero", omega))
     stability._refine = lambda curves, i, k, tol: events.append(("cell", k))
     try:
         stability.find_crossings(curves, 0)
@@ -247,3 +250,49 @@ def test_run_analysis_pipeline_consistency(station_path):
     solved = run_analysis(spec, "light", flat_voltage=False)
     assert not solved.steady.flat
     assert solved.report.critical is not None
+
+
+# ------------------------------------------------- relabelling the converters
+
+# the station's three cases flat and solved, and the degenerate repro with
+# WTG1-3 (three identical units on one collector) at one setpoint
+_STATION_INPUTS = [*((case, flat) for case in ("light", "heavy", "peak")
+                     for flat in (True, False)), ("_repro", None)]
+
+
+@cache
+def _station_spec():
+    spec = load_system_spec(STATION_CFG_PATH)
+    p, q = spec.case_injections("heavy")
+    block = {name: PowerSetpoint(p[i], q[i]) for i, name in enumerate(spec.converter_names)}
+    block.update({name: PowerSetpoint(0.9, 0.1) for name in ("WTG1", "WTG2", "WTG3")})
+    return spec.with_case("_repro", block)
+
+
+def _labelled_outcome(spec, case, flat):
+    """(verdict, crossing count, D_net1, η by converter name) of one input."""
+    result = run_analysis(spec, case, flat_voltage=flat)
+    report = result.report
+    eta = modal_weights_from_report(result.net, result.op, report, spec.omega0).eta
+    count = sum(len(a.crossings) for a in report.per_subsystem)
+    return report.verdict, count, report.critical.d_net1, dict(zip(spec.converter_names, eta))
+
+
+@cache
+def _unpermuted_outcome(case, flat):
+    return _labelled_outcome(_station_spec(), case, flat)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.permutations(range(5)))
+@example([4, 3, 2, 1, 0])
+def test_relabelling_the_converters_permutes_eta_and_nothing_else(order):
+    spec = _station_spec()
+    relabelled = replace(spec, converters=tuple(spec.converters[j] for j in order))
+    for case, flat in _STATION_INPUTS:
+        verdict, count, d_net1, eta = _unpermuted_outcome(case, flat)
+        got = _labelled_outcome(relabelled, case, flat)
+        assert got[:2] == (verdict, count), (case, flat)
+        assert abs(got[2] - d_net1) <= 1e-9, (case, flat)
+        for name, value in eta.items():
+            assert abs(got[3][name] - value) <= 1e-9, (case, flat, name)

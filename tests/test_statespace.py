@@ -194,15 +194,35 @@ def test_crosscheck_agree_disagree_skip(station_path):
     assert chk.status == "SKIPPED"
 
 
-def test_run_oracle_uses_the_gains_the_analysis_ran_with(station_path):
+def _station_with_wtg3_gains(station_path, kp):
     with open(station_path, encoding="utf-8") as fh:
-        spec = parse_system_spec(fh.read().replace("WTG3 wtg3 6.5 15782",
-                                                   "WTG3 wtg3 7.0 15782"))
+        return parse_system_spec(fh.read().replace("WTG3 wtg3 6.5 15782",
+                                                   f"WTG3 wtg3 {kp} 15782"))
+
+
+def test_run_oracle_uses_the_declared_gains(station_path):
+    spec = _station_with_wtg3_gains(station_path, 7.0)
     result = run_analysis(spec, "heavy", force_first_pll=True)
     ss, _ms, chk = run_oracle(result)
     assert chk.status in ("AGREE", "DISAGREE", "SKIPPED")
-    expected = assemble_state_space(result.net, result.op, KP, KI, spec.omega0)
+    kp = [KP, KP, KP, KP, 7.0]        # station order: ES1 WTG1 ES2 WTG2 WTG3
+    assert [c.pll_kp for c in spec.converters] == kp
+    expected = assemble_state_space(result.net, result.op, kp, [KI] * 5, spec.omega0)
     assert np.array_equal(ss.a_matrix, expected.a_matrix)
+    forced = assemble_state_space(result.net, result.op, KP, KI, spec.omega0)
+    assert not np.array_equal(ss.a_matrix, forced.a_matrix)
+
+
+def test_forced_gains_that_misstate_the_system_disagree(station_path):
+    # WTG3 at kp = 4.0: the forced analysis (converter 1's gains) reads
+    # Unstable, but the declared-gain oracle's dominant mode is damped
+    spec = _station_with_wtg3_gains(station_path, 4.0)
+    result = run_analysis(spec, "heavy", flat_voltage=True, force_first_pll=True)
+    assert result.report.verdict == "Unstable"
+    assert result.report.margin == pytest.approx(-0.00248, abs=1e-5)
+    _ss, modeset, chk = run_oracle(result)
+    assert modeset.dominant.sigma == pytest.approx(-0.0588, abs=1e-3)
+    assert chk.status == "DISAGREE"
 
 
 def _simulate_reference(ss, pulse, dt, duration):
