@@ -32,10 +32,10 @@ from .errors import SyncstabError
 from .frequency_response import OperatingPoint, per_converter_gamma, trace_curves, write_curves_csv
 from .modal import adjustment_compare, modal_weights_from_report, sensitivities, write_sensitivity_csv
 from .network import ReducedNetwork, build_reduced_network
-from .pipeline import AnalysisResult, operating_point, run_analysis, run_oracle
+from .pipeline import AnalysisResult, operating_point, oracle_model, run_analysis, run_oracle
 from .powerflow import solve_steady_state
 from .stability import MARGINAL, NO_CROSSING, STABLE, UNSTABLE, assess
-from .statespace import AnglePulse, simulate, write_modes_csv, write_timeseries_csv
+from .statespace import AnglePulse, modes, simulate, write_modes_csv, write_timeseries_csv
 from .textio import KVWriter, g12, write_csv
 
 _EXIT = {STABLE: 0, UNSTABLE: 2, MARGINAL: 3, NO_CROSSING: 3}
@@ -251,12 +251,13 @@ def _cmd_analyze(args, spec: SystemSpec, out: _Outputs) -> int:
 
 
 def _cmd_curves(args, spec: SystemSpec, out: _Outputs) -> int:
-    result = run_analysis(spec, args.case, flat_voltage=args.flat_voltage,
-                          force_first_pll=args.force_first_pll)
+    net = build_reduced_network(spec)
+    _case, _steady, op = operating_point(spec, args.case, flat_voltage=args.flat_voltage)
+    curves = trace_curves(spec, net, op, force_first_pll=args.force_first_pll)
     extra = None
     if args.per_converter_gamma:
-        extra = per_converter_gamma(spec, result.op, result.curves.f_hz)
-    out.emit("curves.csv", partial(write_curves_csv, result.curves, per_converter=extra,
+        extra = per_converter_gamma(spec, op, curves.f_hz)
+    out.emit("curves.csv", partial(write_curves_csv, curves, per_converter=extra,
                                    names=spec.converter_names))
     return 0
 
@@ -404,10 +405,14 @@ def _cmd_adjust(args, spec: SystemSpec, out: _Outputs) -> int:
 def _cmd_simulate(args, spec: SystemSpec, out: _Outputs) -> int:
     pulse = AnglePulse(start_s=args.pulse_start, width_s=args.pulse_width,
                        amplitude_rad=args.pulse_amplitude)
-    # the curves are not kept alive through the simulation and its CSV
-    ss, modeset, _check = run_oracle(run_analysis(
-        spec, args.case, flat_voltage=args.flat_voltage,
-        force_first_pll=args.force_first_pll))
+    net = build_reduced_network(spec)
+    _case, _steady, op = operating_point(spec, args.case, flat_voltage=args.flat_voltage)
+    ss = oracle_model(spec, net, op)
+    modeset = modes(ss)
+    sim = None
+    if out.out_dir:                  # the time series goes to files only
+        sim = simulate(ss, pulse, dt=spec.options.sim_dt_s,
+                       duration=spec.options.sim_duration_s)
 
     if modeset.dominant is not None:
         d = modeset.dominant
@@ -418,9 +423,7 @@ def _cmd_simulate(args, spec: SystemSpec, out: _Outputs) -> int:
         sys.stderr.write(f"syncstab: {modeset.note}\n")
 
     out.emit("modes.csv", partial(write_modes_csv, modeset))
-    if out.out_dir:                  # the time series goes to files only
-        sim = simulate(ss, pulse, dt=spec.options.sim_dt_s,
-                       duration=spec.options.sim_duration_s)
+    if sim is not None:
         out.emit("timeseries.csv", partial(write_timeseries_csv, sim))
     return 0
 

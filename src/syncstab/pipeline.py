@@ -47,11 +47,16 @@ def run_analysis(spec: SystemSpec, case: str | None = None, *,
                           op=op, curves=curves, report=report)
 
 
+def oracle_model(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint) -> StateSpace:
+    """State-space oracle on each converter's declared PLL gains, also when an
+    analysis of the same point forced one shared gain."""
+    converters = spec.converters
+    return assemble_state_space(net, op, [c.pll_kp for c in converters],
+                                [c.pll_ki for c in converters], spec.omega0)
+
+
 def run_oracle(result: AnalysisResult) -> tuple[StateSpace, ModeSet, CrossCheck]:
-    """State-space oracle on each converter's declared PLL gains, also when the
-    analysis forced one shared gain, plus the agreement record."""
-    converters = result.spec.converters
-    ss = assemble_state_space(result.net, result.op, [c.pll_kp for c in converters],
-                              [c.pll_ki for c in converters], result.spec.omega0)
+    """The oracle of ``result``'s operating point, its modes and the agreement record."""
+    ss = oracle_model(result.spec, result.net, result.op)
     modeset = modes(ss)
     return ss, modeset, crosscheck(result.report, modeset)

@@ -188,7 +188,9 @@ def simulate(ss: StateSpace, disturbance: AnglePulse | None = None,
 
     ``d(t)`` is the rectangular pulse; the state is zero, and is not stepped,
     before the first nonzero input sample.  Outputs are reconstructed per step
-    (Δω from the loop solution, the active-power proxy as P̃·Δδ).
+    (Δω from the loop solution, the active-power proxy as P̃·Δδ).  Raises
+    ``AnalysisError`` (SIM_PARAMS_INVALID) for a bad step or duration, and
+    (SIM_NOT_FINITE) when the response overflows.
     """
     if not 0 < dt < duration < math.inf:       # also false for NaN
         raise AnalysisError(f"need 0 < dt < duration < inf, got dt={dt}, "
@@ -212,16 +214,21 @@ def simulate(ss: StateSpace, disturbance: AnglePulse | None = None,
     z = np.zeros((steps + 1, n2))
     nonzero = np.flatnonzero(d)
     first = max(int(nonzero[0]) - 1, 0) if len(nonzero) else steps
-    for k in range(first, steps):
-        z[k + 1] = step_mat @ z[k] + step_in * (d[k] + d[k + 1])
+    # a huge input overflows; the check below reports it once, with a code
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(first, steps):
+            z[k + 1] = step_mat @ z[k] + step_in * (d[k] + d[k + 1])
 
-    n = ss.n
-    theta, x = z[:, :n], z[:, n:]
-    a11 = ss.a_matrix[:n, :n]
-    a12 = ss.a_matrix[:n, n:]
-    omega = theta @ a11.T + x @ a12.T + np.outer(d, ss.b_omega)
-    delta = (omega / ss.omega0) @ ss.m_p.T + theta @ ss.m_q.T
-    dp = delta * ss.p_tilde
+        n = ss.n
+        theta, x = z[:, :n], z[:, n:]
+        a11 = ss.a_matrix[:n, :n]
+        a12 = ss.a_matrix[:n, n:]
+        omega = theta @ a11.T + x @ a12.T + np.outer(d, ss.b_omega)
+        # Δδ is not kept, so the check below does not add to the peak memory
+        dp = ((omega / ss.omega0) @ ss.m_p.T + theta @ ss.m_q.T) * ss.p_tilde
+    if not all(np.isfinite(a).all() for a in (theta, omega, dp)):
+        raise AnalysisError(f"the response to {pulse} is not finite",
+                            code="SIM_NOT_FINITE")
     return SimResult(t_s=t, theta=theta, omega=omega, dp=dp)
 
 

@@ -433,6 +433,19 @@ def test_simulate_non_finite_pulse_writes_nothing(two_bus_cfg, tmp_path, capsys,
     assert os.listdir(out_dir) == []
 
 
+def test_simulate_overflowing_pulse_writes_nothing(tmp_path, capsys):
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "two_bus.cfg")
+    out_dir = tmp_path / "d"
+    code = main(["simulate", "--config", cfg, "--pulse-amplitude", "1e308",
+                 "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "[SIM_NOT_FINITE]" in captured.err
+    assert "RuntimeWarning" not in captured.err
+    assert captured.out == ""
+    assert os.listdir(out_dir) == []
+
+
 def test_simulate_zero_amplitude_writes_zeros(two_bus_cfg, tmp_path, capsys):
     series = []
     for run in ("a", "b"):
@@ -531,6 +544,19 @@ def test_adjust_without_force_rejects_mixed_gains(mixed_cfg, capsys):
     assert "[NONIDENTICAL_PLL]" in capsys.readouterr().err
 
 
+def test_simulate_runs_on_declared_mixed_gains(mixed_cfg, tmp_path, capsys):
+    files = {}
+    for tag, extra in (("plain", []), ("forced", ["--force-first-pll"])):
+        out_dir = tmp_path / tag
+        code = main(["simulate", "--config", mixed_cfg, "--case", "heavy",
+                     "--out", str(out_dir), *extra])
+        assert code == 0, capsys.readouterr().err
+        files[tag] = [(out_dir / name).read_bytes()
+                      for name in ("modes.csv", "timeseries.csv")]
+    capsys.readouterr()
+    assert files["plain"] == files["forced"]
+
+
 # -------------------------------------------------------- repeated work
 
 def _count_calls(monkeypatch, name, modules):
@@ -568,6 +594,25 @@ def test_adjust_traces_each_point_once(station_cfg, monkeypatch, capsys):
     capsys.readouterr()
     assert code in (0, 2, 3)
     assert len(calls) == 2
+
+
+_STAGE_MODULES = ["syncstab.cli", "syncstab.pipeline", "syncstab.modal"]
+
+
+@pytest.mark.parametrize("command, traces, out", [
+    ("simulate", 0, False), ("simulate", 0, True), ("curves", 1, False),
+])
+def test_command_runs_only_the_stages_it_writes(station_cfg, tmp_path, monkeypatch,
+                                                capsys, command, traces, out):
+    traced = _count_calls(monkeypatch, "trace_curves",
+                          ["syncstab.frequency_response", *_STAGE_MODULES])
+    assessed = _count_calls(monkeypatch, "assess", ["syncstab.stability", *_STAGE_MODULES])
+    extra = ["--out", str(tmp_path / "o")] if out else []
+    code = main([command, "--config", station_cfg, "--case", "peak", *extra])
+    capsys.readouterr()
+    assert code == 0
+    assert len(traced) == traces
+    assert len(assessed) == 0
 
 
 # ------------------------------------------------------------ --dump-b

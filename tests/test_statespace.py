@@ -13,8 +13,12 @@ Independent oracles:
 """
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from syncstab.config import parse_system_spec
 from syncstab.errors import AnalysisError
@@ -300,3 +304,35 @@ def test_pulse_rejects_non_finite_fields(field, value):
     with pytest.raises(AnalysisError) as exc:
         AnglePulse(**{field: value})
     assert exc.value.code == "SIM_PARAMS_INVALID"
+
+
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([1e308, -1e308, 0.0, 0.01, 0.05, -0.05]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=_finite, width=_finite, amplitude=_finite)
+@example(start=0.01, width=0.05, amplitude=1e308)
+@example(start=0.01, width=0.05, amplitude=-1e308)
+@example(start=0.01, width=0.05, amplitude=1e300)
+@example(start=-1e308, width=1e308, amplitude=1.0)
+@example(start=0.5, width=0.05, amplitude=1e308)       # past the end: all zero
+def test_simulate_output_is_finite_or_coded(start, width, amplitude):
+    pulse = AnglePulse(start_s=start, width_s=width, amplitude_rad=amplitude)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sim = simulate(_scalar_ss(0.4), pulse, dt=1e-3, duration=0.1)
+        except AnalysisError as exc:
+            assert exc.code == "SIM_NOT_FINITE"
+            return
+    for arr in (sim.t_s, sim.theta, sim.omega, sim.dp):
+        assert np.isfinite(arr).all()
+
+
+@pytest.mark.parametrize("amplitude", [1e308, -1e308])
+def test_simulate_overflow_is_coded(amplitude):
+    with pytest.raises(AnalysisError) as exc:
+        simulate(_scalar_ss(0.4), AnglePulse(start_s=0.01, amplitude_rad=amplitude),
+                 dt=1e-3, duration=0.1)
+    assert exc.value.code == "SIM_NOT_FINITE"
