@@ -40,6 +40,17 @@ from .textio import KVWriter, g12, write_csv
 
 _EXIT = {STABLE: 0, UNSTABLE: 2, MARGINAL: 3, NO_CROSSING: 3}
 
+# the options each command reads, as its manifest lists them after
+# flat_voltage, which all six read (README, "Common flags")
+_MANIFEST_FIELDS = {
+    "analyze": ("force_first_pll", "eta_complex", "scan_hz", "root_tol_hz"),
+    "curves": ("force_first_pll", "scan_hz"),
+    "sweep": ("force_first_pll", "scan_hz", "root_tol_hz"),
+    "sensitivity": ("force_first_pll", "eta_complex", "scan_hz", "root_tol_hz"),
+    "adjust": ("force_first_pll", "scan_hz", "root_tol_hz"),
+    "simulate": ("sim",),
+}
+
 MAX_SWEEP_POINTS = 100_000     # about 2 h of analysis at ~70 ms per point
 _MIN_EXP, _MAX_EXP = sys.float_info.min_10_exp, sys.float_info.max_10_exp
 
@@ -143,13 +154,16 @@ class _Outputs:
         effective_flat = (spec.options.flat_voltage if args.flat_voltage is None
                           else args.flat_voltage)
         doc.field("flat_voltage", effective_flat)
-        doc.field("force_first_pll", args.force_first_pll)
-        doc.field("eta_complex", args.eta_complex)
         opt = spec.options
-        doc.field("scan_hz", f"{g12(opt.scan_fmin_hz)}..{g12(opt.scan_fmax_hz)} "
-                             f"x{opt.scan_points}")
-        doc.field("root_tol_hz", opt.root_tol_hz)
-        doc.field("sim", f"dt={g12(opt.sim_dt_s)} duration={g12(opt.sim_duration_s)}")
+        values = {
+            "force_first_pll": args.force_first_pll,
+            "eta_complex": args.eta_complex,
+            "scan_hz": f"{g12(opt.scan_fmin_hz)}..{g12(opt.scan_fmax_hz)} x{opt.scan_points}",
+            "root_tol_hz": opt.root_tol_hz,
+            "sim": f"dt={g12(opt.sim_dt_s)} duration={g12(opt.sim_duration_s)}",
+        }
+        for name in _MANIFEST_FIELDS[args.command]:
+            doc.field(name, values[name])
         doc.field("wall_time_s", round(time.monotonic() - started, 3))
         files = ", ".join(self.files + ["manifest.txt"])
         doc.field("outputs", files)

@@ -16,6 +16,15 @@ eigenvalues and yields the eigenvectors used downstream for modal weights.
 :func:`trace_curves` eigendecomposes G′_net over a frequency grid and matches
 eigenvalue branches between consecutive points by greedy maximal eigenvector
 overlap, so each branch i is a continuous function of ω (subsystem i).
+
+Converters that are interchangeable (a transposition of the two leaves B,
+P̃, Q̃ and U unchanged) make G′_net commute with their permutations.  In the
+symmetry-adapted basis (Fässler & Stiefel) of one normalised sum vector per
+class and Helmert difference vectors inside each class, G′_net splits into a
+g×g quotient on the class sums and, per difference vector d, the exact
+eigenvalue −dᵀS_P·d + j·(ω0/ω)·dᵀS_Q·d.  Only the quotient is
+eigendecomposed and matched; without such classes the scan is the plain
+n×n one.
 """
 from __future__ import annotations
 
@@ -44,6 +53,10 @@ __all__ = [
 # tracked-branch continuity alarm: consecutive eigenvector overlap below this
 # raises a BRANCH_JUMP flag on the curve set
 OVERLAP_THRESHOLD = 0.7
+# relative tolerance of the symmetry tests: converters whose setpoints, U and
+# rows of B agree to this are interchangeable, and each difference vector
+# must be an eigenvector of S_P and S_Q to this residual
+_SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,10 +127,97 @@ def sym_parts(net: ReducedNetwork, op: OperatingPoint) -> tuple[np.ndarray, np.n
     return 0.5 * (s_p + s_p.T), 0.5 * (s_q + s_q.T)
 
 
-def _eig(s_p: np.ndarray, s_q: np.ndarray, omega_r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of G′_net = −S_P + j·omega_r·S_Q; every solve builds the
-    matrix with this one expression, so a repeated solve is bit-identical."""
-    return np.linalg.eig(-s_p + 1j * omega_r * s_q)
+class _Symmetry:
+    """G′_net in the symmetry-adapted basis of its classes of interchangeable
+    converters: ``sums`` (n, g) and ``diffs`` (n, n − g) are orthonormal
+    columns, ``s_p``/``s_q`` the g×g quotient of S_P/S_Q on the sums and
+    ``a``/``b`` the eigenvalues dᵀS_P·d and dᵀS_Q·d of the differences."""
+
+    def __init__(self, classes, sums, diffs, s_p, s_q, a, b):
+        self.classes, self.sums, self.diffs = classes, sums, diffs
+        self.s_p, self.s_q, self.a, self.b = s_p, s_q, a, b
+
+
+def _classes(net: ReducedNetwork, op: OperatingPoint) -> list[list[int]] | None:
+    """Classes of interchangeable converters, each in config order, or None
+    when no two converters are interchangeable.
+
+    Converters a and b are interchangeable when the transposition (a b)
+    leaves p̃, q̃, U and B unchanged, each to ``_SYMMETRY_TOL`` relative to
+    its largest entry.  The setpoints are compared first, so a plant without
+    equal setpoints never looks at B.
+    """
+    keys = np.stack((op.p_tilde, op.q_tilde, op.u_pu))            # (3, n)
+    tol = _SYMMETRY_TOL * np.abs(keys).max(axis=1)
+    near = (np.abs(keys[:, :, None] - keys[:, None, :]) <= tol[:, None, None]).all(axis=0)
+    n = op.n
+    if np.count_nonzero(near) == n:          # only the diagonal
+        return None
+    b = net.b_matrix
+    b_tol = _SYMMETRY_TOL * np.abs(b).max()
+    classes: list[list[int]] = []
+    for j in range(n):
+        for members in classes:
+            i = members[0]
+            if near[i, j]:
+                swap = np.arange(n)
+                swap[[i, j]] = j, i
+                if np.abs(b[np.ix_(swap, swap)] - b).max() <= b_tol:
+                    members.append(j)
+                    break
+        else:
+            classes.append([j])
+    return classes if len(classes) < n else None
+
+
+def _symmetry(classes: list[list[int]], s_p: np.ndarray, s_q: np.ndarray
+              ) -> _Symmetry | None:
+    """The symmetry-adapted split of S_P and S_Q, or None when a difference
+    vector is not an eigenvector of both to ``_SYMMETRY_TOL``·‖S_X‖."""
+    n, g = len(s_p), len(classes)
+    sums, diffs = np.zeros((n, g)), np.zeros((n, n - g))
+    col = 0
+    for c, members in enumerate(classes):
+        sums[members, c] = 1.0 / np.sqrt(len(members))
+        for k in range(1, len(members)):     # Helmert: the first k against the next
+            scale = 1.0 / np.sqrt(k * (k + 1))
+            diffs[members[:k], col] = scale
+            diffs[members[k], col] = -k * scale
+            col += 1
+    split = []
+    for s in (s_p, s_q):
+        s_diffs = s @ diffs
+        x = np.einsum("ij,ij->j", diffs, s_diffs)
+        residual = np.linalg.norm(s_diffs - diffs * x, axis=0)
+        if np.any(residual > _SYMMETRY_TOL * np.linalg.norm(s)):
+            return None
+        quotient = sums.T @ s @ sums
+        split.append((0.5 * (quotient + quotient.T), x))
+    (s_p_q, a), (s_q_q, b) = split
+    return _Symmetry(classes, sums, diffs, s_p_q, s_q_q, a, b)
+
+
+def _eig(s_p: np.ndarray, s_q: np.ndarray, omega0: float, omega: float,
+         sym: _Symmetry | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of G′_net(jω) = −S_P + j·(ω0/ω)·S_Q, n of them.
+
+    With ``sym`` only the g×g quotient is solved: its eigenvectors are lifted
+    by the class sums (columns 0..g−1), and the difference vectors follow
+    with their closed-form eigenvalues (columns g..n−1).  Every solve of a
+    trace goes through this function, so a repeated solve is bit-identical.
+    Raises ``AnalysisError`` (EIG_NOT_CONVERGED) when LAPACK gives up.
+    """
+    omega_r = omega0 / omega
+    try:
+        if sym is None:
+            return np.linalg.eig(-s_p + 1j * omega_r * s_q)
+        vals, psi = np.linalg.eig(-sym.s_p + 1j * omega_r * sym.s_q)
+    except np.linalg.LinAlgError as exc:
+        raise AnalysisError(f"eigensolver did not converge at f_hz = "
+                            f"{omega / (2.0 * np.pi):.12g}: {exc}",
+                            code="EIG_NOT_CONVERGED") from None
+    return (np.concatenate((vals, -sym.a + 1j * omega_r * sym.b)),
+            np.hstack((sym.sums @ psi, sym.diffs)))
 
 
 def build_gnet(omega: float, net: ReducedNetwork, op: OperatingPoint,
@@ -195,6 +295,7 @@ class SubsystemCurves:
     s_p: np.ndarray               # (n, n)
     s_q: np.ndarray               # (n, n)
     warnings: list[str] = field(default_factory=list)
+    _symmetry: _Symmetry | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -207,14 +308,14 @@ class SubsystemCurves:
     def loop(self, omega: float, ref: np.ndarray) -> tuple[complex, complex, np.ndarray]:
         """(Γ, λ, φ) at ω for the eigenpair of G′_net(jω) whose eigenvector
         overlaps ``ref`` most (the tracked branch)."""
-        vals, vecs = _eig(self.s_p, self.s_q, self.omega0 / omega)
+        vals, vecs = _eig(self.s_p, self.s_q, self.omega0, omega, self._symmetry)
         j = int(np.argmax(np.abs(np.asarray(ref).conj() @ vecs)))
         return gamma(omega, self.u_ref, self.kp, self.ki, self.omega0), vals[j], vecs[:, j]
 
     def loop_at(self, k: int, i: int) -> tuple[complex, complex, np.ndarray]:
         """(Γ, λ, φ) of branch i at grid point k, solved again (bit-identical)."""
         omega = self.omega_rad_s[k]
-        vals, vecs = _eig(self.s_p, self.s_q, self.omega0 / omega)
+        vals, vecs = _eig(self.s_p, self.s_q, self.omega0, omega, self._symmetry)
         j = self.columns[k, i]
         return gamma(omega, self.u_ref, self.kp, self.ki, self.omega0), vals[j], vecs[:, j]
 
@@ -259,10 +360,14 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     """Eigendecompose G′_net over a frequency grid with branch tracking.
 
     ``grid_hz`` defaults to the spec's scan options.  The initial branch
-    order (lowest frequency) is ascending (Re λ, Im λ); subsequent points are
-    matched by maximal eigenvector overlap.  Overlap below
-    ``OVERLAP_THRESHOLD`` records a (grid index, branch) entry in
+    order (lowest frequency) is ascending (Re λ, Im λ) over all n branches;
+    subsequent points are matched by maximal eigenvector overlap.  Overlap
+    below ``OVERLAP_THRESHOLD`` records a (grid index, branch) entry in
     ``branch_jumps`` — a warning, not an error.
+
+    With classes of interchangeable converters only the g quotient branches
+    are solved and matched; a difference branch keeps its Helmert vector
+    and closed-form eigenvalue at every point.
     """
     if grid_hz is None:
         opt = spec.options
@@ -285,20 +390,28 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
 
     n, m = op.n, len(grid_hz)
     s_p, s_q = sym_parts(net, op)
+    classes = _classes(net, op)
+    sym = None if classes is None else _symmetry(classes, s_p, s_q)
+    g = n if sym is None else len(sym.classes)     # columns matched by overlap
     lam = np.empty((n, m), dtype=complex)
     columns = np.empty((m, n), dtype=int)
     jumps: list[tuple[int, int]] = []
 
     prev_vecs: np.ndarray | None = None
     for k, w in enumerate(omega_grid):
-        vals, vecs = _eig(s_p, s_q, omega0 / w)
+        vals, vecs = _eig(s_p, s_q, omega0, w, sym)
         if prev_vecs is None:
-            order, overlaps = np.lexsort((vals.imag, vals.real)), np.ones(n)
+            order = np.lexsort((vals.imag, vals.real))
+            tracked = np.flatnonzero(order < g)    # the branches on quotient columns
+            overlaps = np.ones(g)
         else:
-            order, overlaps = _match_branches(prev_vecs, vals, vecs)
-        lam[:, k], prev_vecs = vals[order], vecs[:, order]
+            matched, overlaps = _match_branches(prev_vecs, vals[:g], vecs[:, :g])
+            order[tracked] = matched
+        lam[:, k], prev_vecs = vals[order], vecs[:, order[tracked]]
         columns[k] = order
-        jumps.extend((k, int(i)) for i in np.flatnonzero(overlaps < OVERLAP_THRESHOLD))
+        if overlaps.min() < OVERLAP_THRESHOLD:
+            jumps.extend((k, int(tracked[i]))
+                         for i in np.flatnonzero(overlaps < OVERLAP_THRESHOLD))
 
     return SubsystemCurves(
         f_hz=grid_hz, omega_rad_s=omega_grid,
@@ -306,7 +419,7 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
         d_net=lam.real, k_net=lam.imag,
         columns=columns, branch_jumps=jumps,
         u_ref=u_ref, kp=kp, ki=ki, omega0=omega0,
-        s_p=s_p, s_q=s_q, warnings=warnings)
+        s_p=s_p, s_q=s_q, warnings=warnings, _symmetry=sym)
 
 
 def per_converter_gamma(spec: SystemSpec, op: OperatingPoint,

@@ -89,7 +89,7 @@ def modal_weights(net: ReducedNetwork, op: OperatingPoint, omega_c1: float,
     if not 0 < omega_c1 < np.inf:
         raise AnalysisError("crossing frequency must be finite and positive",
                             code="DEGENERATE_FREQ")
-    vals, vecs = _eig(*sym_parts(net, op), omega0 / omega_c1)
+    vals, vecs = _eig(*sym_parts(net, op), omega0, omega_c1)
     j = int(np.argmin(vals.real))
     return _weights(net, op, omega_c1, omega0, vals[j], vecs[:, j])
 

@@ -84,3 +84,39 @@ def random_operating_point(rng: np.random.Generator, n: int, *,
     q = rng.uniform(-0.5, 0.5, size=n)
     u = np.ones(n) if flat else rng.uniform(0.9, 1.1, size=n)
     return OperatingPoint(p, q, u)
+
+
+def grouped_grid_spec(seed: int, n: int = 20) -> SystemSpec:
+    """A collector grid of ``n`` converters in groups of identical units.
+
+    Groups of 1, 2 and 3 units in turn share one step-up reactance, one of
+    four collector buses and one setpoint, so each group of s units is a
+    class of interchangeable converters with an (s−1)-fold eigenvalue of
+    G′_net.  Every collector ties to the slack bus and the collectors form
+    a chain.  Flat voltage; the seed draws the reactances and setpoints.
+    """
+    rng = np.random.default_rng(seed)
+    collectors = 4
+    nodes = ["grid", *(f"c{k}" for k in range(collectors)), *(f"t{i}" for i in range(n))]
+    branches = [f"grid c{k} {rng.uniform(0.06, 0.08):.6f}" for k in range(collectors)]
+    branches += [f"c{k} c{k + 1} {rng.uniform(0.015, 0.025):.6f}"
+                 for k in range(collectors - 1)]
+    converters, setpoints = [], []
+    i = group = 0
+    while i < n:
+        size = min((1, 2, 3)[group % 3], n - i)
+        reactance = rng.uniform(0.04, 0.06) * n / 5.0
+        p = rng.uniform(0.6, 1.8) * 5.0 / n * (-1.0 if rng.uniform() < 0.2 else 1.0)
+        q = rng.uniform(-0.3, 0.3) * 5.0 / n
+        for _ in range(size):
+            branches.append(f"t{i} c{group % collectors} {reactance:.6f}")
+            converters.append(f"U{i + 1} t{i} {KP} {KI}")
+            setpoints.append(f"U{i + 1} {p:.6f} {q:.6f}")
+            i += 1
+        group += 1
+    text = "\n".join([
+        "[system]", "rated_frequency_hz = 50",
+        "[nodes]", *nodes, "[branches]", *branches, "[slack]", "grid",
+        "[converters]", *converters, "[operating_point base]", *setpoints,
+        "[options]", "flat_voltage = true", ""])
+    return parse_system_spec(text)

@@ -557,6 +557,38 @@ def test_simulate_runs_on_declared_mixed_gains(mixed_cfg, tmp_path, capsys):
     assert files["plain"] == files["forced"]
 
 
+def test_simulate_manifest_does_not_depend_on_force_first_pll(mixed_cfg, tmp_path, capsys):
+    manifests = []
+    for tag, extra in (("plain", []), ("forced", ["--force-first-pll"])):
+        main(["simulate", "--config", mixed_cfg, "--case", "heavy",
+              "--out", str(tmp_path / tag), *extra])
+        manifests.append([l for l in _read(tmp_path / tag / "manifest.txt").splitlines()
+                          if not l.startswith("wall_time_s")])
+    capsys.readouterr()
+    assert manifests[0] == manifests[1]
+
+
+# the options each command reads, beside flat_voltage (README, "Common flags")
+@pytest.mark.parametrize("command,args,fields", [
+    ("analyze", [], ["force_first_pll", "eta_complex", "scan_hz", "root_tol_hz"]),
+    ("curves", [], ["force_first_pll", "scan_hz"]),
+    ("sweep", ["--converter", "WTG1", "--quantity", "p", "--range", "0.4:0.5:0.1"],
+     ["force_first_pll", "scan_hz", "root_tol_hz"]),
+    ("sensitivity", [], ["force_first_pll", "eta_complex", "scan_hz", "root_tol_hz"]),
+    ("adjust", ["--set", "ES1=-0.8"], ["force_first_pll", "scan_hz", "root_tol_hz"]),
+    ("simulate", [], ["sim"]),
+])
+def test_manifest_lists_the_options_the_command_reads(station_cfg, tmp_path, capsys,
+                                                      command, args, fields):
+    out_dir = tmp_path / command
+    main([command, "--config", station_cfg, "--case", "light", *args, "--out", str(out_dir)])
+    capsys.readouterr()
+    keys = [l.split(" = ", 1)[0] for l in _read(out_dir / "manifest.txt").splitlines()
+            if " = " in l]
+    assert keys == ["command", "tool_version", "config", "case", "flat_voltage",
+                    *fields, "wall_time_s", "outputs"]
+
+
 # -------------------------------------------------------- repeated work
 
 def _count_calls(monkeypatch, name, modules):

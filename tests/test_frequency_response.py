@@ -22,6 +22,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from syncstab import frequency_response, stability
 from syncstab.config import PowerSetpoint, load_system_spec, parse_system_spec
 from syncstab.errors import AnalysisError
 from syncstab.frequency_response import (OperatingPoint, _match_branches,
@@ -29,11 +30,11 @@ from syncstab.frequency_response import (OperatingPoint, _match_branches,
                                          per_converter_gamma,
                                          resolve_pll_gains, sym_parts,
                                          trace_curves)
-from syncstab.modal import modal_weights
+from syncstab.modal import _weights, modal_weights
 from syncstab.network import ReducedNetwork, build_reduced_network
 from syncstab.pipeline import operating_point, run_analysis
 
-from conftest import (KI, KP, STATION_CFG_PATH, TWO_BUS_CFG,
+from conftest import (KI, KP, STATION_CFG_PATH, TWO_BUS_CFG, grouped_grid_spec,
                       random_operating_point, random_pd_network,
                       synthetic_spec)
 
@@ -433,3 +434,173 @@ def test_per_converter_gamma_shapes():
     assert vals.shape == (1, 25)
     expect = gamma_oracle(2 * np.pi * grid[7], 0.95)
     assert vals[0, 7] == pytest.approx(expect, rel=1e-12)
+
+
+# ------------------------------------------------------ symmetry quotient
+
+_REPRO = {name: PowerSetpoint(0.9, 0.1) for name in ("WTG1", "WTG2", "WTG3")}
+
+
+def _repro_spec(scan_points: int = 1200):
+    """The station's heavy case with WTG1-3 at one setpoint: with ES1 they
+    share collector c7 and one transformer reactance, so WTG1-3 form a class
+    of three interchangeable units."""
+    spec = load_system_spec(STATION_CFG_PATH)
+    p, q = spec.case_injections("heavy")
+    block = {name: PowerSetpoint(p[i], q[i]) for i, name in enumerate(spec.converter_names)}
+    spec = spec.with_case("_repro", {**block, **_REPRO})
+    return dataclasses.replace(
+        spec, options=dataclasses.replace(spec.options, scan_points=scan_points))
+
+
+def _full_scan():
+    """Patch the class detector so that every trace takes the n×n scan."""
+    return mock.patch.object(frequency_response, "_classes", return_value=None)
+
+
+def _eig_shapes():
+    """Spy on np.linalg.eig: the shapes of the matrices it is given."""
+    shapes = []
+    eig = np.linalg.eig
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eig(a)
+
+    return shapes, mock.patch.object(np.linalg, "eig", spy)
+
+
+def _crossing_freqs(report):
+    return sorted(c.f_ci for a in report.per_subsystem for c in a.crossings)
+
+
+# the degenerate repro flat and solved, and five grouped grids of 20 units
+@pytest.mark.parametrize("make,case,flat", [
+    (_repro_spec, "_repro", True), (_repro_spec, "_repro", False),
+    *((lambda seed=seed: grouped_grid_spec(seed), "base", None) for seed in range(5)),
+], ids=["repro_flat", "repro_solved", *(f"grouped{seed}" for seed in range(5))])
+def test_quotient_scan_matches_the_full_scan(make, case, flat):
+    spec = make()
+    reduced = run_analysis(spec, case, flat_voltage=flat)
+    with _full_scan():
+        full = run_analysis(spec, case, flat_voltage=flat)
+    assert reduced.curves._symmetry is not None and full.curves._symmetry is None
+    assert reduced.report.verdict == full.report.verdict
+    assert abs(reduced.report.critical.d_net1 - full.report.critical.d_net1) <= 1e-9
+    f_reduced, f_full = _crossing_freqs(reduced.report), _crossing_freqs(full.report)
+    assert len(f_reduced) == len(f_full)
+    assert np.all(np.abs(np.subtract(f_reduced, f_full)) <= spec.options.root_tol_hz)
+    # the same spectrum at every grid point, whatever the branch order
+    for part in ("d_net", "k_net"):
+        a = np.sort(getattr(reduced.curves, part), axis=0)
+        b = np.sort(getattr(full.curves, part), axis=0)
+        assert np.max(np.abs(a - b)) <= 1e-9 * max(1.0, np.max(np.abs(b)))
+    assert reduced.curves.branch_jumps == []
+
+
+@pytest.mark.parametrize("points,full_jumps", [(300, 11), (1200, 49), (4000, 165)])
+def test_quotient_scan_has_no_branch_jumps_on_the_repro(points, full_jumps):
+    spec = _repro_spec(points)
+    _name, _steady, op = operating_point(spec, "_repro")
+    net = build_reduced_network(spec)
+    assert trace_curves(spec, net, op).branch_jumps == []
+    # the n×n scan of the same input jumps inside the degenerate pair
+    with _full_scan():
+        assert len(trace_curves(spec, net, op).branch_jumps) == full_jumps
+
+
+@pytest.mark.parametrize("make,case", [(_repro_spec, "_repro"),
+                                       (lambda: grouped_grid_spec(0), "base")],
+                         ids=["repro", "grouped0"])
+def test_every_solve_of_a_grouped_input_is_g_by_g(make, case):
+    spec = make()
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, case)
+    g = len(frequency_response._classes(net, op))
+    shapes, spy = _eig_shapes()
+    with spy:
+        curves = trace_curves(spec, net, op)
+        scan = len(shapes)
+        stability.assess(spec, curves)
+    assert scan == spec.options.scan_points
+    assert len(shapes) > scan          # the bisection solved too
+    assert set(shapes) == {(g, g)} and g < op.n
+
+
+def test_near_symmetry_takes_the_full_scan():
+    # WTG1 and WTG2 at one setpoint: a class of two, which either change breaks
+    spec = _repro_spec(300)
+    p, q = spec.case_injections("heavy")
+    p[3], q[3] = p[1], q[1]
+    net = build_reduced_network(spec)
+    op = OperatingPoint(p, q, np.ones(5))
+    assert frequency_response._classes(net, op) == [[0], [1, 3], [2], [4]]
+    b = net.b_matrix.copy()
+    b[1, 0] = b[0, 1] = b[0, 1] * (1.0 + 1e-9)        # WTG1's coupling to ES1
+    p = op.p_pu.copy()
+    p[3] *= 1.0 + 1e-9                                 # WTG2's setpoint
+    for net2, op2 in ((ReducedNetwork.from_b_matrix(b, spec.converter_names), op),
+                      (net, OperatingPoint(p, op.q_pu, op.u_pu))):
+        assert frequency_response._classes(net2, op2) is None
+        shapes, spy = _eig_shapes()
+        with spy:
+            curves = trace_curves(spec, net2, op2)
+        assert curves._symmetry is None
+        assert set(shapes) == {(5, 5)}
+
+
+def test_a_class_that_fails_the_residual_check_takes_the_full_scan():
+    # ES1 and WTG1 share a collector and a transformer reactance, but not a
+    # setpoint: their difference vector is no eigenvector of S_P or S_Q
+    spec = _repro_spec(300)
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, "_repro")
+    s_p, s_q = sym_parts(net, op)
+    wrong = [[0, 1], [2], [3], [4]]
+    assert frequency_response._symmetry(wrong, s_p, s_q) is None
+    with mock.patch.object(frequency_response, "_classes", return_value=wrong):
+        curves = trace_curves(spec, net, op)
+    assert curves._symmetry is None
+    with _full_scan():
+        full = trace_curves(spec, net, op)
+    np.testing.assert_array_equal(curves.d_net, full.d_net)
+
+
+def test_difference_branch_carries_its_helmert_vector_and_the_rayleigh_identity():
+    spec = grouped_grid_spec(0)
+    result = run_analysis(spec, "base")
+    sym, curves = result.curves._symmetry, result.curves
+    g = len(sym.classes)
+    diff_crossings = [c for a in result.report.per_subsystem for c in a.crossings
+                      if curves.columns[0, c.subsystem] >= g]
+    assert diff_crossings
+    for c in diff_crossings:
+        column = curves.columns[0, c.subsystem]
+        assert (curves.columns[:, c.subsystem] == column).all()
+        np.testing.assert_array_equal(c.phi, sym.diffs[:, column - g])
+        weights = _weights(result.net, result.op, c.omega_ci, spec.omega0, c.lam, c.phi)
+        assert abs(c.d_neti + weights.eta @ result.op.p_pu) <= 1e-9
+        assert abs(c.k_neti - spec.omega0 / c.omega_ci * weights.eta @ result.op.q_pu) <= 1e-9
+
+
+# ------------------------------------------------- eigensolver failures
+
+def _refusing_eig(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+# the n×n solve of the station and the quotient solve of the repro
+@pytest.mark.parametrize("make,case", [(lambda: load_system_spec(STATION_CFG_PATH), "heavy"),
+                                       (_repro_spec, "_repro")], ids=["station", "repro"])
+def test_eigensolver_failure_is_a_coded_error(monkeypatch, make, case):
+    spec = make()
+    result = run_analysis(spec, case)
+    monkeypatch.setattr(np.linalg, "eig", _refusing_eig)
+    with pytest.raises(AnalysisError) as exc:
+        run_analysis(spec, case)
+    assert exc.value.code == "EIG_NOT_CONVERGED"
+    assert "f_hz = 0.5" in str(exc.value)
+    with pytest.raises(AnalysisError) as exc:
+        modal_weights(result.net, result.op, 2 * np.pi * 20.0, spec.omega0)
+    assert exc.value.code == "EIG_NOT_CONVERGED"
+    assert "f_hz = 20" in str(exc.value)

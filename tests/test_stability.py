@@ -27,7 +27,7 @@ from syncstab.stability import (MARGINAL, MARGINAL_BAND, NO_CROSSING, STABLE,
                                 UNSTABLE, assess, find_crossings)
 
 from conftest import KI, KP, STATION_CFG_PATH, TWO_BUS_CFG, synthetic_spec, \
-    random_pd_network, random_operating_point
+    random_pd_network, random_operating_point, grouped_grid_spec
 
 W0 = 2 * np.pi * 50
 
@@ -296,3 +296,40 @@ def test_relabelling_the_converters_permutes_eta_and_nothing_else(order):
         assert abs(got[2] - d_net1) <= 1e-9, (case, flat)
         for name, value in eta.items():
             assert abs(got[3][name] - value) <= 1e-9, (case, flat, name)
+
+
+def _grouped_outcome(spec):
+    """Classes by converter name, whether the critical crossing is on a
+    quotient branch, verdict, crossing count, D_net1 and η by name."""
+    result = run_analysis(spec, "base")
+    report, sym = result.report, result.curves._symmetry
+    names = spec.converter_names
+    classes = {frozenset(names[i] for i in members) for members in sym.classes}
+    on_quotient = result.curves.columns[0, report.critical.subsystem] < len(sym.classes)
+    eta = modal_weights_from_report(result.net, result.op, report, spec.omega0).eta
+    count = sum(len(a.crossings) for a in report.per_subsystem)
+    return (classes, on_quotient, report.verdict, count, report.critical.d_net1,
+            dict(zip(names, eta)))
+
+
+@cache
+def _unpermuted_grouped_outcome():
+    return _grouped_outcome(grouped_grid_spec(1))
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.permutations(range(20)))
+@example(list(range(19, -1, -1)))
+def test_relabelling_a_grouped_grid_permutes_eta_and_nothing_else(order):
+    spec = grouped_grid_spec(1)
+    relabelled = replace(spec, converters=tuple(spec.converters[j] for j in order))
+    classes, on_quotient, verdict, count, d_net1, eta = _unpermuted_grouped_outcome()
+    got = _grouped_outcome(relabelled)
+    assert got[0] == classes and len(classes) < 20
+    assert got[1:4] == (on_quotient, verdict, count)
+    assert abs(got[4] - d_net1) <= 1e-9
+    # on a difference branch φ is the Helmert vector in config order, so η
+    # follows the labels only on a quotient branch
+    if on_quotient:
+        for name, value in eta.items():
+            assert abs(got[5][name] - value) <= 1e-9, name
