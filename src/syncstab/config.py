@@ -93,6 +93,13 @@ class PowerSetpoint:
     q_pu: float
 
 
+# Caps on what option text may make the program allocate.  The scan holds
+# (n, scan_points) arrays and solves scan_points eigenproblems; the simulation
+# holds a (steps + 1, 2n) array, 16·n MB at the cap.
+MAX_SCAN_POINTS = 100_000        # the default is 1,200
+MAX_SIM_STEPS = 1_000_000        # the default is 30,000 (3 s at 0.1 ms)
+
+
 @dataclass(frozen=True)
 class AnalysisOptions:
     """Tunables with safe defaults; all overridable from ``[options]``."""
@@ -435,9 +442,9 @@ def validate(spec: SystemSpec) -> list[Violation]:
         out.append(Violation("SCAN_RANGE_INVALID",
                              f"need 0 < scan_fmin_hz < scan_fmax_hz, got "
                              f"[{opt.scan_fmin_hz}, {opt.scan_fmax_hz}]"))
-    if opt.scan_points < 2:
-        out.append(Violation("SCAN_POINTS_INVALID",
-                             f"scan_points must be >= 2, got {opt.scan_points}"))
+    if not 2 <= opt.scan_points <= MAX_SCAN_POINTS:
+        out.append(Violation("SCAN_POINTS_INVALID", f"scan_points must be in "
+                             f"2..{MAX_SCAN_POINTS}, got {opt.scan_points}"))
     if not (opt.root_tol_hz > 0):
         out.append(Violation("ROOT_TOL_INVALID",
                              f"root_tol_hz must be > 0, got {opt.root_tol_hz}"))
@@ -445,6 +452,10 @@ def validate(spec: SystemSpec) -> list[Violation]:
         out.append(Violation("SIM_PARAMS_INVALID",
                              f"need 0 < sim_dt_s < sim_duration_s, got "
                              f"dt={opt.sim_dt_s}, duration={opt.sim_duration_s}"))
+    elif opt.sim_duration_s / opt.sim_dt_s > MAX_SIM_STEPS:
+        out.append(Violation("SIM_PARAMS_INVALID",
+                             f"sim_duration_s/sim_dt_s may not exceed {MAX_SIM_STEPS} "
+                             f"steps, got dt={opt.sim_dt_s}, duration={opt.sim_duration_s}"))
 
     return out
 

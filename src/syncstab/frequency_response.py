@@ -22,9 +22,9 @@ P̃, Q̃ and U unchanged) make G′_net commute with their permutations.  In the
 symmetry-adapted basis (Fässler & Stiefel) of one normalised sum vector per
 class and Helmert difference vectors inside each class, G′_net splits into a
 g×g quotient on the class sums and, per difference vector d, the exact
-eigenvalue −dᵀS_P·d + j·(ω0/ω)·dᵀS_Q·d.  Only the quotient is
-eigendecomposed and matched; without such classes the scan is the plain
-n×n one.
+eigenvalue −dᵀS_P·d + j·(ω0/ω)·dᵀS_Q·d.  Only the quotient is solved, and
+the scan matches in the sums basis; without interchangeable converters the
+classes are n singletons, whose quotient is G′_net itself.
 """
 from __future__ import annotations
 
@@ -101,6 +101,14 @@ class OperatingPoint:
         return self.q_pu / self.u_pu**2
 
 
+def _require_fit(net: ReducedNetwork, op: OperatingPoint) -> None:
+    """Raise ``AnalysisError`` (OP_INVALID) unless ``op`` has one entry per
+    converter of ``net``."""
+    if op.n != net.n:
+        raise AnalysisError(f"operating point has {op.n} converters, the network "
+                            f"{net.n}", code="OP_INVALID")
+
+
 def gamma(omega, u: float, kp: float, ki: float, omega0: float):
     """Converter-side Γ(jω); ``u``, ``kp`` and ``ki`` broadcast against ``omega``.
 
@@ -120,7 +128,9 @@ def sym_parts(net: ReducedNetwork, op: OperatingPoint) -> tuple[np.ndarray, np.n
     """Frequency-independent pieces of G′_net: (S_P, S_Q), both real symmetric.
 
     G′_net(jω) = −S_P + j·(ω0/ω)·S_Q with S_X = B^{-1/2}·diag(X̃)·B^{-1/2}.
+    Raises ``AnalysisError`` (OP_INVALID) when ``op`` does not fit ``net``.
     """
+    _require_fit(net, op)
     r = net.b_inv_sqrt
     s_p = r @ np.diag(op.p_tilde) @ r
     s_q = r @ np.diag(op.q_tilde) @ r
@@ -137,10 +147,21 @@ class _Symmetry:
         self.classes, self.sums, self.diffs = classes, sums, diffs
         self.s_p, self.s_q, self.a, self.b = s_p, s_q, a, b
 
+    def values(self, vals: np.ndarray, omega_r) -> np.ndarray:
+        """The n eigenvalues at ω0/ω = ``omega_r``: the quotient's ``vals``,
+        then the differences' −a + j·(ω0/ω)·b."""
+        return np.concatenate((vals, -self.a + 1j * omega_r * self.b))
 
-def _classes(net: ReducedNetwork, op: OperatingPoint) -> list[list[int]] | None:
-    """Classes of interchangeable converters, each in config order, or None
-    when no two converters are interchangeable.
+    def eig(self, omega0: float, omega: float) -> tuple[np.ndarray, np.ndarray]:
+        """All n eigenpairs of G′_net(jω), the only n-long eigenvectors: the
+        quotient's lifted by the sums (columns 0..g−1), then the differences."""
+        vals, psi = _eig(self.s_p, self.s_q, omega0, omega)
+        return self.values(vals, omega0 / omega), np.hstack((self.sums @ psi, self.diffs))
+
+
+def _classes(net: ReducedNetwork, op: OperatingPoint) -> list[list[int]]:
+    """Classes of interchangeable converters, each in config order; n
+    singletons when no two converters are interchangeable.
 
     Converters a and b are interchangeable when the transposition (a b)
     leaves p̃, q̃, U and B unchanged, each to ``_SYMMETRY_TOL`` relative to
@@ -151,8 +172,6 @@ def _classes(net: ReducedNetwork, op: OperatingPoint) -> list[list[int]] | None:
     tol = _SYMMETRY_TOL * np.abs(keys).max(axis=1)
     near = (np.abs(keys[:, :, None] - keys[:, None, :]) <= tol[:, None, None]).all(axis=0)
     n = op.n
-    if np.count_nonzero(near) == n:          # only the diagonal
-        return None
     b = net.b_matrix
     b_tol = _SYMMETRY_TOL * np.abs(b).max()
     classes: list[list[int]] = []
@@ -167,13 +186,13 @@ def _classes(net: ReducedNetwork, op: OperatingPoint) -> list[list[int]] | None:
                     break
         else:
             classes.append([j])
-    return classes if len(classes) < n else None
+    return classes
 
 
-def _symmetry(classes: list[list[int]], s_p: np.ndarray, s_q: np.ndarray
-              ) -> _Symmetry | None:
-    """The symmetry-adapted split of S_P and S_Q, or None when a difference
-    vector is not an eigenvector of both to ``_SYMMETRY_TOL``·‖S_X‖."""
+def _symmetry(classes: list[list[int]], s_p: np.ndarray, s_q: np.ndarray) -> _Symmetry:
+    """The symmetry-adapted split of S_P and S_Q; that of n singletons (sums
+    = I, quotient = S_P/S_Q bit for bit) when a difference vector is not an
+    eigenvector of both to ``_SYMMETRY_TOL``·‖S_X‖."""
     n, g = len(s_p), len(classes)
     sums, diffs = np.zeros((n, g)), np.zeros((n, n - g))
     col = 0
@@ -190,44 +209,36 @@ def _symmetry(classes: list[list[int]], s_p: np.ndarray, s_q: np.ndarray
         x = np.einsum("ij,ij->j", diffs, s_diffs)
         residual = np.linalg.norm(s_diffs - diffs * x, axis=0)
         if np.any(residual > _SYMMETRY_TOL * np.linalg.norm(s)):
-            return None
+            return _symmetry([[j] for j in range(n)], s_p, s_q)
         quotient = sums.T @ s @ sums
         split.append((0.5 * (quotient + quotient.T), x))
     (s_p_q, a), (s_q_q, b) = split
     return _Symmetry(classes, sums, diffs, s_p_q, s_q_q, a, b)
 
 
-def _eig(s_p: np.ndarray, s_q: np.ndarray, omega0: float, omega: float,
-         sym: _Symmetry | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of G′_net(jω) = −S_P + j·(ω0/ω)·S_Q, n of them.
-
-    With ``sym`` only the g×g quotient is solved: its eigenvectors are lifted
-    by the class sums (columns 0..g−1), and the difference vectors follow
-    with their closed-form eigenvalues (columns g..n−1).  Every solve of a
-    trace goes through this function, so a repeated solve is bit-identical.
-    Raises ``AnalysisError`` (EIG_NOT_CONVERGED) when LAPACK gives up.
-    """
-    omega_r = omega0 / omega
+def _eig(s_p: np.ndarray, s_q: np.ndarray, omega0: float, omega: float
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of −S_P + j·(ω0/ω)·S_Q, the quotient of G′_net(jω): every
+    solve of a trace, so a repeated solve is bit-identical.  Raises
+    ``AnalysisError`` (EIG_NOT_CONVERGED) when LAPACK gives up."""
     try:
-        if sym is None:
-            return np.linalg.eig(-s_p + 1j * omega_r * s_q)
-        vals, psi = np.linalg.eig(-sym.s_p + 1j * omega_r * sym.s_q)
+        return np.linalg.eig(-s_p + 1j * (omega0 / omega) * s_q)
     except np.linalg.LinAlgError as exc:
         raise AnalysisError(f"eigensolver did not converge at f_hz = "
                             f"{omega / (2.0 * np.pi):.12g}: {exc}",
                             code="EIG_NOT_CONVERGED") from None
-    return (np.concatenate((vals, -sym.a + 1j * omega_r * sym.b)),
-            np.hstack((sym.sums @ psi, sym.diffs)))
 
 
 def build_gnet(omega: float, net: ReducedNetwork, op: OperatingPoint,
                omega0: float) -> np.ndarray:
     """Network-side matrix −B^{-1}·P̃ + j·(ω0/ω)·B^{-1}·Q̃ at one frequency.
 
-    Raises ``AnalysisError`` (DEGENERATE_FREQ) unless ω is finite and > 0.
+    Raises ``AnalysisError`` (DEGENERATE_FREQ) unless ω is finite and > 0,
+    and (OP_INVALID) when ``op`` does not fit ``net``.
     """
     if not 0 < omega < np.inf:
         raise AnalysisError("G_net needs a finite omega > 0", code="DEGENERATE_FREQ")
+    _require_fit(net, op)
     b_inv_p = np.linalg.solve(net.b_matrix, np.diag(op.p_tilde))
     b_inv_q = np.linalg.solve(net.b_matrix, np.diag(op.q_tilde))
     return -b_inv_p + 1j * (omega0 / omega) * b_inv_q
@@ -292,10 +303,8 @@ class SubsystemCurves:
     kp: float
     ki: float
     omega0: float
-    s_p: np.ndarray               # (n, n)
-    s_q: np.ndarray               # (n, n)
+    _symmetry: _Symmetry = field(repr=False)
     warnings: list[str] = field(default_factory=list)
-    _symmetry: _Symmetry | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -308,14 +317,14 @@ class SubsystemCurves:
     def loop(self, omega: float, ref: np.ndarray) -> tuple[complex, complex, np.ndarray]:
         """(Γ, λ, φ) at ω for the eigenpair of G′_net(jω) whose eigenvector
         overlaps ``ref`` most (the tracked branch)."""
-        vals, vecs = _eig(self.s_p, self.s_q, self.omega0, omega, self._symmetry)
+        vals, vecs = self._symmetry.eig(self.omega0, omega)
         j = int(np.argmax(np.abs(np.asarray(ref).conj() @ vecs)))
         return gamma(omega, self.u_ref, self.kp, self.ki, self.omega0), vals[j], vecs[:, j]
 
     def loop_at(self, k: int, i: int) -> tuple[complex, complex, np.ndarray]:
         """(Γ, λ, φ) of branch i at grid point k, solved again (bit-identical)."""
         omega = self.omega_rad_s[k]
-        vals, vecs = _eig(self.s_p, self.s_q, self.omega0, omega, self._symmetry)
+        vals, vecs = self._symmetry.eig(self.omega0, omega)
         j = self.columns[k, i]
         return gamma(omega, self.u_ref, self.kp, self.ki, self.omega0), vals[j], vecs[:, j]
 
@@ -365,9 +374,9 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     below ``OVERLAP_THRESHOLD`` records a (grid index, branch) entry in
     ``branch_jumps`` — a warning, not an error.
 
-    With classes of interchangeable converters only the g quotient branches
-    are solved and matched; a difference branch keeps its Helmert vector
-    and closed-form eigenvalue at every point.
+    Only the g quotient branches are solved and matched, in the orthonormal
+    sums basis, which keeps the lifted eigenvectors' overlaps.  A difference
+    branch keeps its Helmert vector and closed-form eigenvalue throughout.
     """
     if grid_hz is None:
         opt = spec.options
@@ -390,28 +399,30 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
 
     n, m = op.n, len(grid_hz)
     s_p, s_q = sym_parts(net, op)
-    classes = _classes(net, op)
-    sym = None if classes is None else _symmetry(classes, s_p, s_q)
-    g = n if sym is None else len(sym.classes)     # columns matched by overlap
+    sym = _symmetry(_classes(net, op), s_p, s_q)
+    g = len(sym.classes)                           # columns matched by overlap
     lam = np.empty((n, m), dtype=complex)
     columns = np.empty((m, n), dtype=int)
     jumps: list[tuple[int, int]] = []
 
-    prev_vecs: np.ndarray | None = None
     for k, w in enumerate(omega_grid):
-        vals, vecs = _eig(s_p, s_q, omega0, w, sym)
-        if prev_vecs is None:
-            order = np.lexsort((vals.imag, vals.real))
+        vals, vecs = _eig(sym.s_p, sym.s_q, omega0, w)
+        if k == 0:
+            every = sym.values(vals, omega0 / w)
+            order = np.lexsort((every.imag, every.real))
             tracked = np.flatnonzero(order < g)    # the branches on quotient columns
-            overlaps = np.ones(g)
+            matched, overlaps = order[tracked], np.ones(g)
         else:
-            matched, overlaps = _match_branches(prev_vecs, vals[:g], vecs[:, :g])
+            matched, overlaps = _match_branches(prev_vecs, vals, vecs)
             order[tracked] = matched
-        lam[:, k], prev_vecs = vals[order], vecs[:, order[tracked]]
+        lam[tracked, k], prev_vecs = vals[matched], vecs[:, matched]
         columns[k] = order
         if overlaps.min() < OVERLAP_THRESHOLD:
             jumps.extend((k, int(tracked[i]))
                          for i in np.flatnonzero(overlaps < OVERLAP_THRESHOLD))
+    # difference branches one row at a time: an (n − g, m) block raises the peak memory
+    for i in np.flatnonzero(order >= g):
+        lam[i] = -sym.a[order[i] - g] + 1j * (omega0 / omega_grid) * sym.b[order[i] - g]
 
     return SubsystemCurves(
         f_hz=grid_hz, omega_rad_s=omega_grid,
@@ -419,7 +430,7 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
         d_net=lam.real, k_net=lam.imag,
         columns=columns, branch_jumps=jumps,
         u_ref=u_ref, kp=kp, ki=ki, omega0=omega0,
-        s_p=s_p, s_q=s_q, warnings=warnings, _symmetry=sym)
+        _symmetry=sym, warnings=warnings)
 
 
 def per_converter_gamma(spec: SystemSpec, op: OperatingPoint,

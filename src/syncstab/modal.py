@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import SystemSpec
 from .errors import AnalysisError
-from .frequency_response import OperatingPoint, _eig, sym_parts, trace_curves
+from .frequency_response import OperatingPoint, _classes, _symmetry, sym_parts, trace_curves
 from .network import ReducedNetwork
 from .stability import StabilityReport, assess
 from .textio import write_csv
@@ -89,7 +89,8 @@ def modal_weights(net: ReducedNetwork, op: OperatingPoint, omega_c1: float,
     if not 0 < omega_c1 < np.inf:
         raise AnalysisError("crossing frequency must be finite and positive",
                             code="DEGENERATE_FREQ")
-    vals, vecs = _eig(*sym_parts(net, op), omega0, omega_c1)
+    s_p, s_q = sym_parts(net, op)
+    vals, vecs = _symmetry(_classes(net, op), s_p, s_q).eig(omega0, omega_c1)
     j = int(np.argmin(vals.real))
     return _weights(net, op, omega_c1, omega0, vals[j], vecs[:, j])
 
@@ -148,7 +149,12 @@ def finite_difference_check(spec: SystemSpec, net: ReducedNetwork,
     weight −η_i.  The two differ because −η_i is not the partial derivative
     at fixed ω (see the module docstring), not because the crossing moves:
     on the station's cases that partial already matches the measured total.
+    Raises ``AnalysisError`` (OP_INVALID) unless 0 ≤ ``i`` < n; a negative
+    index is refused, not counted from the end.
     """
+    if not 0 <= i < op.n:
+        raise AnalysisError(f"converter index {i} is outside 0..{op.n - 1}",
+                            code="OP_INVALID")
     report = _critical(spec, net, op, False)
     base = report.critical.d_net1
     weights = modal_weights_from_report(net, op, report, spec.omega0)
@@ -169,11 +175,15 @@ def adjustment_compare(spec: SystemSpec, net: ReducedNetwork,
     """Full before/after pipeline comparison for an active-power adjustment.
 
     ``op_after`` may differ from ``op_before`` only in P (Q must be unchanged;
-    raises ``AnalysisError`` ADJUST_Q_CHANGED otherwise).  Voltages are frozen
+    raises ``AnalysisError`` ADJUST_Q_CHANGED otherwise, and OP_INVALID when
+    the two points differ in length).  Voltages are frozen
     to the before-point amplitudes, honoring the small-perturbation voltage
     assumption.  Each point is assessed at its own critical frequency.
     ``force_first_pll`` is passed to :func:`trace_curves`.
     """
+    if op_after.n != op_before.n:
+        raise AnalysisError(f"op_after has {op_after.n} converters, op_before "
+                            f"{op_before.n}", code="OP_INVALID")
     if not np.allclose(op_before.q_pu, op_after.q_pu, rtol=0, atol=1e-12):
         raise AnalysisError("adjustment may only change active power",
                             code="ADJUST_Q_CHANGED")

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_SIM_STEPS
 from .errors import AnalysisError
-from .frequency_response import OperatingPoint
+from .frequency_response import OperatingPoint, _require_fit
 from .network import ReducedNetwork
 from .stability import MARGINAL_BAND, NO_CROSSING, STABLE, UNSTABLE, StabilityReport
 from .textio import write_csv, write_table
@@ -116,10 +117,11 @@ def assemble_state_space(net: ReducedNetwork, op: OperatingPoint,
     """Assemble A (2n×2n) and the disturbance column for the reduced model.
 
     ``kp``/``ki`` may be scalars (shared PLL) or per-converter vectors.
-    Raises ``AnalysisError`` (ORACLE_PARAMS_INVALID) for a non-finite gain or
-    ω0, and (ALGEBRAIC_LOOP_SINGULAR) when the Δω loop matrix is numerically
-    singular.
+    Raises ``AnalysisError`` (OP_INVALID) when ``op`` does not fit ``net``,
+    (ORACLE_PARAMS_INVALID) for a non-finite gain or ω0, and
+    (ALGEBRAIC_LOOP_SINGULAR) when the Δω loop matrix is numerically singular.
     """
+    _require_fit(net, op)
     n = op.n
     u = op.u_pu
     kp_v = np.broadcast_to(np.asarray(kp, dtype=float), (n,))
@@ -166,9 +168,14 @@ def modes(ss: StateSpace) -> ModeSet:
 
     Dominant = maximal real part among eigenvalues with |Im| above 2π·0.5
     (sub-0.5 Hz and aperiodic modes are not synchronization oscillations).
-    When no oscillatory mode exists the note says NO_OSC_MODE.
+    When no oscillatory mode exists the note says NO_OSC_MODE.  Raises
+    ``AnalysisError`` (EIG_NOT_CONVERGED) when LAPACK gives up.
     """
-    vals = np.linalg.eigvals(ss.a_matrix)
+    try:
+        vals = np.linalg.eigvals(ss.a_matrix)
+    except np.linalg.LinAlgError as exc:
+        raise AnalysisError(f"the state-space oracle's eigensolver did not converge: "
+                            f"{exc}", code="EIG_NOT_CONVERGED") from None
     order = np.lexsort((np.abs(vals.imag), -vals.real))
     vals = vals[order]
     osc = vals[np.abs(vals.imag) > _OSC_MIN_IM]
@@ -189,12 +196,16 @@ def simulate(ss: StateSpace, disturbance: AnglePulse | None = None,
     ``d(t)`` is the rectangular pulse; the state is zero, and is not stepped,
     before the first nonzero input sample.  Outputs are reconstructed per step
     (Δω from the loop solution, the active-power proxy as P̃·Δδ).  Raises
-    ``AnalysisError`` (SIM_PARAMS_INVALID) for a bad step or duration, and
+    ``AnalysisError`` (SIM_PARAMS_INVALID) for a bad step or duration, or
+    more than ``MAX_SIM_STEPS`` steps, before anything is allocated, and
     (SIM_NOT_FINITE) when the response overflows.
     """
     if not 0 < dt < duration < math.inf:       # also false for NaN
         raise AnalysisError(f"need 0 < dt < duration < inf, got dt={dt}, "
                             f"duration={duration}", code="SIM_PARAMS_INVALID")
+    if duration / dt > MAX_SIM_STEPS:
+        raise AnalysisError(f"duration/dt = {duration / dt:.6g} exceeds the "
+                            f"{MAX_SIM_STEPS} steps allowed", code="SIM_PARAMS_INVALID")
     pulse = disturbance or AnglePulse()
 
     steps = int(round(duration / dt))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 from syncstab import network
@@ -388,6 +389,22 @@ def test_simulate_outputs(two_bus_cfg, tmp_path, capsys):
     assert series_lines[0] == "t_s,theta_1,omega_1,dp_1"
     manifest = _read(out_dir / "manifest.txt")
     assert "modes.csv" in manifest and "timeseries.csv" in manifest
+
+
+def test_simulate_oracle_eigensolver_failure_exits_one(two_bus_cfg, tmp_path,
+                                                       monkeypatch, capsys):
+    def refuse(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    out_dir = tmp_path / "sim"
+    code = main(["simulate", "--config", two_bus_cfg, "--case", "inject",
+                 "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "[EIG_NOT_CONVERGED]" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (out_dir / "modes.csv").exists()
 
 
 def test_simulate_without_out_skips_integration(two_bus_cfg, monkeypatch, capsys):

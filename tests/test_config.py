@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncstab.config import (AnalysisOptions, parse_system_spec, serialize,
-                             validate)
+from syncstab.config import (MAX_SCAN_POINTS, MAX_SIM_STEPS, AnalysisOptions,
+                             parse_system_spec, serialize, validate)
 from syncstab.errors import (ConfigSyntaxError, SpecValidationError,
                              SyncstabError)
 
@@ -193,11 +193,22 @@ def test_operating_point_unknown_converter():
     ("root_tol_hz = 0", "ROOT_TOL_INVALID"),
     ("sim_dt_s = 0", "SIM_PARAMS_INVALID"),
     ("sim_duration_s = -1", "SIM_PARAMS_INVALID"),
+    ("scan_points = 1000000000", "SCAN_POINTS_INVALID"),
+    ("sim_dt_s = 1e-9", "SIM_PARAMS_INVALID"),
+    ("sim_dt_s = 0.25\nsim_duration_s = 250000.25", "SIM_PARAMS_INVALID"),
+    ("sim_dt_s = 5e-324\nsim_duration_s = 1e300", "SIM_PARAMS_INVALID"),
 ])
 def test_option_validation(opts, code):
     with pytest.raises(SpecValidationError) as exc:
         parse_system_spec(TWO_BUS_CFG + "\n[options]\n" + opts + "\n")
     assert code in {v.code for v in exc.value.violations}
+
+
+def test_the_caps_themselves_are_accepted():
+    spec = parse_system_spec(TWO_BUS_CFG + "\n[options]\nscan_points = 100000\n"
+                             "sim_dt_s = 0.25\nsim_duration_s = 250000\n")
+    assert spec.options.scan_points == MAX_SCAN_POINTS
+    assert spec.options.sim_duration_s / spec.options.sim_dt_s == MAX_SIM_STEPS
 
 
 # --- round trip --------------------------------------------------------------

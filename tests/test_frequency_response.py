@@ -30,9 +30,11 @@ from syncstab.frequency_response import (OperatingPoint, _match_branches,
                                          per_converter_gamma,
                                          resolve_pll_gains, sym_parts,
                                          trace_curves)
-from syncstab.modal import _weights, modal_weights
+from syncstab.modal import (_weights, adjustment_compare, finite_difference_check,
+                            modal_weights)
 from syncstab.network import ReducedNetwork, build_reduced_network
 from syncstab.pipeline import operating_point, run_analysis
+from syncstab.statespace import assemble_state_space
 
 from conftest import (KI, KP, STATION_CFG_PATH, TWO_BUS_CFG, grouped_grid_spec,
                       random_operating_point, random_pd_network,
@@ -136,6 +138,32 @@ def test_resolve_pll_gains_identical_and_forced():
 def test_operating_point_rejects_bad_values_with_code(p, q, u):
     with pytest.raises(AnalysisError) as exc:
         OperatingPoint(np.array(p), np.array(q), np.array(u))
+    assert exc.value.code == "OP_INVALID"
+
+
+# a 4-long operating point against the 5-converter station network; the
+# finite-difference check gets a fitting point and a converter index off it
+_MISFIT_CALLS = {
+    "trace_curves": lambda spec, net, op, op4: trace_curves(spec, net, op4),
+    "modal_weights": lambda spec, net, op, op4: modal_weights(net, op4, 2 * np.pi * 20, W0),
+    "build_gnet": lambda spec, net, op, op4: build_gnet(2 * np.pi * 20, net, op4, W0),
+    "build_gnet_sym": lambda spec, net, op, op4: build_gnet_sym(2 * np.pi * 20, net, op4, W0),
+    "assemble_state_space": lambda spec, net, op, op4: assemble_state_space(net, op4, KP, KI, W0),
+    "adjustment_compare": lambda spec, net, op, op4: adjustment_compare(spec, net, op, op4),
+    "finite_difference_check": lambda spec, net, op, op4: finite_difference_check(spec, net, op, 7),
+    "finite_difference_check_negative":
+        lambda spec, net, op, op4: finite_difference_check(spec, net, op, -1),
+}
+
+
+@pytest.mark.parametrize("call", _MISFIT_CALLS.values(), ids=_MISFIT_CALLS.keys())
+def test_an_operating_point_that_does_not_fit_the_network_is_op_invalid(call):
+    spec = load_system_spec(STATION_CFG_PATH)
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, "heavy", flat_voltage=True)
+    op4 = OperatingPoint(op.p_pu[:4], op.q_pu[:4], op.u_pu[:4])
+    with pytest.raises(AnalysisError) as exc:
+        call(spec, net, op, op4)
     assert exc.value.code == "OP_INVALID"
 
 
@@ -453,9 +481,15 @@ def _repro_spec(scan_points: int = 1200):
         spec, options=dataclasses.replace(spec.options, scan_points=scan_points))
 
 
+def _singletons(n):
+    return [[j] for j in range(n)]
+
+
 def _full_scan():
-    """Patch the class detector so that every trace takes the n×n scan."""
-    return mock.patch.object(frequency_response, "_classes", return_value=None)
+    """Patch the class detector so that every trace sees n singleton classes,
+    whose quotient is the n×n G′_net."""
+    return mock.patch.object(frequency_response, "_classes",
+                             side_effect=lambda net, op: _singletons(op.n))
 
 
 def _eig_shapes():
@@ -484,7 +518,9 @@ def test_quotient_scan_matches_the_full_scan(make, case, flat):
     reduced = run_analysis(spec, case, flat_voltage=flat)
     with _full_scan():
         full = run_analysis(spec, case, flat_voltage=flat)
-    assert reduced.curves._symmetry is not None and full.curves._symmetry is None
+    n = reduced.op.n
+    assert len(reduced.curves._symmetry.classes) < n
+    assert full.curves._symmetry.classes == _singletons(n)
     assert reduced.report.verdict == full.report.verdict
     assert abs(reduced.report.critical.d_net1 - full.report.critical.d_net1) <= 1e-9
     f_reduced, f_full = _crossing_freqs(reduced.report), _crossing_freqs(full.report)
@@ -527,6 +563,67 @@ def test_every_solve_of_a_grouped_input_is_g_by_g(make, case):
     assert set(shapes) == {(g, g)} and g < op.n
 
 
+# the station's six inputs and the two-bus config's two cases, flat and solved
+@pytest.mark.parametrize("cfg,case,flat", [
+    *((STATION_CFG_PATH, case, flat) for case in ("light", "heavy", "peak")
+      for flat in (True, False)),
+    *((TWO_BUS_CFG, case, flat) for case in ("inject", "absorb") for flat in (True, False)),
+], ids=[*(f"station_{c}_{'flat' if f else 'solved'}" for c in ("light", "heavy", "peak")
+          for f in (True, False)),
+        *(f"two_bus_{c}_{'flat' if f else 'solved'}" for c in ("inject", "absorb")
+          for f in (True, False))])
+def test_a_plant_without_groups_scans_g_prime_net_itself(cfg, case, flat):
+    spec = load_system_spec(cfg) if cfg is STATION_CFG_PATH else parse_system_spec(cfg)
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, case, flat_voltage=flat)
+    sym = trace_curves(spec, net, op)._symmetry
+    assert sym.classes == _singletons(op.n) and sym.diffs.shape == (op.n, 0)
+    s_p, s_q = sym_parts(net, op)
+    assert sym.s_p.tobytes() == s_p.tobytes() and sym.s_q.tobytes() == s_q.tobytes()
+
+
+def test_the_singleton_quotient_is_s_p_and_s_q_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for trial in range(300):
+        n = int(rng.integers(1, 9))
+        net = random_pd_network(rng, n)
+        op = random_operating_point(rng, n, flat=bool(trial % 2))
+        # all-zero P and all-zero Q make every entry of S_P or S_Q a zero
+        zero = np.zeros(n)
+        op = (op, OperatingPoint(zero, op.q_pu, op.u_pu),
+              OperatingPoint(op.p_pu, zero, op.u_pu))[trial % 3]
+        s_p, s_q = sym_parts(net, op)
+        sym = frequency_response._symmetry(_singletons(n), s_p, s_q)
+        assert sym.s_p.tobytes() == s_p.tobytes(), trial
+        assert sym.s_q.tobytes() == s_q.tobytes(), trial
+
+
+def test_modal_weights_of_a_grouped_input_solves_only_the_quotient():
+    spec = grouped_grid_spec(0)
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, "base")
+    g = len(frequency_response._classes(net, op))
+    shapes, spy = _eig_shapes()
+    with spy:
+        weights = modal_weights(net, op, 2 * np.pi * 20.0, spec.omega0)
+    assert shapes == [(g, g)] and g < op.n
+    assert abs(weights.lam1.real + weights.eta @ op.p_pu) <= 1e-9
+
+
+def test_modal_weights_on_a_repeated_eigenvalue_is_the_helmert_vector():
+    # three interchangeable absorbing units: the difference eigenvalue, 2-fold,
+    # has the minimal real part, and φ is one of its two Helmert vectors
+    net = ReducedNetwork.from_b_matrix(4.0 * np.eye(3) - np.ones((3, 3)))
+    op = OperatingPoint(np.full(3, -0.5), np.full(3, 0.1), np.ones(3))
+    shapes, spy = _eig_shapes()
+    with spy:
+        weights = modal_weights(net, op, 2 * np.pi * 20.0, W0)
+    assert shapes == [(1, 1)]
+    helmert = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, -2.0]]) / np.sqrt([2.0, 6.0])
+    assert any(np.array_equal(weights.phi, d / np.linalg.norm(d)) for d in helmert.T)
+    assert abs(weights.lam1.real + weights.eta @ op.p_pu) <= 1e-12
+
+
 def test_near_symmetry_takes_the_full_scan():
     # WTG1 and WTG2 at one setpoint: a class of two, which either change breaks
     spec = _repro_spec(300)
@@ -541,11 +638,11 @@ def test_near_symmetry_takes_the_full_scan():
     p[3] *= 1.0 + 1e-9                                 # WTG2's setpoint
     for net2, op2 in ((ReducedNetwork.from_b_matrix(b, spec.converter_names), op),
                       (net, OperatingPoint(p, op.q_pu, op.u_pu))):
-        assert frequency_response._classes(net2, op2) is None
+        assert frequency_response._classes(net2, op2) == _singletons(5)
         shapes, spy = _eig_shapes()
         with spy:
             curves = trace_curves(spec, net2, op2)
-        assert curves._symmetry is None
+        assert curves._symmetry.classes == _singletons(5)
         assert set(shapes) == {(5, 5)}
 
 
@@ -557,10 +654,10 @@ def test_a_class_that_fails_the_residual_check_takes_the_full_scan():
     _name, _steady, op = operating_point(spec, "_repro")
     s_p, s_q = sym_parts(net, op)
     wrong = [[0, 1], [2], [3], [4]]
-    assert frequency_response._symmetry(wrong, s_p, s_q) is None
+    assert frequency_response._symmetry(wrong, s_p, s_q).classes == _singletons(5)
     with mock.patch.object(frequency_response, "_classes", return_value=wrong):
         curves = trace_curves(spec, net, op)
-    assert curves._symmetry is None
+    assert curves._symmetry.classes == _singletons(5)
     with _full_scan():
         full = trace_curves(spec, net, op)
     np.testing.assert_array_equal(curves.d_net, full.d_net)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from syncstab.config import parse_system_spec
+from syncstab.config import load_system_spec, parse_system_spec
 from syncstab.errors import AnalysisError
 from syncstab.frequency_response import OperatingPoint, trace_curves
 from syncstab.network import ReducedNetwork, build_reduced_network
@@ -217,6 +217,21 @@ def test_run_oracle_uses_the_declared_gains(station_path):
     assert not np.array_equal(ss.a_matrix, forced.a_matrix)
 
 
+def _refusing_eigvals(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_oracle_eigensolver_failure_is_a_coded_error(station_path, monkeypatch):
+    result = run_analysis(load_system_spec(station_path), "heavy")
+    ss = run_oracle(result)[0]
+    monkeypatch.setattr(np.linalg, "eigvals", _refusing_eigvals)
+    for call in (lambda: modes(ss), lambda: run_oracle(result)):
+        with pytest.raises(AnalysisError) as exc:
+            call()
+        assert exc.value.code == "EIG_NOT_CONVERGED"
+        assert "state-space oracle" in str(exc.value)
+
+
 def test_forced_gains_that_misstate_the_system_disagree(station_path):
     # WTG3 at kp = 4.0: the forced analysis (converter 1's gains) reads
     # Unstable, but the declared-gain oracle's dominant mode is damped
@@ -289,9 +304,10 @@ def test_assemble_rejects_non_finite_parameters(kp, ki, omega0, capfd):
 
 
 @pytest.mark.parametrize("dt, duration", [(np.nan, 1.0), (1e-3, np.inf), (1e-3, np.nan),
-                                          (0.0, 1.0), (0.1, 0.1)],
+                                          (0.0, 1.0), (0.1, 0.1), (1e-9, 3.0),
+                                          (5e-324, 1e300)],
                          ids=["nan-dt", "inf-duration", "nan-duration", "zero-dt",
-                              "dt-equals-duration"])
+                              "dt-equals-duration", "too-many-steps", "infinite-steps"])
 def test_simulate_rejects_bad_step_or_duration(dt, duration):
     with pytest.raises(AnalysisError) as exc:
         simulate(_scalar_ss(0.4), AnglePulse(), dt=dt, duration=duration)
