@@ -22,7 +22,7 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -74,6 +74,9 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="allow non-identical PLL gains, using converter 1's")
 
 
+# built once per process: a parser is a web of reference cycles, so one per
+# call leaves garbage that only a later cyclic collection frees
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="syncstab",
@@ -390,30 +393,30 @@ def _cmd_adjust(args, spec: SystemSpec, out: _Outputs) -> int:
     p_after = op.p_pu.copy()
     for name, value in assignments.items():
         p_after[spec.converter_names.index(name)] = value
-    op_after = OperatingPoint(p_after, op.q_pu, op.u_pu)
-    cmp = adjustment_compare(spec, net, op, op_after,
+    cmp = adjustment_compare(spec, net, op, p_after,
                              force_first_pll=args.force_first_pll)
+    before, after = cmp.before.critical, cmp.after.critical
 
     doc = KVWriter()
     doc.section("syncstab adjustment comparison")
     doc.field("config", args.config)
     doc.field("case", case)
     doc.field("assignments", ", ".join(f"{k}={g12(v)}" for k, v in assignments.items()))
-    doc.field("d_net1_before", cmp.d_net1_before)
-    doc.field("d_net1_after", cmp.d_net1_after)
-    doc.field("f_c1_before_hz", cmp.omega_c1_before / (2 * np.pi))
-    doc.field("f_c1_after_hz", cmp.omega_c1_after / (2 * np.pi))
-    doc.field("margin_before", cmp.margin_before)
-    doc.field("margin_after", cmp.margin_after)
-    doc.field("verdict_before", cmp.verdict_before)
-    doc.field("verdict_after", cmp.verdict_after)
+    doc.field("d_net1_before", before.d_net1)
+    doc.field("d_net1_after", after.d_net1)
+    doc.field("f_c1_before_hz", before.omega_c1 / (2 * np.pi))
+    doc.field("f_c1_after_hz", after.omega_c1 / (2 * np.pi))
+    doc.field("margin_before", before.margin)
+    doc.field("margin_after", after.margin)
+    doc.field("verdict_before", cmp.before.verdict)
+    doc.field("verdict_after", cmp.after.verdict)
     doc.field("positive_inertia_before", cmp.positive_inertia_before)
     doc.field("positive_inertia_after", cmp.positive_inertia_after)
     for i, name in enumerate(spec.converter_names):
         doc.field(f"delta_p_{name}", float(cmp.per_converter_delta_p[i]))
     doc.field("improvement", cmp.improvement)
     out.emit("adjust.txt", doc.write, echo=True)
-    return _EXIT[cmp.verdict_after]
+    return _EXIT[cmp.after.verdict]
 
 
 def _cmd_simulate(args, spec: SystemSpec, out: _Outputs) -> int:

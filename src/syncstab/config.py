@@ -464,17 +464,35 @@ def validate(spec: SystemSpec) -> list[Violation]:
 # serialization
 # --------------------------------------------------------------------------
 
+def _render(value) -> str:
+    """One config token: names as they are, booleans as ``true``/``false``,
+    integers as integers and every other number as ``repr(float(value))``, so
+    NumPy scalars read back like Python floats."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def _row(record, *lead: str) -> str:
+    """One row of ``[branches]``, ``[converters]`` or an operating point:
+    ``lead``, then the fields of ``record``, as the parser reads them."""
+    return " ".join((*lead, *(_render(getattr(record, f.name)) for f in fields(record))))
+
+
 def serialize(spec: SystemSpec) -> str:
     """Render ``spec`` back to config text; round-trips through the parser."""
-    out: list[str] = ["[system]", f"rated_frequency_hz = {spec.rated_frequency_hz!r}", ""]
+    out = ["[system]", f"rated_frequency_hz = {_render(spec.rated_frequency_hz)}", ""]
 
     out.append("[nodes]")
     out.append(" ".join(spec.nodes))
     out.append("")
 
     out.append("[branches]")
-    for b in spec.branches:
-        out.append(f"{b.from_node} {b.to_node} {b.inductance_pu!r}")
+    out.extend(_row(b) for b in spec.branches)
     out.append("")
 
     out.append("[slack]")
@@ -482,24 +500,17 @@ def serialize(spec: SystemSpec) -> str:
     out.append("")
 
     out.append("[converters]")
-    for c in spec.converters:
-        out.append(f"{c.name} {c.node} {c.pll_kp!r} {c.pll_ki!r}")
+    out.extend(_row(c) for c in spec.converters)
     out.append("")
 
     for case, block in spec.operating_points.items():
         out.append(f"[operating_point {case}]")
-        for c in spec.converters:
-            sp = block[c.name]
-            out.append(f"{c.name} {sp.p_pu!r} {sp.q_pu!r}")
+        out.extend(_row(block[c.name], c.name) for c in spec.converters)
         out.append("")
 
     opt, defaults = spec.options, AnalysisOptions()
-    lines = []
-    for key in _OPTION_KEYS:
-        value = getattr(opt, key)
-        if value != getattr(defaults, key):
-            rendered = "true" if value is True else "false" if value is False else repr(value)
-            lines.append(f"{key} = {rendered}")
+    lines = [f"{key} = {_render(getattr(opt, key))}" for key in _OPTION_KEYS
+             if getattr(opt, key) != getattr(defaults, key)]
     if lines:
         out.append("[options]")
         out.extend(lines)

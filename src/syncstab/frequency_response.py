@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SystemSpec
+from .config import MAX_SCAN_POINTS, SystemSpec
 from .errors import AnalysisError
 from .network import ReducedNetwork
 from .textio import write_table
@@ -368,11 +368,13 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
                  force_first_pll: bool = False) -> SubsystemCurves:
     """Eigendecompose G′_net over a frequency grid with branch tracking.
 
-    ``grid_hz`` defaults to the spec's scan options.  The initial branch
-    order (lowest frequency) is ascending (Re λ, Im λ) over all n branches;
-    subsequent points are matched by maximal eigenvector overlap.  Overlap
-    below ``OVERLAP_THRESHOLD`` records a (grid index, branch) entry in
-    ``branch_jumps`` — a warning, not an error.
+    ``grid_hz`` defaults to the spec's scan options.  Either may hold at
+    most ``MAX_SCAN_POINTS`` points; a longer one raises ``AnalysisError``
+    (SCAN_POINTS_INVALID or GRID_INVALID) before the scan allocates.  The
+    initial branch order (lowest frequency) is ascending (Re λ, Im λ) over
+    all n branches; subsequent points are matched by maximal eigenvector
+    overlap.  Overlap below ``OVERLAP_THRESHOLD`` records a (grid index,
+    branch) entry in ``branch_jumps`` — a warning, not an error.
 
     Only the g quotient branches are solved and matched, in the orthonormal
     sums basis, which keeps the lifted eigenvectors' overlaps.  A difference
@@ -380,10 +382,14 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     """
     if grid_hz is None:
         opt = spec.options
+        if not 2 <= opt.scan_points <= MAX_SCAN_POINTS:
+            raise AnalysisError(f"scan_points must be in 2..{MAX_SCAN_POINTS}, got "
+                                f"{opt.scan_points}", code="SCAN_POINTS_INVALID")
         grid_hz = np.linspace(opt.scan_fmin_hz, opt.scan_fmax_hz, opt.scan_points)
     grid_hz = np.asarray(grid_hz, dtype=float)
-    if grid_hz.ndim != 1 or len(grid_hz) < 2:
-        raise AnalysisError("frequency grid needs at least 2 points", code="GRID_INVALID")
+    if grid_hz.ndim != 1 or not 2 <= len(grid_hz) <= MAX_SCAN_POINTS:
+        raise AnalysisError(f"frequency grid needs 2..{MAX_SCAN_POINTS} points",
+                            code="GRID_INVALID")
     if not np.isfinite(grid_hz).all():
         raise AnalysisError("frequency grid must be finite", code="GRID_INVALID")
     if np.any(grid_hz <= 0) or np.any(np.diff(grid_hz) <= 0):

@@ -64,18 +64,12 @@ class FDCheck:
 
 @dataclass(frozen=True)
 class AdjustmentResult:
-    d_net1_before: float
-    d_net1_after: float
-    omega_c1_before: float
-    omega_c1_after: float
-    margin_before: float
-    margin_after: float
-    verdict_before: str
-    verdict_after: str
+    before: StabilityReport    # each has a critical crossing
+    after: StabilityReport
     positive_inertia_before: int
     positive_inertia_after: int
     per_converter_delta_p: np.ndarray
-    improvement: bool          # d_net1_after > d_net1_before
+    improvement: bool          # D_net1 after > D_net1 before
 
 
 def modal_weights(net: ReducedNetwork, op: OperatingPoint, omega_c1: float,
@@ -143,7 +137,8 @@ def finite_difference_check(spec: SystemSpec, net: ReducedNetwork,
                             op: OperatingPoint, i: int) -> FDCheck:
     """Compare −η_i against a finite difference of the full pipeline.
 
-    Voltages are frozen: the perturbed operating point reuses ``op.u_pu``.
+    The difference is a one-converter re-dispatch through
+    :func:`adjustment_compare`, so voltages are frozen at ``op.u_pu``.
     The crossing is re-solved on the perturbed point, so the measured value
     is a total-derivative estimate; the predicted value is the paper's
     weight −η_i.  The two differ because −η_i is not the partial derivative
@@ -155,52 +150,37 @@ def finite_difference_check(spec: SystemSpec, net: ReducedNetwork,
     if not 0 <= i < op.n:
         raise AnalysisError(f"converter index {i} is outside 0..{op.n - 1}",
                             code="OP_INVALID")
-    report = _critical(spec, net, op, False)
-    base = report.critical.d_net1
-    weights = modal_weights_from_report(net, op, report, spec.omega0)
-    predicted = -float(weights.eta[i])
-
     p2 = op.p_pu.copy()
     p2[i] += _FD_DELTA_P
-    op2 = OperatingPoint(p2, op.q_pu.copy(), op.u_pu.copy())
-    bumped = _critical(spec, net, op2, False).critical.d_net1
-    measured = (bumped - base) / _FD_DELTA_P
+    cmp = adjustment_compare(spec, net, op, p2)
+    weights = modal_weights_from_report(net, op, cmp.before, spec.omega0)
+    predicted = -float(weights.eta[i])
+    measured = (cmp.after.critical.d_net1 - cmp.before.critical.d_net1) / _FD_DELTA_P
     rel_err = abs(measured - predicted) / max(abs(predicted), 1e-300)
     return FDCheck(predicted=predicted, measured=measured, rel_err=rel_err)
 
 
-def adjustment_compare(spec: SystemSpec, net: ReducedNetwork,
-                       op_before: OperatingPoint, op_after: OperatingPoint, *,
-                       force_first_pll: bool = False) -> AdjustmentResult:
-    """Full before/after pipeline comparison for an active-power adjustment.
+def adjustment_compare(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
+                       p_after: np.ndarray, *, force_first_pll: bool = False) -> AdjustmentResult:
+    """Full before/after pipeline comparison for an active-power re-dispatch.
 
-    ``op_after`` may differ from ``op_before`` only in P (Q must be unchanged;
-    raises ``AnalysisError`` ADJUST_Q_CHANGED otherwise, and OP_INVALID when
-    the two points differ in length).  Voltages are frozen
-    to the before-point amplitudes, honoring the small-perturbation voltage
-    assumption.  Each point is assessed at its own critical frequency.
-    ``force_first_pll`` is passed to :func:`trace_curves`.
+    The after-point is ``OperatingPoint(p_after, op.q_pu, op.u_pu)``: only P
+    moves, and Q and the voltages stay frozen at ``op``'s, honoring the
+    small-perturbation voltage assumption.  So ``p_after`` must hold one
+    finite value per converter (``AnalysisError`` OP_INVALID otherwise).
+    Each point is assessed at its own critical frequency; either one without
+    a crossing raises NO_CROSSING.  ``force_first_pll`` is passed to
+    :func:`trace_curves`.
     """
-    if op_after.n != op_before.n:
-        raise AnalysisError(f"op_after has {op_after.n} converters, op_before "
-                            f"{op_before.n}", code="OP_INVALID")
-    if not np.allclose(op_before.q_pu, op_after.q_pu, rtol=0, atol=1e-12):
-        raise AnalysisError("adjustment may only change active power",
-                            code="ADJUST_Q_CHANGED")
-    frozen_after = OperatingPoint(op_after.p_pu, op_before.q_pu, op_before.u_pu)
-
-    report_b = _critical(spec, net, op_before, force_first_pll)
-    report_a = _critical(spec, net, frozen_after, force_first_pll)
-    cb, ca = report_b.critical, report_a.critical
+    op_after = OperatingPoint(p_after, op.q_pu, op.u_pu)
+    before = _critical(spec, net, op, force_first_pll)
+    after = _critical(spec, net, op_after, force_first_pll)
     return AdjustmentResult(
-        d_net1_before=cb.d_net1, d_net1_after=ca.d_net1,
-        omega_c1_before=cb.omega_c1, omega_c1_after=ca.omega_c1,
-        margin_before=cb.margin, margin_after=ca.margin,
-        verdict_before=report_b.verdict, verdict_after=report_a.verdict,
-        positive_inertia_before=int(np.sum(op_before.p_pu > 0)),
-        positive_inertia_after=int(np.sum(frozen_after.p_pu > 0)),
-        per_converter_delta_p=frozen_after.p_pu - op_before.p_pu,
-        improvement=bool(ca.d_net1 > cb.d_net1))
+        before=before, after=after,
+        positive_inertia_before=int(np.sum(op.p_pu > 0)),
+        positive_inertia_after=int(np.sum(op_after.p_pu > 0)),
+        per_converter_delta_p=op_after.p_pu - op.p_pu,
+        improvement=bool(after.critical.d_net1 > before.critical.d_net1))
 
 
 def write_sensitivity_csv(weights: ModalWeights, sens: Sensitivities,

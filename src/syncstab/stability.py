@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemSpec
+from .errors import AnalysisError
 from .frequency_response import SubsystemCurves
 
 __all__ = [
@@ -88,6 +89,8 @@ def _refine(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float
 
     while (f_hi - f_lo) > root_tol_hz:
         f_mid = 0.5 * (f_lo + f_hi)
+        if f_mid in (f_lo, f_hi):      # adjacent floats: the bracket cannot shrink
+            break
         # the new eigenvector becomes the reference: branch identity carried inward
         g, lam, ref = curves.loop(2.0 * np.pi * f_mid, ref)
         g_mid = g.imag + lam.imag
@@ -112,9 +115,14 @@ def find_crossings(curves: SubsystemCurves, i: int,
                    root_tol_hz: float = 1e-4) -> list[Crossing]:
     """All zeros of K_con + K_neti for subsystem i, ascending in frequency.
 
-    Grid sign changes are refined by bisection to |Δf| ≤ ``root_tol_hz``;
-    exact zeros at grid points are taken as crossings directly.
+    Grid sign changes are refined by bisection to |Δf| ≤ ``root_tol_hz``, or
+    to adjacent floats when that is finer; exact zeros at grid points are
+    taken as crossings directly.  Raises ``AnalysisError`` (ROOT_TOL_INVALID)
+    unless ``root_tol_hz`` > 0.
     """
+    if not root_tol_hz > 0:
+        raise AnalysisError(f"root_tol_hz must be > 0, got {root_tol_hz}",
+                            code="ROOT_TOL_INVALID")
     g = curves.k_con + curves.k_net[i]
     zero, neg = g == 0.0, g < 0.0
     # a cell with an exact zero at either end is not a sign change

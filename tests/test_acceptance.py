@@ -351,10 +351,10 @@ def test_criterion_11_consumption_flip_restabilizes():
     p_after[names.index("ES1")] = -0.8
     p_after[names.index("ES2")] = -0.6
     op_after = OperatingPoint(p_after, result.op.q_pu, result.op.u_pu)
-    cmp = adjustment_compare(spec, result.net, result.op, op_after)
-    assert cmp.verdict_before == UNSTABLE
-    assert cmp.verdict_after == STABLE
-    assert cmp.d_net1_after > cmp.d_net1_before
+    cmp = adjustment_compare(spec, result.net, result.op, p_after)
+    assert cmp.before.verdict == UNSTABLE
+    assert cmp.after.verdict == STABLE
+    assert cmp.after.critical.d_net1 > cmp.before.critical.d_net1
 
     kp, ki = KP, KI
     ss_before = assemble_state_space(result.net, result.op, kp, ki, spec.omega0)

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: exit codes, file outputs, determinism."""
 from __future__ import annotations
 
+import gc
 import os
 
 import numpy as np
@@ -643,6 +644,19 @@ def test_adjust_traces_each_point_once(station_cfg, monkeypatch, capsys):
     capsys.readouterr()
     assert code in (0, 2, 3)
     assert len(calls) == 2
+
+
+def test_a_repeated_command_leaves_no_reference_cycles(two_bus_cfg, capsys):
+    # a parser built per call would be ~400 objects of cyclic garbage, freed only
+    # by a later collection, so the memory a command holds would hang on gc timing
+    for argv in (["analyze", "--config", two_bus_cfg],
+                 ["adjust", "--config", two_bus_cfg, "--set", "C1=-0.5"],
+                 ["adjust", "--config", two_bus_cfg, "--set", "C1=nan"]):
+        main(argv)
+        gc.collect()
+        main(argv)
+        assert gc.collect() == 0, argv
+    capsys.readouterr()
 
 
 _STAGE_MODULES = ["syncstab.cli", "syncstab.pipeline", "syncstab.modal"]

@@ -5,16 +5,17 @@ import math
 import os
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncstab.config import (MAX_SCAN_POINTS, MAX_SIM_STEPS, AnalysisOptions,
-                             parse_system_spec, serialize, validate)
+                             PowerSetpoint, parse_system_spec, serialize, validate)
 from syncstab.errors import (ConfigSyntaxError, SpecValidationError,
                              SyncstabError)
 
-from conftest import TWO_BUS_CFG
+from conftest import STATION_CFG_PATH, TWO_BUS_CFG
 
 
 def test_two_bus_parses():
@@ -316,6 +317,24 @@ def test_serialize_round_trip_every_option():
     again = parse_system_spec(text)
     assert again.options == options
     assert again == spec
+
+
+def test_serialize_round_trip_numpy_values():
+    # case_injections returns arrays, so a case built from it holds NumPy floats
+    with open(STATION_CFG_PATH, encoding="utf-8") as fh:
+        spec = parse_system_spec(fh.read())
+    p, q = spec.case_injections("heavy")
+    repro = spec.with_case("repro", {name: PowerSetpoint(p[i], q[i])
+                                     for i, name in enumerate(spec.converter_names)})
+    repro = replace(repro, rated_frequency_hz=np.float64(50.0),
+                    converters=tuple(replace(c, pll_kp=np.float64(c.pll_kp))
+                                     for c in repro.converters),
+                    options=AnalysisOptions(flat_voltage=np.bool_(True),
+                                            scan_points=np.int64(701),
+                                            root_tol_hz=np.float64(2.5e-5)))
+    text = serialize(repro)
+    assert "np." not in text
+    assert parse_system_spec(text) == repro
 
 
 def test_readme_options_list_every_field_at_its_default():

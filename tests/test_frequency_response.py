@@ -15,6 +15,7 @@ Independent oracles used here:
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from syncstab import frequency_response, stability
-from syncstab.config import PowerSetpoint, load_system_spec, parse_system_spec
+from syncstab.config import MAX_SCAN_POINTS, PowerSetpoint, load_system_spec, parse_system_spec
 from syncstab.errors import AnalysisError
 from syncstab.frequency_response import (OperatingPoint, _match_branches,
                                          build_gnet, build_gnet_sym, gamma,
@@ -149,7 +150,8 @@ _MISFIT_CALLS = {
     "build_gnet": lambda spec, net, op, op4: build_gnet(2 * np.pi * 20, net, op4, W0),
     "build_gnet_sym": lambda spec, net, op, op4: build_gnet_sym(2 * np.pi * 20, net, op4, W0),
     "assemble_state_space": lambda spec, net, op, op4: assemble_state_space(net, op4, KP, KI, W0),
-    "adjustment_compare": lambda spec, net, op, op4: adjustment_compare(spec, net, op, op4),
+    "adjustment_compare":
+        lambda spec, net, op, op4: adjustment_compare(spec, net, op, op4.p_pu),
     "finite_difference_check": lambda spec, net, op, op4: finite_difference_check(spec, net, op, 7),
     "finite_difference_check_negative":
         lambda spec, net, op, op4: finite_difference_check(spec, net, op, -1),
@@ -297,6 +299,33 @@ def test_trace_rejects_non_finite_grid(grid_hz):
     with pytest.raises(AnalysisError) as exc:
         trace_curves(spec, build_reduced_network(spec), op, np.array(grid_hz))
     assert exc.value.code == "GRID_INVALID"
+
+
+def test_an_over_cap_scan_is_refused_before_it_solves_or_allocates(monkeypatch):
+    # options built in code skip validate(), so trace_curves applies the cap itself
+    spec = load_system_spec(STATION_CFG_PATH)
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, "heavy", flat_voltage=True)
+    over = dataclasses.replace(spec, options=dataclasses.replace(spec.options,
+                                                                 scan_points=200_000))
+    grid = np.linspace(0.5, 60.0, MAX_SCAN_POINTS + 1)
+
+    def refuse(*args):
+        raise AssertionError("an over-cap scan reached the eigensolver")
+
+    monkeypatch.setattr(frequency_response, "_eig", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AnalysisError) as points:
+            trace_curves(over, net, op)
+        with pytest.raises(AnalysisError) as explicit:
+            trace_curves(spec, net, op, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points.value.code == "SCAN_POINTS_INVALID"
+    assert explicit.value.code == "GRID_INVALID"
+    assert peak < grid.nbytes / 10
 
 
 def test_branch_order_is_deterministic():

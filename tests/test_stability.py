@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from syncstab import stability
 from syncstab.config import PowerSetpoint, load_system_spec, parse_system_spec
-from syncstab.frequency_response import OperatingPoint, build_gnet, trace_curves
+from syncstab.errors import AnalysisError
+from syncstab.frequency_response import (OperatingPoint, SubsystemCurves, build_gnet,
+                                         trace_curves)
 from syncstab.modal import modal_weights_from_report
 from syncstab.network import build_reduced_network
 from syncstab.pipeline import run_analysis
@@ -190,6 +192,49 @@ def test_find_crossings_exact_zero_at_grid_end(end):
     crossings = find_crossings(curves, 0)
     assert [c.f_ci for c in crossings] == [grid[end]]
     assert crossings[0].lam == curves.d_net[0, end] + 1j * curves.k_net[0, end]
+
+
+def _bounded_loop(monkeypatch, limit=500):
+    """Make ``SubsystemCurves.loop`` raise after ``limit`` calls, so a
+    bisection that stops shrinking fails the test instead of hanging it."""
+    loop, calls = SubsystemCurves.loop, []
+
+    def spy(self, omega, ref):
+        calls.append(omega)
+        if len(calls) > limit:
+            raise RuntimeError(f"more than {limit} loop evaluations")
+        return loop(self, omega, ref)
+
+    monkeypatch.setattr(SubsystemCurves, "loop", spy)
+    return calls
+
+
+def test_a_root_tolerance_below_the_float_spacing_ends_at_adjacent_floats(monkeypatch):
+    # at ~20 Hz adjacent floats are 3.6e-15 Hz apart, so a 1e-20 Hz bracket
+    # is never reached; the bisection stops when the midpoint is an end
+    calls = _bounded_loop(monkeypatch)
+    fine = run_analysis(parse_system_spec(TWO_BUS_CFG + "\n[options]\nroot_tol_hz = 1e-20\n"))
+    assert 0 < len(calls) <= 500
+    coarse = run_analysis(parse_system_spec(TWO_BUS_CFG + "\n[options]\nroot_tol_hz = 1e-14\n"))
+    assert fine.report.verdict == coarse.report.verdict == UNSTABLE
+    assert fine.report.margin == pytest.approx(coarse.report.margin, abs=1e-14)
+    assert fine.report.critical.f_c1 == pytest.approx(coarse.report.critical.f_c1, abs=1e-13)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_a_root_tolerance_that_is_not_positive_is_a_coded_error(monkeypatch, tol):
+    # options built in code skip validate(); find_crossings checks the tolerance
+    _bounded_loop(monkeypatch)
+    spec = parse_system_spec(TWO_BUS_CFG)
+    spec = replace(spec, options=replace(spec.options, root_tol_hz=tol))
+    with pytest.raises(AnalysisError) as exc:
+        run_analysis(spec)
+    assert exc.value.code == "ROOT_TOL_INVALID"
+    curves = trace_curves(spec, build_reduced_network(spec),
+                          OperatingPoint(np.array([0.5]), np.array([0.0]), np.array([1.0])))
+    with pytest.raises(AnalysisError) as exc:
+        find_crossings(curves, 0, tol)
+    assert exc.value.code == "ROOT_TOL_INVALID"
 
 
 def _crossing_events_reference(g):
