@@ -57,6 +57,9 @@ OVERLAP_THRESHOLD = 0.7
 # rows of B agree to this are interchangeable, and each difference vector
 # must be an eigenvector of S_P and S_Q to this residual
 _SYMMETRY_TOL = 1e-12
+# matrix entries per block of the scan's eigenvector buffer: the points of a
+# block are matched with one batched overlap product
+_BLOCK_ENTRIES = 400
 
 
 @dataclass(frozen=True)
@@ -128,12 +131,19 @@ def sym_parts(net: ReducedNetwork, op: OperatingPoint) -> tuple[np.ndarray, np.n
     """Frequency-independent pieces of G′_net: (S_P, S_Q), both real symmetric.
 
     G′_net(jω) = −S_P + j·(ω0/ω)·S_Q with S_X = B^{-1/2}·diag(X̃)·B^{-1/2}.
-    Raises ``AnalysisError`` (OP_INVALID) when ``op`` does not fit ``net``.
+    Raises ``AnalysisError`` (OP_INVALID) when ``op`` does not fit ``net``,
+    and when ‖S_P‖ or ‖S_Q‖ overflows (P or Q of about 1e154 pu and above
+    on a network of ordinary strength).
     """
     _require_fit(net, op)
     r = net.b_inv_sqrt
     s_p = r @ np.diag(op.p_tilde) @ r
     s_q = r @ np.diag(op.q_tilde) @ r
+    with np.errstate(over="ignore"):
+        finite = np.isfinite([np.linalg.norm(s_p), np.linalg.norm(s_q)]).all()
+    if not finite:
+        raise AnalysisError("the norm of S_P or S_Q overflows: the powers are too large",
+                            code="OP_INVALID")
     return 0.5 * (s_p + s_p.T), 0.5 * (s_q + s_q.T)
 
 
@@ -297,7 +307,7 @@ class SubsystemCurves:
     k_con: np.ndarray             # (m,)
     d_net: np.ndarray             # (n, m)
     k_net: np.ndarray             # (n, m)
-    columns: np.ndarray           # (m, n) int
+    columns: np.ndarray           # (m, n) unsigned int, the smallest that holds n
     branch_jumps: list[tuple[int, int]]   # (grid index, branch index)
     u_ref: float
     kp: float
@@ -336,19 +346,11 @@ def _match_branches(prev_vecs: np.ndarray, vals: np.ndarray, vecs: np.ndarray
     Candidates ranked by descending overlap |<prev_i, new_j>|, ties broken by
     ascending (Re λ_j, Im λ_j, i), then by j.  Returns (columns, overlaps):
     branch i takes candidate ``columns[i]`` with overlap ``overlaps[i]``.
+    :func:`trace_curves` calls it only at points where the row-wise best
+    candidates (:func:`_strict_bests`) do not already settle the assignment.
     """
     n = len(vals)
     overlap = np.abs(prev_vecs.conj().T @ vecs)   # (branch i, candidate j)
-    # fast path: when every branch has a strict best candidate and no two
-    # branches share one, the greedy pass below takes exactly those pairs
-    rows = np.arange(n)
-    best = overlap.argmax(axis=1)
-    top = overlap[rows, best]
-    overlap[rows, best] = -np.inf           # read the runner-up without a copy
-    runner_up = overlap.max(axis=1)
-    overlap[rows, best] = top
-    if (top > runner_up).all() and np.bincount(best, minlength=n).max() == 1:
-        return best, top
     jj = np.arange(n * n) % n                     # flattened i-major, j-minor
     # lexsort is stable, so the flattened order settles full ties: i, then j
     order = np.lexsort((vals.imag[jj], vals.real[jj], -overlap.ravel()))
@@ -360,7 +362,20 @@ def _match_branches(prev_vecs: np.ndarray, vals: np.ndarray, vecs: np.ndarray
             if not left:              # every branch has its column
                 break
     columns = np.array(assign)
-    return columns, overlap[rows, columns]
+    return columns, overlap[np.arange(n), columns]
+
+
+def _strict_bests(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise best candidates of a stack of (previous, new) eigenvector
+    overlap matrices: (best, top, settled).  ``settled[c]`` is true when the
+    row maxima of matrix c mark a permutation matrix: every row has a strict
+    best candidate and no two share one, so the greedy rule of
+    :func:`_match_branches` takes exactly the pairs (i, ``best[c, i]``), in
+    whatever order the rows are given."""
+    top = overlap.max(axis=2)
+    hits = overlap == top[:, :, None]
+    settled = (hits.sum(axis=2) == 1).all(axis=1) & (hits.sum(axis=1) == 1).all(axis=1)
+    return overlap.argmax(axis=2), top, settled
 
 
 def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
@@ -369,12 +384,21 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     """Eigendecompose G′_net over a frequency grid with branch tracking.
 
     ``grid_hz`` defaults to the spec's scan options.  Either may hold at
-    most ``MAX_SCAN_POINTS`` points; a longer one raises ``AnalysisError``
-    (SCAN_POINTS_INVALID or GRID_INVALID) before the scan allocates.  The
-    initial branch order (lowest frequency) is ascending (Re λ, Im λ) over
-    all n branches; subsequent points are matched by maximal eigenvector
-    overlap.  Overlap below ``OVERLAP_THRESHOLD`` records a (grid index,
-    branch) entry in ``branch_jumps`` — a warning, not an error.
+    most ``MAX_SCAN_POINTS`` points; a longer one, or a ``scan_points`` that
+    is not an integer, raises ``AnalysisError`` (SCAN_POINTS_INVALID or
+    GRID_INVALID) before the scan allocates.  The initial branch order
+    (lowest frequency) is ascending (Re λ, Im λ) over all n branches;
+    subsequent points are matched by maximal eigenvector overlap.  Overlap
+    below ``OVERLAP_THRESHOLD`` records a (grid index, branch) entry in
+    ``branch_jumps`` — a warning, not an error.
+
+    Every point has its own eigensolve; the points are matched a block at a
+    time, a block holding about ``_BLOCK_ENTRIES`` eigenvector entries.  One
+    batched product gives the overlaps of each point's eigenvectors with
+    the point before's (the last of the previous block carried over).  A
+    point whose row-wise best overlaps are distinct strict maxima takes
+    them (:func:`_strict_bests`); any other point takes
+    :func:`_match_branches`.  The result is that of matching point by point.
 
     Only the g quotient branches are solved and matched, in the orthonormal
     sums basis, which keeps the lifted eigenvectors' overlaps.  A difference
@@ -382,10 +406,12 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     """
     if grid_hz is None:
         opt = spec.options
-        if not 2 <= opt.scan_points <= MAX_SCAN_POINTS:
-            raise AnalysisError(f"scan_points must be in 2..{MAX_SCAN_POINTS}, got "
-                                f"{opt.scan_points}", code="SCAN_POINTS_INVALID")
-        grid_hz = np.linspace(opt.scan_fmin_hz, opt.scan_fmax_hz, opt.scan_points)
+        points = opt.scan_points
+        if (not isinstance(points, (int, np.integer)) or isinstance(points, bool)
+                or not 2 <= points <= MAX_SCAN_POINTS):
+            raise AnalysisError(f"scan_points must be an integer in 2..{MAX_SCAN_POINTS}, "
+                                f"got {points!r}", code="SCAN_POINTS_INVALID")
+        grid_hz = np.linspace(opt.scan_fmin_hz, opt.scan_fmax_hz, points)
     grid_hz = np.asarray(grid_hz, dtype=float)
     if grid_hz.ndim != 1 or not 2 <= len(grid_hz) <= MAX_SCAN_POINTS:
         raise AnalysisError(f"frequency grid needs 2..{MAX_SCAN_POINTS} points",
@@ -408,24 +434,44 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     sym = _symmetry(_classes(net, op), s_p, s_q)
     g = len(sym.classes)                           # columns matched by overlap
     lam = np.empty((n, m), dtype=complex)
-    columns = np.empty((m, n), dtype=int)
+    columns = np.empty((m, n), dtype=np.min_scalar_type(n))
     jumps: list[tuple[int, int]] = []
 
-    for k, w in enumerate(omega_grid):
-        vals, vecs = _eig(sym.s_p, sym.s_q, omega0, w)
-        if k == 0:
-            every = sym.values(vals, omega0 / w)
-            order = np.lexsort((every.imag, every.real))
-            tracked = np.flatnonzero(order < g)    # the branches on quotient columns
-            matched, overlaps = order[tracked], np.ones(g)
-        else:
-            matched, overlaps = _match_branches(prev_vecs, vals, vecs)
-            order[tracked] = matched
-        lam[tracked, k], prev_vecs = vals[matched], vecs[:, matched]
-        columns[k] = order
-        if overlaps.min() < OVERLAP_THRESHOLD:
-            jumps.extend((k, int(tracked[i]))
-                         for i in np.flatnonzero(overlaps < OVERLAP_THRESHOLD))
+    # the lowest point fixes the branch order over all n eigenvalues
+    block = max(1, _BLOCK_ENTRIES // g**2)         # grid points per block
+    vals_block = np.empty((block, g), dtype=complex)
+    vecs_block = np.empty((block + 1, g, g), dtype=complex)   # [0]: the point before
+    vals, vecs_block[0] = _eig(sym.s_p, sym.s_q, omega0, omega_grid[0])
+    every = sym.values(vals, omega0 / omega_grid[0])
+    order = np.lexsort((every.imag, every.real))
+    tracked = np.flatnonzero(order < g)            # the branches on quotient columns
+    matched = order[tracked]
+    lam[tracked, 0], columns[:] = vals[matched], order
+    matched_block = np.empty((block, g), dtype=np.intp)
+    overlaps_block = np.empty((block, g))
+
+    for start in range(1, m, block):
+        count = min(block, m - start)
+        for c in range(count):
+            vals_block[c], vecs_block[c + 1] = _eig(sym.s_p, sym.s_q, omega0,
+                                                    omega_grid[start + c])
+        # raw overlaps of each point's eigenvectors with the point before's
+        prev = vecs_block[:count].conj().transpose(0, 2, 1)
+        best, top, settled = _strict_bests(np.abs(prev @ vecs_block[1:count + 1]))
+        for c in range(count):
+            if settled[c]:
+                overlaps_block[c], matched = top[c, matched], best[c, matched]
+            else:
+                matched, overlaps_block[c] = _match_branches(
+                    vecs_block[c][:, matched], vals_block[c], vecs_block[c + 1])
+            matched_block[c] = matched
+        stop = start + count
+        lam[tracked, start:stop] = np.take_along_axis(
+            vals_block[:count], matched_block[:count], axis=1).T
+        columns[start:stop, tracked] = matched_block[:count]
+        rows, branches = np.nonzero(overlaps_block[:count] < OVERLAP_THRESHOLD)
+        jumps.extend(zip((start + rows).tolist(), tracked[branches].tolist()))
+        vecs_block[0] = vecs_block[count]
     # difference branches one row at a time: an (n − g, m) block raises the peak memory
     for i in np.flatnonzero(order >= g):
         lam[i] = -sym.a[order[i] - g] + 1j * (omega0 / omega_grid) * sym.b[order[i] - g]

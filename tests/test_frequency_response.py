@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 from syncstab import frequency_response, stability
 from syncstab.config import MAX_SCAN_POINTS, PowerSetpoint, load_system_spec, parse_system_spec
 from syncstab.errors import AnalysisError
-from syncstab.frequency_response import (OperatingPoint, _match_branches,
+from syncstab.frequency_response import (OVERLAP_THRESHOLD, OperatingPoint,
+                                         _match_branches, _strict_bests,
                                          build_gnet, build_gnet_sym, gamma,
                                          per_converter_gamma,
                                          resolve_pll_gains, sym_parts,
@@ -301,31 +302,40 @@ def test_trace_rejects_non_finite_grid(grid_hz):
     assert exc.value.code == "GRID_INVALID"
 
 
+def _with_scan_points(spec, points):
+    return dataclasses.replace(spec, options=dataclasses.replace(spec.options,
+                                                                 scan_points=points))
+
+
 def test_an_over_cap_scan_is_refused_before_it_solves_or_allocates(monkeypatch):
-    # options built in code skip validate(), so trace_curves applies the cap itself
+    # options built in code skip validate(), so trace_curves applies the cap
+    # itself, and refuses a scan_points that is no integer
     spec = load_system_spec(STATION_CFG_PATH)
     net = build_reduced_network(spec)
     _name, _steady, op = operating_point(spec, "heavy", flat_voltage=True)
-    over = dataclasses.replace(spec, options=dataclasses.replace(spec.options,
-                                                                 scan_points=200_000))
     grid = np.linspace(0.5, 60.0, MAX_SCAN_POINTS + 1)
 
     def refuse(*args):
         raise AssertionError("an over-cap scan reached the eigensolver")
 
     monkeypatch.setattr(frequency_response, "_eig", refuse)
+    refused = []
     tracemalloc.start()
     try:
-        with pytest.raises(AnalysisError) as points:
-            trace_curves(over, net, op)
+        for points in (200_000, 2.5, 1200.0, "1200"):
+            with pytest.raises(AnalysisError) as exc:
+                trace_curves(_with_scan_points(spec, points), net, op)
+            refused.append(exc.value.code)
         with pytest.raises(AnalysisError) as explicit:
             trace_curves(spec, net, op, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert points.value.code == "SCAN_POINTS_INVALID"
+    assert refused == ["SCAN_POINTS_INVALID"] * 4
     assert explicit.value.code == "GRID_INVALID"
     assert peak < grid.nbytes / 10
+    monkeypatch.undo()
+    assert trace_curves(_with_scan_points(spec, np.int64(40)), net, op).m == 40
 
 
 def test_branch_order_is_deterministic():
@@ -406,15 +416,20 @@ _FALLBACK_PROBLEM = (np.eye(2, dtype=complex), np.array([1.0, 1.0 + 0j]),
 @example(_FAST_PROBLEM)
 @example(_FALLBACK_PROBLEM)
 def test_match_branches_follows_the_sorted_greedy_rule(problem):
-    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
-        columns, overlaps = _match_branches(*problem)
+    columns, overlaps = _match_branches(*problem)
     expect_columns, expect_overlaps = _match_reference(*problem)
     np.testing.assert_array_equal(columns, expect_columns)
     np.testing.assert_array_equal(overlaps, expect_overlaps)
     assert sorted(columns.tolist()) == list(range(len(columns)))
-    # the sort runs exactly when the fast path does not apply
-    fast = _has_distinct_strict_bests(problem[0], problem[2])
-    assert lexsort.called is not fast
+    # the scan's fast path settles a point exactly when every branch has a
+    # distinct strict best, and then takes the greedy rule's pairs
+    prev_vecs, _vals, vecs = problem
+    best, top, settled = _strict_bests(np.abs(prev_vecs.conj().T @ vecs)[None])
+    fast = _has_distinct_strict_bests(prev_vecs, vecs)
+    assert settled[0] == fast
+    if fast:
+        np.testing.assert_array_equal(best[0], expect_columns)
+        np.testing.assert_array_equal(top[0], expect_overlaps)
     if problem is _FAST_PROBLEM or problem is _FALLBACK_PROBLEM:
         assert fast is (problem is _FAST_PROBLEM)     # each example pins one path
     event("fast path" if fast else "fallback")
@@ -730,3 +745,159 @@ def test_eigensolver_failure_is_a_coded_error(monkeypatch, make, case):
         modal_weights(result.net, result.op, 2 * np.pi * 20.0, spec.omega0)
     assert exc.value.code == "EIG_NOT_CONVERGED"
     assert "f_hz = 20" in str(exc.value)
+
+
+# ---------------------------------------------- the scan, a block at a time
+
+def _match_per_point(prev_vecs, vals, vecs):
+    """The per-point matcher: the row-wise bests where they are distinct and
+    strict, else the greedy rule.  Returns (columns, overlaps, took the
+    row-wise bests)."""
+    if _has_distinct_strict_bests(prev_vecs, vecs):
+        overlap = np.abs(prev_vecs.conj().T @ vecs)
+        best = overlap.argmax(axis=1)
+        return best, overlap[np.arange(len(vals)), best], True
+    return (*_match_reference(prev_vecs, vals, vecs), False)
+
+
+def _trace_per_point(spec, net, op, grid_hz):
+    """The scan one grid point at a time: one eigensolve, then one match
+    against the previous point's tracked eigenvectors.  Returns (λ, columns,
+    branch jumps, the points that took the greedy rule)."""
+    omega0 = spec.omega0
+    omega_grid = 2.0 * np.pi * np.asarray(grid_hz, dtype=float)
+    n, m = op.n, len(omega_grid)
+    sym = frequency_response._symmetry(frequency_response._classes(net, op),
+                                       *sym_parts(net, op))
+    g = len(sym.classes)
+    lam = np.empty((n, m), dtype=complex)
+    columns = np.empty((m, n), dtype=int)
+    jumps, greedy = [], []
+    for k, w in enumerate(omega_grid):
+        vals, vecs = frequency_response._eig(sym.s_p, sym.s_q, omega0, w)
+        if k == 0:
+            every = sym.values(vals, omega0 / w)
+            order = np.lexsort((every.imag, every.real))
+            tracked = np.flatnonzero(order < g)
+            matched, overlaps = order[tracked], np.ones(g)
+        else:
+            matched, overlaps, fast = _match_per_point(prev_vecs, vals, vecs)
+            if not fast:
+                greedy.append(k)
+            order[tracked] = matched
+        lam[tracked, k], prev_vecs = vals[matched], vecs[:, matched]
+        columns[k] = order
+        jumps.extend((k, int(tracked[i])) for i in np.flatnonzero(overlaps < OVERLAP_THRESHOLD))
+    for i in np.flatnonzero(order >= g):
+        lam[i] = -sym.a[order[i] - g] + 1j * (omega0 / omega_grid) * sym.b[order[i] - g]
+    return lam, columns, jumps, greedy
+
+
+def _block_length(g):
+    return max(1, frequency_response._BLOCK_ENTRIES // g**2)
+
+
+def _scan_both_ways(spec, net, op, grid_hz=None):
+    """Trace with the block scan and with the per-point reference; assert
+    equal bits.  Returns (curves, the reference's greedy points)."""
+    with mock.patch.object(frequency_response, "_match_branches",
+                           wraps=_match_branches) as greedy_calls:
+        curves = trace_curves(spec, net, op, grid_hz)
+    lam, columns, jumps, greedy = _trace_per_point(spec, net, op, curves.f_hz)
+    assert curves.d_net.tobytes() == lam.real.tobytes()
+    assert curves.k_net.tobytes() == lam.imag.tobytes()
+    assert curves.columns.dtype == np.min_scalar_type(op.n)
+    np.testing.assert_array_equal(curves.columns, columns)
+    assert curves.branch_jumps == jumps
+    assert all(type(k) is int and type(i) is int for k, i in curves.branch_jumps)
+    assert greedy_calls.call_count == len(greedy)
+    return curves, greedy
+
+
+def _case_input(make, case, flat=None):
+    spec = make()
+    _name, _steady, op = operating_point(spec, case, flat_voltage=flat)
+    return spec, build_reduced_network(spec), op
+
+
+def _no_symmetry_input(seed, n=20):
+    rng = np.random.default_rng(seed)
+    net = random_pd_network(rng, n)
+    return synthetic_spec(n), net, random_operating_point(rng, n, flat=bool(seed % 2))
+
+
+# the station's six inputs, two-bus, the WTG1-3 repro, grouped n = 20 grids
+# and n = 20 grids without symmetry
+@pytest.mark.parametrize("make", [
+    *((lambda case=case, flat=flat: _case_input(
+        lambda: load_system_spec(STATION_CFG_PATH), case, flat))
+      for case in ("light", "heavy", "peak") for flat in (True, False)),
+    *((lambda case=case, flat=flat: _case_input(
+        lambda: parse_system_spec(TWO_BUS_CFG), case, flat))
+      for case in ("inject", "absorb") for flat in (True, False)),
+    lambda: _case_input(_repro_spec, "_repro"),
+    *((lambda seed=seed: _case_input(lambda: grouped_grid_spec(seed), "base"))
+      for seed in (0, 1)),
+    *((lambda seed=seed: _no_symmetry_input(seed)) for seed in (0, 1)),
+], ids=[*(f"station_{c}_{'flat' if f else 'solved'}" for c in ("light", "heavy", "peak")
+          for f in (True, False)),
+        *(f"two_bus_{c}_{'flat' if f else 'solved'}" for c in ("inject", "absorb")
+          for f in (True, False)),
+        "repro", "grouped0", "grouped1", "no_symmetry0", "no_symmetry1"])
+def test_the_block_scan_matches_the_per_point_scan_bit_for_bit(make):
+    _scan_both_ways(*make())
+
+
+# grids that end inside the first block, on its last point, one past it, and
+# one short of the second block's end (points 1.. are matched in blocks)
+@pytest.mark.parametrize("make", [lambda: _case_input(
+    lambda: load_system_spec(STATION_CFG_PATH), "heavy"),
+    lambda: _case_input(_repro_spec, "_repro")], ids=["station", "repro"])
+def test_the_block_scan_on_grids_around_the_block_length(make):
+    spec, net, op = make()
+    g = len(frequency_response._classes(net, op))
+    b = _block_length(g)
+    for m in sorted({2, 3, b, b + 1, b + 2, 2 * b - 1, 2 * b + 1}):
+        curves, _greedy = _scan_both_ways(spec, net, op, np.linspace(0.5, 60.0, m))
+        assert curves.m == m
+
+
+def test_the_block_scan_takes_the_greedy_rule_inside_a_block_and_jumps_on_its_edge():
+    # the n×n scan of the repro: its degenerate pair gives tied and shared
+    # best overlaps and low overlaps, at points inside blocks and on the
+    # first point of a block, whose overlaps use the carried eigenvectors
+    spec, net, op = _case_input(_repro_spec, "_repro")
+    with _full_scan():
+        curves, greedy = _scan_both_ways(spec, net, op)
+    b = _block_length(op.n)
+    assert any((k - 1) % b for k in greedy)
+    assert any((k - 1) % b == 0 for k, _i in curves.branch_jumps)
+
+
+@pytest.mark.parametrize("make", [lambda: _case_input(
+    lambda: load_system_spec(STATION_CFG_PATH), "heavy"),
+    lambda: _case_input(lambda: grouped_grid_spec(0), "base")], ids=["station", "grouped0"])
+def test_the_scan_solves_once_per_grid_point(make):
+    spec, net, op = make()
+    for m in (2, 17, 300, 1200):
+        shapes, spy = _eig_shapes()
+        with spy:
+            trace_curves(spec, net, op, np.linspace(0.5, 60.0, m))
+        assert len(shapes) == m
+
+
+def test_the_scan_transient_memory_does_not_grow_with_the_grid():
+    spec, net, op = _case_input(lambda: load_system_spec(STATION_CFG_PATH), "heavy")
+
+    def transient(m):
+        grid = np.linspace(0.5, 60.0, m)
+        tracemalloc.start()
+        try:
+            curves = trace_curves(spec, net, op, grid)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert curves.m == m
+        return peak - held
+
+    assert abs(transient(12_000) - transient(1200)) <= 8192

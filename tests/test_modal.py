@@ -267,3 +267,19 @@ def test_adjustment_compare_raises_only_coded_errors(data):
         return
     assert fits
     assert cmp.after.verdict in (STABLE, UNSTABLE, MARGINAL)
+
+
+# ES1 = 1e308 puts entries near 1e307 into S_P, whose squared norm overflows;
+# 1e150 keeps it finite
+@pytest.mark.parametrize("name,p0,coded", [("station", 1e308, True), ("two_bus", 1e200, True),
+                                           ("station", 1e150, False)])
+def test_powers_whose_norm_overflows_are_op_invalid(name, p0, coded):
+    spec, net, op = _adjustable(name)
+    p_after = op.p_pu.copy()
+    p_after[0] = p0
+    if not coded:        # runtime warnings are errors here, so this one raised none
+        assert adjustment_compare(spec, net, op, p_after).after.verdict == UNSTABLE
+        return
+    with pytest.raises(AnalysisError) as exc:
+        adjustment_compare(spec, net, op, p_after)
+    assert exc.value.code == "OP_INVALID"
