@@ -17,7 +17,9 @@ and simulate return 0 on success.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
+import signal
 import sys
 import time
 from decimal import Decimal
@@ -51,7 +53,7 @@ _MANIFEST_FIELDS = {
     "simulate": ("sim",),
 }
 
-MAX_SWEEP_POINTS = 100_000     # about 2 h of analysis at ~70 ms per point
+MAX_SWEEP_POINTS = 100_000     # ~70 ms per point: about 2 h on one CPU, 2/k h on k
 _MIN_EXP, _MAX_EXP = sys.float_info.min_10_exp, sys.float_info.max_10_exp
 
 
@@ -311,32 +313,57 @@ def _parse_range(text: str) -> list[float]:
     return [float(start_x + k * step_x) for k in range(int(count))]
 
 
+def _sweep_row(args, spec: SystemSpec, net: ReducedNetwork, p0: np.ndarray,
+               q0: np.ndarray, value: float) -> list[object]:
+    """One row of sweep.csv: the case with the swept P or Q set to ``value``;
+    a coded error becomes an ``Error[CODE]`` row."""
+    p, q = p0.copy(), q0.copy()
+    (p if args.quantity == "p" else q)[spec.converter_names.index(args.converter)] = value
+    try:
+        steady = solve_steady_state(spec, p, q, flat_voltage=args.flat_voltage)
+        curves = trace_curves(spec, net, OperatingPoint(p, q, steady.u_pu),
+                              force_first_pll=args.force_first_pll)
+        report = assess(spec, curves)
+    except SyncstabError as exc:
+        return [value, float("nan"), float("nan"), f"Error[{exc.code}]"]
+    critical = report.critical
+    if critical is None:
+        return [value, float("nan"), float("nan"), report.verdict]
+    return [value, critical.d_net1, critical.f_c1, report.verdict]
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sweep_rows(row, values: list[float]) -> list[list[object]]:
+    """``row`` mapped over ``values`` in order, one forked worker per available
+    CPU up to one per value; in this process when one worker would run or the
+    platform cannot fork.  Every worker has exited when this returns."""
+    workers = min(len(values), _available_cpus())
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(row, values))
+    # fork, not spawn: a spawned worker starts a fresh interpreter and imports
+    # NumPy and syncstab, which takes as long as about three station points.
+    # Workers ignore Ctrl-C; the parent's KeyboardInterrupt leaves the with
+    # block, whose terminate() stops and joins them.
+    with multiprocessing.get_context("fork").Pool(
+            workers, initializer=signal.signal,
+            initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+        return pool.map(row, values, chunksize=1)
+
+
 def _cmd_sweep(args, spec: SystemSpec, out: _Outputs) -> int:
     if args.converter not in spec.converter_names:
         raise SyncstabError(f"unknown converter {args.converter!r}",
                             code="UNKNOWN_CONVERTER")
-    idx = spec.converter_names.index(args.converter)
     values = _parse_range(args.range)
     net = build_reduced_network(spec)
     p0, q0 = spec.case_injections(args.case)
-
-    rows: list[list[object]] = []
-    for value in values:
-        p, q = p0.copy(), q0.copy()
-        (p if args.quantity == "p" else q)[idx] = value
-        try:
-            steady = solve_steady_state(spec, p, q, flat_voltage=args.flat_voltage)
-            curves = trace_curves(spec, net, OperatingPoint(p, q, steady.u_pu),
-                                  force_first_pll=args.force_first_pll)
-            report = assess(spec, curves)
-            critical = report.critical
-            if critical is None:
-                rows.append([value, float("nan"), float("nan"), report.verdict])
-            else:
-                rows.append([value, critical.d_net1, critical.f_c1, report.verdict])
-        except SyncstabError as exc:
-            rows.append([value, float("nan"), float("nan"), f"Error[{exc.code}]"])
-
+    rows = _sweep_rows(partial(_sweep_row, args, spec, net, p0, q0), values)
     out.emit("sweep.csv", partial(write_csv, header=["value", "D_net1", "f_c1", "verdict"],
                                   rows=rows))
     return 0

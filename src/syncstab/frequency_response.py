@@ -67,7 +67,8 @@ class OperatingPoint:
     """Converter injections plus the steady-state voltage amplitudes.
 
     Raises ``AnalysisError`` (OP_INVALID) for vectors of unequal length,
-    non-finite values or a voltage amplitude U ≤ 0.
+    non-finite values, a voltage amplitude U ≤ 0, or a non-finite P/U² or
+    Q/U².
     """
 
     p_pu: np.ndarray
@@ -85,6 +86,11 @@ class OperatingPoint:
             raise AnalysisError("p_pu, q_pu, u_pu must be finite", code="OP_INVALID")
         if np.any(u <= 0):
             raise AnalysisError("voltage amplitudes must be positive", code="OP_INVALID")
+        # a tiny U passes the tests above yet overflows P/U² or Q/U²
+        with np.errstate(all="ignore"):
+            scaled = np.stack((p, q)) / u**2
+        if not np.isfinite(scaled).all():
+            raise AnalysisError("P/U² and Q/U² must be finite", code="OP_INVALID")
         object.__setattr__(self, "p_pu", p)
         object.__setattr__(self, "q_pu", q)
         object.__setattr__(self, "u_pu", u)

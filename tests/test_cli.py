@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from syncstab import network
+from syncstab import cli, network
 from syncstab.cli import main
 
 from conftest import TWO_BUS_CFG
@@ -296,6 +297,101 @@ def test_sweep_unknown_converter_exits_one(two_bus_cfg, capsys):
                  "--quantity", "p", "--range", "0:1:0.5"])
     assert code == 1
     assert "[UNKNOWN_CONVERTER]" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def banded_station(station_cfg, tmp_path):
+    """The station with its scan band starting at 20.4 Hz: as the swept power
+    moves, every crossing can leave the band, so rows read NoCrossing beside
+    verdicts, and powers beyond what the power flow or the scan can take read
+    Error[CODE]."""
+    path = tmp_path / "banded.cfg"
+    path.write_text(_read(station_cfg).replace(
+        "flat_voltage = true\n", "flat_voltage = true\nscan_fmin_hz = 20.4\n"),
+        encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """The start method of every pool the sweep asks for."""
+    methods = []
+    get_context = multiprocessing.get_context
+
+    def spied(method=None):
+        methods.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spied)
+    return methods
+
+
+def _sweep_outputs(argv, out_dir, capsys):
+    """(exit code, stdout, stderr) without --out, then the same with --out and
+    the bytes of sweep.csv; no worker may outlive either run."""
+    runs = []
+    for extra in ([], ["--out", str(out_dir)]):
+        code = main(argv + extra)
+        assert multiprocessing.active_children() == []
+        runs.append((code, *capsys.readouterr()))
+    return runs, (out_dir / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("quantity", ["p", "q"])
+@pytest.mark.parametrize("voltage, span", [("--flat-voltage", "-1e300:1e300:1e300"),
+                                           ("--no-flat-voltage", "-6:8:2")],
+                         ids=["flat", "solved"])
+def test_parallel_and_serial_sweeps_write_the_same_bytes(banded_station, tmp_path, monkeypatch,
+                                                         capsys, pools, quantity, voltage, span):
+    argv = ["sweep", "--config", banded_station, "--case", "heavy", voltage,
+            "--converter", "ES1", "--quantity", quantity, f"--range={span}"]
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
+    parallel = _sweep_outputs(argv, tmp_path / "parallel", capsys)
+    assert pools == ["fork", "fork"]
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
+    serial = _sweep_outputs(argv, tmp_path / "serial", capsys)
+    assert pools == ["fork", "fork"]
+    assert parallel == serial
+    verdicts = [row.split(",")[3] for row in serial[0][0][1].splitlines()[1:]]
+    assert "NoCrossing" in verdicts
+    assert any(v.startswith("Error[") for v in verdicts)
+
+
+def test_a_sweep_runs_serially_where_fork_is_unavailable(banded_station, tmp_path,
+                                                         monkeypatch, capsys, pools):
+    argv = ["sweep", "--config", banded_station, "--case", "heavy", "--flat-voltage",
+            "--converter", "ES1", "--quantity", "q", "--range=-1e300:1e300:1e300"]
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
+    forked = _sweep_outputs(argv, tmp_path / "forked", capsys)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert _sweep_outputs(argv, tmp_path / "serial", capsys) == forked
+    assert pools == ["fork", "fork"]
+
+
+@pytest.mark.parametrize("span, rows", [("1:0:0.5", 0), ("0.5:0.5:1", 1)],
+                         ids=["empty", "one-value"])
+def test_an_empty_or_one_value_sweep_starts_no_pool(two_bus_cfg, monkeypatch, capsys, pools,
+                                                    span, rows):
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
+    code = main(["sweep", "--config", two_bus_cfg, "--converter", "C1",
+                 "--quantity", "p", f"--range={span}"])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + rows
+    assert pools == []
+
+
+def test_an_uncoded_error_in_a_worker_reaches_the_caller_and_leaves_no_worker(
+        station_cfg, monkeypatch, pools):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("injected into every sweep row")
+
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "trace_curves", broken)
+    with pytest.raises(ZeroDivisionError, match="injected into every sweep row"):
+        main(["sweep", "--config", station_cfg, "--case", "heavy", "--converter", "ES1",
+              "--quantity", "p", "--range=0:0.6:0.1"])
+    assert pools == ["fork"]
+    assert multiprocessing.active_children() == []
 
 
 # --------------------------------------------------------------- sensitivity

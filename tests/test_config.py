@@ -348,3 +348,59 @@ def test_readme_options_list_every_field_at_its_default():
     keys = [line.split("=")[0].strip() for line in listed.splitlines()
             if "=" in line.split("#")[0]]
     assert keys == [f.name for f in fields(AnalysisOptions)]
+
+
+# --- mutated station text raises only coded errors -------------------------
+
+with open(STATION_CFG_PATH, encoding="utf-8") as _fh:
+    # every [options] key, so that mutations reach each of their values
+    _STATION_TEXT = _fh.read().replace("flat_voltage = true\n", "".join(
+        f"{f.name} = {str(f.default).lower()}\n" for f in fields(AnalysisOptions)))
+_ODD_TOKENS = ["nan", "-nan", "inf", "-inf", "1e999", "-1e999", "1e308", "-1e308",
+               "5e-324", "0", "-0", "1e300", "[", "]", "=", "#", "[options]"]
+
+
+def _drop(lines, i, _k, _token):
+    return lines[:i] + lines[i + 1:]
+
+
+def _duplicate(lines, i, _k, _token):
+    return lines[:i + 1] + lines[i:]
+
+
+def _replace_token(lines, i, k, token):
+    tokens = lines[i].split() or [""]
+    k %= len(tokens)
+    return lines[:i] + [" ".join(tokens[:k] + [token] + tokens[k + 1:])] + lines[i + 1:]
+
+
+def _truncate_section(lines, i, _k, _token):
+    # cut from line i to the next section header, or to the end
+    end = next((j for j in range(i + 1, len(lines)) if lines[j].startswith("[")),
+               len(lines))
+    return lines[:i] + lines[end:]
+
+
+def _truncate_text(lines, i, k, _token):
+    # cut inside line i, k characters in
+    return lines[:i] + [lines[i][:k % (len(lines[i]) + 1)]]
+
+
+_MUTATIONS = [_drop, _duplicate, _replace_token, _truncate_section, _truncate_text]
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(
+    st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 10_000), st.integers(0, 10_000),
+              st.one_of(st.sampled_from(_ODD_TOKENS), st.text(max_size=12))),
+    min_size=1, max_size=4))
+def test_mutated_station_text_raises_only_coded_errors(steps):
+    assert parse_system_spec(_STATION_TEXT).options == AnalysisOptions()
+    lines = _STATION_TEXT.splitlines()
+    for mutate, i, k, token in steps:
+        if lines:
+            lines = mutate(lines, i % len(lines), k, token)
+    try:
+        parse_system_spec("\n".join(lines) + "\n")
+    except SyncstabError as exc:
+        assert isinstance(exc.code, str) and exc.code

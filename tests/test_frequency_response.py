@@ -143,6 +143,20 @@ def test_operating_point_rejects_bad_values_with_code(p, q, u):
     assert exc.value.code == "OP_INVALID"
 
 
+@pytest.mark.parametrize("u", [1e-200, 1e-160], ids=["u-squared-underflows", "p-over-u2-overflows"])
+@pytest.mark.parametrize("call", ["trace_curves", "modal_weights"])
+def test_a_voltage_whose_p_over_u_squared_is_not_finite_is_op_invalid(call, u):
+    # U² underflows to 0 at 1e-200 and P/U² overflows at 1e-160; either is
+    # refused before NumPy can warn, which tier-1's filter would make an error
+    spec = parse_system_spec(TWO_BUS_CFG)
+    net = build_reduced_network(spec)
+    run = {"trace_curves": lambda op: trace_curves(spec, net, op),
+           "modal_weights": lambda op: modal_weights(net, op, 2 * np.pi * 20, W0)}[call]
+    with pytest.raises(AnalysisError) as exc:
+        run(OperatingPoint(np.array([0.5]), np.array([0.1]), np.array([u])))
+    assert exc.value.code == "OP_INVALID"
+
+
 # a 4-long operating point against the 5-converter station network; the
 # finite-difference check gets a fitting point and a converter index off it
 _MISFIT_CALLS = {
