@@ -9,6 +9,12 @@ sensitivity  per-converter weights and first-order sensitivities as CSV
 adjust       before/after comparison for explicit active-power assignments
 simulate     state-space oracle: mode table and disturbance time series
 
+``_COMMANDS`` declares each command once: its handler, its help text, the
+options it reads (its manifest lists them) and its own flags.  Every command
+takes --config, --case, --[no-]flat-voltage, --out and --dump-b; all but
+simulate take --force-first-pll, and only analyze and sensitivity take
+--eta-complex.
+
 Exit codes: 0 Stable (or generic success), 2 Unstable, 3 Marginal/NoCrossing,
 1 any error.  Commands that render a verdict (analyze, sensitivity, adjust —
 the latter judged on the after-point) use the verdict mapping; curves, sweep,
@@ -25,6 +31,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,38 +49,26 @@ from .textio import KVWriter, g12, write_csv
 
 _EXIT = {STABLE: 0, UNSTABLE: 2, MARGINAL: 3, NO_CROSSING: 3}
 
-# the options each command reads, as its manifest lists them after
-# flat_voltage, which all six read (README, "Common flags")
-_MANIFEST_FIELDS = {
-    "analyze": ("force_first_pll", "eta_complex", "scan_hz", "root_tol_hz"),
-    "curves": ("force_first_pll", "scan_hz"),
-    "sweep": ("force_first_pll", "scan_hz", "root_tol_hz"),
-    "sensitivity": ("force_first_pll", "eta_complex", "scan_hz", "root_tol_hz"),
-    "adjust": ("force_first_pll", "scan_hz", "root_tol_hz"),
-    "simulate": ("sim",),
-}
-
 MAX_SWEEP_POINTS = 100_000     # ~70 ms per point: about 2 h on one CPU, 2/k h on k
 _MIN_EXP, _MAX_EXP = sys.float_info.min_10_exp, sys.float_info.max_10_exp
 
-
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="system description file")
-    parser.add_argument("--case", default=None,
-                        help="operating-point block name (default: first declared)")
-    parser.add_argument("--flat-voltage", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="skip the power flow (U = 1, delta = 0); "
-                             "--no-flat-voltage forces a solve even when the "
-                             "config declares flat_voltage")
-    parser.add_argument("--out", default=None, metavar="DIR",
-                        help="write outputs (and a run manifest) into DIR")
-    parser.add_argument("--dump-b", action="store_true",
-                        help="emit the reduced susceptance matrix B as CSV")
-    parser.add_argument("--eta-complex", action="store_true",
-                        help="add literal complex-square weight diagnostics")
-    parser.add_argument("--force-first-pll", action="store_true",
-                        help="allow non-identical PLL gains, using converter 1's")
+# flags every command takes
+_COMMON_FLAGS = {
+    "--config": dict(required=True, help="system description file"),
+    "--case": dict(help="operating-point block name (default: first declared)"),
+    "--flat-voltage": dict(action=argparse.BooleanOptionalAction, default=None,
+                           help="skip the power flow (U = 1, delta = 0); --no-flat-voltage "
+                                "forces a solve even when the config declares flat_voltage"),
+    "--out": dict(metavar="DIR", help="write outputs (and a run manifest) into DIR"),
+    "--dump-b": dict(action="store_true", help="emit the reduced susceptance matrix B as CSV"),
+}
+# flags a command takes only when it reads the option of the same name
+_OPTION_FLAGS = {
+    "--eta-complex": dict(action="store_true",
+                          help="add literal complex-square weight diagnostics"),
+    "--force-first-pll": dict(action="store_true",
+                              help="allow non-identical PLL gains, using converter 1's"),
+}
 
 
 # built once per process: a parser is a web of reference cycles, so one per
@@ -86,41 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "multi-converter grids.")
     parser.add_argument("--version", action="version", version=f"syncstab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="verdict, margin, weights, oracle cross-check")
-    _common_flags(p)
-    p.add_argument("--curves", default=None, metavar="FILE",
-                   help="also write the scan curves CSV to FILE")
-
-    p = sub.add_parser("curves", help="damping/spring curves as CSV")
-    _common_flags(p)
-    p.add_argument("--per-converter-gamma", action="store_true",
-                   help="append per-converter converter-side diagnostics")
-
-    p = sub.add_parser("sweep", help="pipeline over a range of one converter's P or Q")
-    _common_flags(p)
-    p.add_argument("--converter", required=True, help="converter name to sweep")
-    p.add_argument("--quantity", required=True, choices=("p", "q"),
-                   help="which injection to sweep")
-    p.add_argument("--range", required=True, metavar="START:STOP:STEP",
-                   help="swept values (inclusive of STOP within tolerance)")
-
-    p = sub.add_parser("sensitivity", help="per-converter weights as CSV")
-    _common_flags(p)
-
-    p = sub.add_parser("adjust", help="before/after active-power comparison")
-    _common_flags(p)
-    p.add_argument("--set", required=True, action="append", metavar="NAME=P[,NAME=P...]",
-                   help="new active-power values; repeatable or comma-separated")
-
-    p = sub.add_parser("simulate", help="oracle modes and disturbance response")
-    _common_flags(p)
-    p.add_argument("--pulse-start", type=float, default=2.0, metavar="S",
-                   help="disturbance onset time (default 2.0 s)")
-    p.add_argument("--pulse-width", type=float, default=0.02, metavar="S",
-                   help="disturbance width (default 0.02 s)")
-    p.add_argument("--pulse-amplitude", type=float, default=0.1, metavar="RAD",
-                   help="slack-angle pulse height (default 0.1 rad)")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        read = {f: kw for f, kw in _OPTION_FLAGS.items()
+                if f[2:].replace("-", "_") in command.reads}
+        for flag, kwargs in {**_COMMON_FLAGS, **read, **command.flags}.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -156,22 +122,19 @@ class _Outputs:
         doc.field("tool_version", __version__)
         doc.field("config", os.path.abspath(args.config))
         doc.field("case", args.case or "(first declared)")
-        effective_flat = (spec.options.flat_voltage if args.flat_voltage is None
-                          else args.flat_voltage)
-        doc.field("flat_voltage", effective_flat)
         opt = spec.options
+        doc.field("flat_voltage", opt.flat_voltage if args.flat_voltage is None
+                  else args.flat_voltage)
         values = {
-            "force_first_pll": args.force_first_pll,
-            "eta_complex": args.eta_complex,
+            **vars(args),            # the flags: force_first_pll, eta_complex
             "scan_hz": f"{g12(opt.scan_fmin_hz)}..{g12(opt.scan_fmax_hz)} x{opt.scan_points}",
             "root_tol_hz": opt.root_tol_hz,
             "sim": f"dt={g12(opt.sim_dt_s)} duration={g12(opt.sim_duration_s)}",
         }
-        for name in _MANIFEST_FIELDS[args.command]:
+        for name in _COMMANDS[args.command].reads:
             doc.field(name, values[name])
         doc.field("wall_time_s", round(time.monotonic() - started, 3))
-        files = ", ".join(self.files + ["manifest.txt"])
-        doc.field("outputs", files)
+        doc.field("outputs", ", ".join(self.files + ["manifest.txt"]))
         _save(os.path.join(self.out_dir, "manifest.txt"), doc.write)
 
 
@@ -273,9 +236,7 @@ def _cmd_curves(args, spec: SystemSpec, out: _Outputs) -> int:
     net = build_reduced_network(spec)
     _case, _steady, op = operating_point(spec, args.case, flat_voltage=args.flat_voltage)
     curves = trace_curves(spec, net, op, force_first_pll=args.force_first_pll)
-    extra = None
-    if args.per_converter_gamma:
-        extra = per_converter_gamma(spec, op, curves.f_hz)
+    extra = per_converter_gamma(spec, op, curves.f_hz) if args.per_converter_gamma else None
     out.emit("curves.csv", partial(write_curves_csv, curves, per_converter=extra,
                                    names=spec.converter_names))
     return 0
@@ -420,8 +381,7 @@ def _cmd_adjust(args, spec: SystemSpec, out: _Outputs) -> int:
     p_after = op.p_pu.copy()
     for name, value in assignments.items():
         p_after[spec.converter_names.index(name)] = value
-    cmp = adjustment_compare(spec, net, op, p_after,
-                             force_first_pll=args.force_first_pll)
+    cmp = adjustment_compare(spec, net, op, p_after, force_first_pll=args.force_first_pll)
     before, after = cmp.before.critical, cmp.after.critical
 
     doc = KVWriter()
@@ -431,8 +391,8 @@ def _cmd_adjust(args, spec: SystemSpec, out: _Outputs) -> int:
     doc.field("assignments", ", ".join(f"{k}={g12(v)}" for k, v in assignments.items()))
     doc.field("d_net1_before", before.d_net1)
     doc.field("d_net1_after", after.d_net1)
-    doc.field("f_c1_before_hz", before.omega_c1 / (2 * np.pi))
-    doc.field("f_c1_after_hz", after.omega_c1 / (2 * np.pi))
+    doc.field("f_c1_before_hz", before.f_c1)
+    doc.field("f_c1_after_hz", after.f_c1)
     doc.field("margin_before", before.margin)
     doc.field("margin_after", after.margin)
     doc.field("verdict_before", cmp.before.verdict)
@@ -472,13 +432,45 @@ def _cmd_simulate(args, spec: SystemSpec, out: _Outputs) -> int:
     return 0
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "curves": _cmd_curves,
-    "sweep": _cmd_sweep,
-    "sensitivity": _cmd_sensitivity,
-    "adjust": _cmd_adjust,
-    "simulate": _cmd_simulate,
+class _Command(NamedTuple):
+    handler: Callable[..., int]    # (args, spec, outputs) -> exit code
+    help: str
+    reads: tuple[str, ...]         # options read besides flat_voltage, in manifest order
+    flags: dict[str, dict]         # the command's own flags and their argparse keywords
+
+
+_COMMANDS = {
+    "analyze": _Command(
+        _cmd_analyze, "verdict, margin, weights, oracle cross-check",
+        ("force_first_pll", "eta_complex", "scan_hz", "root_tol_hz"),
+        {"--curves": dict(metavar="FILE", help="also write the scan curves CSV to FILE")}),
+    "curves": _Command(
+        _cmd_curves, "damping/spring curves as CSV", ("force_first_pll", "scan_hz"),
+        {"--per-converter-gamma": dict(
+            action="store_true", help="append per-converter converter-side diagnostics")}),
+    "sweep": _Command(
+        _cmd_sweep, "pipeline over a range of one converter's P or Q",
+        ("force_first_pll", "scan_hz", "root_tol_hz"),
+        {"--converter": dict(required=True, help="converter name to sweep"),
+         "--quantity": dict(required=True, choices=("p", "q"), help="which injection to sweep"),
+         "--range": dict(required=True, metavar="START:STOP:STEP",
+                         help="swept values (inclusive of STOP within tolerance)")}),
+    "sensitivity": _Command(
+        _cmd_sensitivity, "per-converter weights as CSV",
+        ("force_first_pll", "eta_complex", "scan_hz", "root_tol_hz"), {}),
+    "adjust": _Command(
+        _cmd_adjust, "before/after active-power comparison",
+        ("force_first_pll", "scan_hz", "root_tol_hz"),
+        {"--set": dict(required=True, action="append", metavar="NAME=P[,NAME=P...]",
+                       help="new active-power values; repeatable or comma-separated")}),
+    "simulate": _Command(
+        _cmd_simulate, "oracle modes and disturbance response", ("sim",),
+        {"--pulse-start": dict(type=float, default=AnglePulse.start_s, metavar="S",
+                               help="disturbance onset time (default %(default)s s)"),
+         "--pulse-width": dict(type=float, default=AnglePulse.width_s, metavar="S",
+                               help="disturbance width (default %(default)s s)"),
+         "--pulse-amplitude": dict(type=float, default=AnglePulse.amplitude_rad, metavar="RAD",
+                                   help="slack-angle pulse height (default %(default)s rad)")}),
 }
 
 
@@ -493,10 +485,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out = _Outputs(args.out)
         spec = load_system_spec(args.config)
-        b_net = build_reduced_network(spec) if args.dump_b else None
-        code = _HANDLERS[args.command](args, spec, out)
-        if b_net is not None:        # after the command, so a failed one writes no B
-            out.emit("b_matrix.csv", partial(_b_matrix_csv, b_net))
+        code = _COMMANDS[args.command].handler(args, spec, out)
+        if args.dump_b:              # after the command, so a failed one writes no B
+            out.emit("b_matrix.csv", partial(_b_matrix_csv, build_reduced_network(spec)))
         out.manifest(args, spec, started)
     except SyncstabError as exc:
         sys.stderr.write(f"syncstab: error [{exc.code}]: {exc}\n")

@@ -150,13 +150,19 @@ class SystemSpec:
         return tuple(self.operating_points)
 
     def default_case(self) -> str:
-        """First declared case name (declaration order is preserved)."""
+        """First declared case name (declaration order is preserved); raises
+        ``SyncstabError`` (UNKNOWN_CASE) when there is none."""
         if not self.operating_points:
-            raise KeyError("system has no operating-point cases")
+            raise SyncstabError("system has no operating-point cases", code="UNKNOWN_CASE")
         return next(iter(self.operating_points))
 
     def case_injections(self, case: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(P, Q) arrays in converter order for ``case`` (default: first)."""
+        """(P, Q) arrays in converter order for ``case`` (default: first).
+
+        Raises ``SyncstabError`` (UNKNOWN_CASE) for a case that is not
+        declared, and (CASE_INCOMPLETE) for one that lacks a converter, which
+        only a spec built in code can do.
+        """
         name = self.default_case() if case is None else case
         try:
             block = self.operating_points[name]
@@ -164,6 +170,10 @@ class SystemSpec:
             known = ", ".join(self.operating_points) or "<none>"
             raise SyncstabError(f"unknown operating point {name!r} (have: {known})",
                                 code="UNKNOWN_CASE") from None
+        missing = [c.name for c in self.converters if c.name not in block]
+        if missing:
+            raise SyncstabError(f"operating point {name!r} has no setpoint for "
+                                f"{', '.join(missing)}", code="CASE_INCOMPLETE")
         p = np.array([block[c.name].p_pu for c in self.converters], dtype=float)
         q = np.array([block[c.name].q_pu for c in self.converters], dtype=float)
         return p, q

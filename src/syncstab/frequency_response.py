@@ -60,6 +60,9 @@ _SYMMETRY_TOL = 1e-12
 # matrix entries per block of the scan's eigenvector buffer: the points of a
 # block are matched with one batched overlap product
 _BLOCK_ENTRIES = 400
+# the largest ω0/ω, and entry of (ω0/ω)·S_Q, at which the loop is evaluated:
+# sums of a few such terms stay below the float range
+_LOOP_MAX = 1e300
 
 
 @dataclass(frozen=True)
@@ -118,18 +121,42 @@ def _require_fit(net: ReducedNetwork, op: OperatingPoint) -> None:
                             f"{net.n}", code="OP_INVALID")
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _real(values) -> np.ndarray | None:
+    """``values`` as a float array; None unless they are real numbers (not
+    complex, text, bool, objects or a ragged sequence)."""
+    try:
+        array = np.asarray(values)
+    except ValueError:                   # a ragged sequence
+        return None
+    return array.astype(float, copy=False) if array.dtype.kind in "iuf" else None
+
+
+def _omega(omega, what: str, *, scalar: bool = True):
+    """``omega`` as a float, or as a float array unless ``scalar``.  Raises
+    ``AnalysisError`` (DEGENERATE_FREQ) unless it is real, finite and > 0."""
+    w = _real(omega)
+    if w is None or (scalar and w.ndim) or not np.all((w > 0) & (w < np.inf)):
+        raise AnalysisError(f"{what} needs a real, finite omega > 0", code="DEGENERATE_FREQ")
+    return float(w) if scalar else w
+
+
 def gamma(omega, u: float, kp: float, ki: float, omega0: float):
     """Converter-side Γ(jω); ``u``, ``kp`` and ``ki`` broadcast against ``omega``.
 
-    Raises ``AnalysisError`` (code DEGENERATE_FREQ) unless every ω is finite
-    and > 0.
+    Raises ``AnalysisError`` (code DEGENERATE_FREQ) unless every ω is real,
+    finite and > 0, and Γ finite at each.
     """
-    w = np.asarray(omega, dtype=float)
-    if not np.all((w > 0) & (w < np.inf)):
-        raise AnalysisError("gamma needs a finite omega > 0", code="DEGENERATE_FREQ")
-    jw = 1j * w
-    g_pll = kp + ki / jw
-    value = omega0 * (jw / g_pll + u) / (jw * u)
+    jw = 1j * _omega(omega, "gamma", scalar=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_pll = kp + ki / jw
+        value = omega0 * (jw / g_pll + u) / (jw * u)
+    if not np.isfinite(value).all():
+        raise AnalysisError("gamma overflows at this omega", code="DEGENERATE_FREQ")
     return complex(value) if np.isscalar(omega) else value
 
 
@@ -163,6 +190,17 @@ class _Symmetry:
         self.classes, self.sums, self.diffs = classes, sums, diffs
         self.s_p, self.s_q, self.a, self.b = s_p, s_q, a, b
 
+    def require_scale(self, omega0: float, omega: float) -> None:
+        """Raise ``AnalysisError`` (DEGENERATE_FREQ) unless ω0/ω and the
+        entries of (ω0/ω)·S_Q are at most ``_LOOP_MAX`` at ω, and so at every
+        higher frequency."""
+        with np.errstate(over="ignore"):
+            top = omega0 / omega * max(1.0, np.abs(self.s_q).max(),
+                                       np.abs(self.b).max(initial=0.0))
+        if not top <= _LOOP_MAX:
+            raise AnalysisError(f"the loop overflows at f_hz = {omega / (2.0 * np.pi):.12g}",
+                                code="DEGENERATE_FREQ")
+
     def values(self, vals: np.ndarray, omega_r) -> np.ndarray:
         """The n eigenvalues at ω0/ω = ``omega_r``: the quotient's ``vals``,
         then the differences' −a + j·(ω0/ω)·b."""
@@ -186,7 +224,8 @@ def _classes(net: ReducedNetwork, op: OperatingPoint) -> list[list[int]]:
     """
     keys = np.stack((op.p_tilde, op.q_tilde, op.u_pu))            # (3, n)
     tol = _SYMMETRY_TOL * np.abs(keys).max(axis=1)
-    near = (np.abs(keys[:, :, None] - keys[:, None, :]) <= tol[:, None, None]).all(axis=0)
+    with np.errstate(over="ignore"):    # setpoints too far apart to subtract are not near
+        near = (np.abs(keys[:, :, None] - keys[:, None, :]) <= tol[:, None, None]).all(axis=0)
     n = op.n
     b = net.b_matrix
     b_tol = _SYMMETRY_TOL * np.abs(b).max()
@@ -249,11 +288,10 @@ def build_gnet(omega: float, net: ReducedNetwork, op: OperatingPoint,
                omega0: float) -> np.ndarray:
     """Network-side matrix −B^{-1}·P̃ + j·(ω0/ω)·B^{-1}·Q̃ at one frequency.
 
-    Raises ``AnalysisError`` (DEGENERATE_FREQ) unless ω is finite and > 0,
-    and (OP_INVALID) when ``op`` does not fit ``net``.
+    Raises ``AnalysisError`` (DEGENERATE_FREQ) unless ω is real, finite and
+    > 0, and (OP_INVALID) when ``op`` does not fit ``net``.
     """
-    if not 0 < omega < np.inf:
-        raise AnalysisError("G_net needs a finite omega > 0", code="DEGENERATE_FREQ")
+    omega = _omega(omega, "G_net")
     _require_fit(net, op)
     b_inv_p = np.linalg.solve(net.b_matrix, np.diag(op.p_tilde))
     b_inv_q = np.linalg.solve(net.b_matrix, np.diag(op.q_tilde))
@@ -263,8 +301,7 @@ def build_gnet(omega: float, net: ReducedNetwork, op: OperatingPoint,
 def build_gnet_sym(omega: float, net: ReducedNetwork, op: OperatingPoint,
                    omega0: float) -> np.ndarray:
     """Symmetric similar form of :func:`build_gnet` (same eigenvalues)."""
-    if not 0 < omega < np.inf:
-        raise AnalysisError("G_net needs a finite omega > 0", code="DEGENERATE_FREQ")
+    omega = _omega(omega, "G_net")
     s_p, s_q = sym_parts(net, op)
     return -s_p + 1j * (omega0 / omega) * s_q
 
@@ -413,12 +450,14 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     if grid_hz is None:
         opt = spec.options
         points = opt.scan_points
-        if (not isinstance(points, (int, np.integer)) or isinstance(points, bool)
-                or not 2 <= points <= MAX_SCAN_POINTS):
+        if not _is_int(points) or not 2 <= points <= MAX_SCAN_POINTS:
             raise AnalysisError(f"scan_points must be an integer in 2..{MAX_SCAN_POINTS}, "
                                 f"got {points!r}", code="SCAN_POINTS_INVALID")
-        grid_hz = np.linspace(opt.scan_fmin_hz, opt.scan_fmax_hz, points)
-    grid_hz = np.asarray(grid_hz, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite grid is refused below
+            grid_hz = np.linspace(opt.scan_fmin_hz, opt.scan_fmax_hz, points)
+    grid_hz = _real(grid_hz)
+    if grid_hz is None:
+        raise AnalysisError("frequency grid must hold real numbers", code="GRID_INVALID")
     if grid_hz.ndim != 1 or not 2 <= len(grid_hz) <= MAX_SCAN_POINTS:
         raise AnalysisError(f"frequency grid needs 2..{MAX_SCAN_POINTS} points",
                             code="GRID_INVALID")
@@ -430,7 +469,8 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
 
     kp, ki, warnings = resolve_pll_gains(spec, force_first_pll=force_first_pll)
     omega0 = spec.omega0
-    omega_grid = 2.0 * np.pi * grid_hz
+    with np.errstate(over="ignore"):       # gamma refuses an ω that overflows
+        omega_grid = 2.0 * np.pi * grid_hz
     u_ref = float(np.mean(op.u_pu))
 
     gamma_vals = gamma(omega_grid, u_ref, kp, ki, omega0)
@@ -438,6 +478,7 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     n, m = op.n, len(grid_hz)
     s_p, s_q = sym_parts(net, op)
     sym = _symmetry(_classes(net, op), s_p, s_q)
+    sym.require_scale(omega0, omega_grid[0])
     g = len(sym.classes)                           # columns matched by overlap
     lam = np.empty((n, m), dtype=complex)
     columns = np.empty((m, n), dtype=np.min_scalar_type(n))

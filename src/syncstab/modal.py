@@ -21,7 +21,8 @@ import numpy as np
 
 from .config import SystemSpec
 from .errors import AnalysisError
-from .frequency_response import OperatingPoint, _classes, _symmetry, sym_parts, trace_curves
+from .frequency_response import (OperatingPoint, _classes, _is_int, _omega, _require_fit,
+                                 _symmetry, sym_parts, trace_curves)
 from .network import ReducedNetwork
 from .stability import StabilityReport, assess
 from .textio import write_csv
@@ -78,13 +79,14 @@ def modal_weights(net: ReducedNetwork, op: OperatingPoint, omega_c1: float,
 
     A stability report already carries the critical branch's eigenpair; use
     :func:`modal_weights_from_report` to read the weights off it.  Raises
-    ``AnalysisError`` (DEGENERATE_FREQ) unless ``omega_c1`` is finite and > 0.
+    ``AnalysisError`` (DEGENERATE_FREQ) unless ``omega_c1`` is real, finite
+    and > 0.
     """
-    if not 0 < omega_c1 < np.inf:
-        raise AnalysisError("crossing frequency must be finite and positive",
-                            code="DEGENERATE_FREQ")
+    omega_c1 = _omega(omega_c1, "modal_weights")
     s_p, s_q = sym_parts(net, op)
-    vals, vecs = _symmetry(_classes(net, op), s_p, s_q).eig(omega0, omega_c1)
+    sym = _symmetry(_classes(net, op), s_p, s_q)
+    sym.require_scale(omega0, omega_c1)
+    vals, vecs = sym.eig(omega0, omega_c1)
     j = int(np.argmin(vals.real))
     return _weights(net, op, omega_c1, omega0, vals[j], vecs[:, j])
 
@@ -102,11 +104,20 @@ def _weights(net: ReducedNetwork, op: OperatingPoint, omega_c1: float,
 
 def modal_weights_from_report(net: ReducedNetwork, op: OperatingPoint,
                               report: StabilityReport, omega0: float) -> ModalWeights:
-    """Weights η from the eigenpair the report's critical crossing was found on."""
+    """Weights η from the eigenpair the report's critical crossing was found on.
+
+    Raises ``AnalysisError`` (NO_CROSSING) for a report without a crossing,
+    and (OP_INVALID) when ``op`` or the report's eigenvector does not fit
+    ``net``.
+    """
     if report.critical is None:
         raise AnalysisError("report has no critical crossing (NoCrossing verdict)",
                             code="NO_CROSSING")
     c = report.critical
+    _require_fit(net, op)
+    if np.shape(c.phi) != (net.n,):
+        raise AnalysisError(f"the report's eigenvector has shape {np.shape(c.phi)}, the "
+                            f"network {net.n} converters", code="OP_INVALID")
     return _weights(net, op, c.omega_c1, omega0, c.lam1, c.phi)
 
 
@@ -144,11 +155,11 @@ def finite_difference_check(spec: SystemSpec, net: ReducedNetwork,
     weight −η_i.  The two differ because −η_i is not the partial derivative
     at fixed ω (see the module docstring), not because the crossing moves:
     on the station's cases that partial already matches the measured total.
-    Raises ``AnalysisError`` (OP_INVALID) unless 0 ≤ ``i`` < n; a negative
-    index is refused, not counted from the end.
+    Raises ``AnalysisError`` (OP_INVALID) unless ``i`` is an integer in
+    0..n − 1; a negative index is refused, not counted from the end.
     """
-    if not 0 <= i < op.n:
-        raise AnalysisError(f"converter index {i} is outside 0..{op.n - 1}",
+    if not _is_int(i) or not 0 <= i < op.n:
+        raise AnalysisError(f"converter index {i!r} is not an integer in 0..{op.n - 1}",
                             code="OP_INVALID")
     p2 = op.p_pu.copy()
     p2[i] += _FD_DELTA_P

@@ -56,9 +56,11 @@ def solve_steady_state(
     overrides ``spec.options.flat_voltage`` when given.
 
     Raises ``PowerFlowError`` with code ``PF_NOT_FINITE`` for a NaN or
-    infinite injection, ``PF_DIVERGED`` when Newton-Raphson fails to reach
-    1e-8 mismatch in 50 iterations, and ``PF_VOLTAGE_OUT_OF_BAND`` when a
-    converged solution leaves (0.5, 1.5) pu at a converter terminal.
+    infinite injection, or a sum of P that overflows at flat voltage;
+    ``PF_DIVERGED`` when Newton-Raphson fails to reach 1e-8 mismatch in 50
+    iterations or the mismatch stops being finite; and
+    ``PF_VOLTAGE_OUT_OF_BAND`` when a converged solution leaves (0.5, 1.5) pu
+    at a converter terminal.
     """
     n = spec.n_converters
     p_conv = np.asarray(p_conv, dtype=float)
@@ -73,10 +75,14 @@ def solve_steady_state(
     if flat:
         # lossless network: slack always absorbs exactly -sum(P); reactive
         # balance is undefined without a solved voltage profile
+        with np.errstate(over="ignore"):
+            slack_p = -float(np.sum(p_conv))
+        if not np.isfinite(slack_p):
+            raise PowerFlowError("the slack's balance -sum(P) overflows", code="PF_NOT_FINITE")
         return SteadyState(
             u_pu=np.ones(n), delta0_rad=np.zeros(n),
             converged=True, iterations=0,
-            slack_p_pu=-float(np.sum(p_conv)), slack_q_pu=float("nan"),
+            slack_p_pu=slack_p, slack_q_pu=float("nan"),
             flat=True)
 
     lap, index = assemble_laplacian(spec)
@@ -97,40 +103,48 @@ def solve_steady_state(
     u = np.ones(n_nodes)
 
     iterations = 0
-    for _ in range(_MAX_ITER + 1):
-        diff = theta[:, None] - theta[None, :]
-        c_full = w * np.cos(diff)
-        s_full = w * np.sin(diff)
-        a = c_full @ u            # sum_j b_ij U_j cos
-        s = s_full @ u            # sum_j b_ij U_j sin
-        p = u * s
-        q = d * u * u - u * a
-        mismatch = np.concatenate([(target_p - p)[free], (target_q - q)[free]])
-        if np.max(np.abs(mismatch)) <= _TOL:
-            break
-        if iterations >= _MAX_ITER:
-            raise PowerFlowError(
-                f"no convergence after {_MAX_ITER} iterations "
-                f"(residual {np.max(np.abs(mismatch)):.3e})", code="PF_DIVERGED")
+    # a huge but finite injection overflows the mismatch; it is refused below
+    # as soon as that happens, without NumPy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_MAX_ITER + 1):
+            diff = theta[:, None] - theta[None, :]
+            c_full = w * np.cos(diff)
+            s_full = w * np.sin(diff)
+            a = c_full @ u            # sum_j b_ij U_j cos
+            s = s_full @ u            # sum_j b_ij U_j sin
+            p = u * s
+            q = d * u * u - u * a
+            mismatch = np.concatenate([(target_p - p)[free], (target_q - q)[free]])
+            residual = np.max(np.abs(mismatch))
+            if residual <= _TOL:
+                break
+            if not np.isfinite(residual):
+                raise PowerFlowError(f"mismatch not finite after {iterations} iterations",
+                                     code="PF_DIVERGED")
+            if iterations >= _MAX_ITER:
+                raise PowerFlowError(
+                    f"no convergence after {_MAX_ITER} iterations "
+                    f"(residual {residual:.3e})", code="PF_DIVERGED")
 
-        uu = np.outer(u, u)
-        h = -uu * c_full + np.diag(u * a)             # dP/dtheta
-        nmat = u[:, None] * s_full + np.diag(s)       # dP/dU
-        m = -uu * s_full + np.diag(u * s)             # dQ/dtheta
-        lmat = -u[:, None] * c_full + np.diag(2.0 * d * u - a)   # dQ/dU
+            uu = np.outer(u, u)
+            h = -uu * c_full + np.diag(u * a)             # dP/dtheta
+            nmat = u[:, None] * s_full + np.diag(s)       # dP/dU
+            m = -uu * s_full + np.diag(u * s)             # dQ/dtheta
+            lmat = -u[:, None] * c_full + np.diag(2.0 * d * u - a)   # dQ/dU
 
-        jac = np.block([[h[np.ix_(free, free)], nmat[np.ix_(free, free)]],
-                        [m[np.ix_(free, free)], lmat[np.ix_(free, free)]]])
-        try:
-            step = np.linalg.solve(jac, mismatch)
-        except np.linalg.LinAlgError:
-            raise PowerFlowError("singular power-flow Jacobian", code="PF_DIVERGED") from None
-        k = len(free)
-        theta[free] += step[:k]
-        u[free] += step[k:]
-        iterations += 1
-    else:  # pragma: no cover - loop always breaks or raises
-        raise PowerFlowError("internal iteration error", code="PF_DIVERGED")
+            jac = np.block([[h[np.ix_(free, free)], nmat[np.ix_(free, free)]],
+                            [m[np.ix_(free, free)], lmat[np.ix_(free, free)]]])
+            try:
+                step = np.linalg.solve(jac, mismatch)
+            except np.linalg.LinAlgError:
+                raise PowerFlowError("singular power-flow Jacobian",
+                                     code="PF_DIVERGED") from None
+            k = len(free)
+            theta[free] += step[:k]
+            u[free] += step[k:]
+            iterations += 1
+        else:  # pragma: no cover - loop always breaks or raises
+            raise PowerFlowError("internal iteration error", code="PF_DIVERGED")
 
     u_conv = u[conv_rows].copy()
     if np.any(u_conv <= _U_BAND[0]) or np.any(u_conv >= _U_BAND[1]):

@@ -278,13 +278,19 @@ def test_sweep_reduces_once_and_writes_exact_values(station_cfg, monkeypatch, ca
                                                "0.1", "0.2", "0.3"]
 
 
-def test_sweep_unreducible_network_exits_one(tmp_path, capsys):
-    # interior nodes i1, i2 form a block with cond ~ 1e18: B cannot be reduced
+@pytest.fixture()
+def unreducible_cfg(tmp_path):
+    """Two-bus whose interior nodes i1, i2 form a block with cond ~ 1e18: B
+    cannot be reduced."""
     cfg = tmp_path / "unreducible.cfg"
     cfg.write_text(TWO_BUS_CFG.replace("bus1\ngrid\n", "bus1\ni1\ni2\ngrid\n")
                    .replace("bus1 grid 0.3\n", "bus1 i1 1e9\ni1 i2 1e-9\n"
                             "i2 grid 1e9\nbus1 grid 0.3\n"), encoding="utf-8")
-    code = main(["sweep", "--config", str(cfg), "--converter", "C1",
+    return str(cfg)
+
+
+def test_sweep_unreducible_network_exits_one(unreducible_cfg, capsys):
+    code = main(["sweep", "--config", unreducible_cfg, "--converter", "C1",
                  "--quantity", "p", "--range", "0.1:0.3:0.1"])
     captured = capsys.readouterr()
     assert code == 1
@@ -392,6 +398,20 @@ def test_an_uncoded_error_in_a_worker_reaches_the_caller_and_leaves_no_worker(
               "--quantity", "p", "--range=0:0.6:0.1"])
     assert pools == ["fork"]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "parallel"])
+def test_a_sweep_whose_power_flow_overflows_prints_no_warning(station_cfg, monkeypatch,
+                                                              capsys, cpus):
+    monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+    code = main(["sweep", "--config", station_cfg, "--case", "heavy", "--no-flat-voltage",
+                 "--converter", "ES1", "--quantity", "p", "--range=-1e300:1e300:1e300"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert err == ""
+    verdicts = [row.split(",")[3] for row in out.splitlines()[1:]]
+    assert verdicts[0] == verdicts[2] == "Error[PF_DIVERGED]"
+    assert not verdicts[1].startswith("Error[")
 
 
 # --------------------------------------------------------------- sensitivity
@@ -659,27 +679,32 @@ def test_adjust_without_force_rejects_mixed_gains(mixed_cfg, capsys):
 
 
 def test_simulate_runs_on_declared_mixed_gains(mixed_cfg, tmp_path, capsys):
-    files = {}
-    for tag, extra in (("plain", []), ("forced", ["--force-first-pll"])):
-        out_dir = tmp_path / tag
-        code = main(["simulate", "--config", mixed_cfg, "--case", "heavy",
-                     "--out", str(out_dir), *extra])
-        assert code == 0, capsys.readouterr().err
-        files[tag] = [(out_dir / name).read_bytes()
-                      for name in ("modes.csv", "timeseries.csv")]
-    capsys.readouterr()
-    assert files["plain"] == files["forced"]
+    out_dir = tmp_path / "plain"
+    code = main(["simulate", "--config", mixed_cfg, "--case", "heavy", "--out", str(out_dir)])
+    assert code == 0, capsys.readouterr().err
+    assert sorted(os.listdir(out_dir)) == ["manifest.txt", "modes.csv", "timeseries.csv"]
 
 
-def test_simulate_manifest_does_not_depend_on_force_first_pll(mixed_cfg, tmp_path, capsys):
-    manifests = []
-    for tag, extra in (("plain", []), ("forced", ["--force-first-pll"])):
-        main(["simulate", "--config", mixed_cfg, "--case", "heavy",
-              "--out", str(tmp_path / tag), *extra])
-        manifests.append([l for l in _read(tmp_path / tag / "manifest.txt").splitlines()
-                          if not l.startswith("wall_time_s")])
-    capsys.readouterr()
-    assert manifests[0] == manifests[1]
+# a command takes --eta-complex and --force-first-pll only where it reads them
+@pytest.mark.parametrize("command, args, flag", [
+    ("curves", [], "--eta-complex"),
+    ("sweep", ["--converter", "WTG1", "--quantity", "p", "--range", "0.4:0.5:0.1"],
+     "--eta-complex"),
+    ("adjust", ["--set", "ES1=-0.8"], "--eta-complex"),
+    ("simulate", [], "--eta-complex"),
+    ("simulate", [], "--force-first-pll"),
+], ids=["curves-eta-complex", "sweep-eta-complex", "adjust-eta-complex",
+        "simulate-eta-complex", "simulate-force-first-pll"])
+def test_a_command_refuses_a_flag_it_does_not_read(station_cfg, tmp_path, capsys,
+                                                   command, args, flag):
+    out_dir = tmp_path / "o"
+    code = main([command, "--config", station_cfg, "--case", "light", *args, flag,
+                 "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 # the options each command reads, beside flat_voltage (README, "Common flags")
@@ -795,6 +820,24 @@ def test_dump_b_honoured_by_every_command(station_cfg, tmp_path, capsys):
         assert _read(out_dir / "b_matrix.csv") == reference, command
         assert "b_matrix.csv, manifest.txt\n" in _read(out_dir / "manifest.txt"), command
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, args, error", [
+    ("sweep", ["--converter", "C9", "--quantity", "p", "--range", "0:1:0.5"],
+     "UNKNOWN_CONVERTER"),
+    ("adjust", ["--set", "C1=nan"], "ASSIGN_INVALID"),
+    ("simulate", ["--pulse-width", "nan"], "SIM_PARAMS_INVALID"),
+], ids=["sweep", "adjust", "simulate"])
+@pytest.mark.parametrize("dump_b", [[], ["--dump-b"]], ids=["plain", "dump-b"])
+def test_dump_b_does_not_change_which_error_a_command_reports(
+        unreducible_cfg, tmp_path, capsys, command, args, error, dump_b):
+    # each command fails on its arguments before it reduces B, with or without --dump-b
+    out_dir = tmp_path / "o"
+    code = main([command, "--config", unreducible_cfg, *args, *dump_b, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"[{error}]" in captured.err
+    assert list(out_dir.iterdir()) == []
 
 
 def test_failed_command_with_dump_b_writes_no_file(two_bus_cfg, tmp_path, capsys):

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncstab.config import (MAX_SCAN_POINTS, MAX_SIM_STEPS, AnalysisOptions,
-                             PowerSetpoint, parse_system_spec, serialize, validate)
+                             PowerSetpoint, load_system_spec, parse_system_spec, serialize,
+                             validate)
 from syncstab.errors import (ConfigSyntaxError, SpecValidationError,
                              SyncstabError)
+from syncstab.pipeline import run_analysis
 
 from conftest import STATION_CFG_PATH, TWO_BUS_CFG
 
@@ -51,6 +53,27 @@ def test_unknown_case_rejected():
         spec.case_injections("nope")
     assert exc_info.value.code == "UNKNOWN_CASE"
     assert "inject" in str(exc_info.value)  # lists the known cases
+
+
+# a spec built in code need not hold the cases the parser always gives it
+def test_a_spec_without_cases_is_unknown_case():
+    spec = replace(parse_system_spec(TWO_BUS_CFG), operating_points={})
+    for call in (spec.default_case, spec.case_injections, lambda: run_analysis(spec)):
+        with pytest.raises(SyncstabError) as exc_info:
+            call()
+        assert exc_info.value.code == "UNKNOWN_CASE"
+
+
+def test_a_case_that_lacks_a_converter_is_case_incomplete():
+    spec = load_system_spec(STATION_CFG_PATH)
+    block = dict(spec.operating_points["heavy"])
+    del block["ES1"]
+    spec = replace(spec, operating_points={"heavy": block})
+    for call in (spec.case_injections, lambda: run_analysis(spec, "heavy")):
+        with pytest.raises(SyncstabError) as exc_info:
+            call()
+        assert exc_info.value.code == "CASE_INCOMPLETE"
+        assert "ES1" in str(exc_info.value)
 
 
 def test_omitted_converter_in_case_defaults_to_zero():

@@ -16,16 +16,18 @@ from __future__ import annotations
 
 import dataclasses
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from syncstab import frequency_response, stability
 from syncstab.config import MAX_SCAN_POINTS, PowerSetpoint, load_system_spec, parse_system_spec
-from syncstab.errors import AnalysisError
+from syncstab.errors import AnalysisError, SyncstabError
 from syncstab.frequency_response import (OVERLAP_THRESHOLD, OperatingPoint,
                                          _match_branches, _strict_bests,
                                          build_gnet, build_gnet_sym, gamma,
@@ -111,6 +113,38 @@ def test_gamma_vectorized_and_degenerate():
             with pytest.raises(AnalysisError) as exc:
                 call(w)
             assert exc.value.code == "DEGENERATE_FREQ", (name, w)
+
+
+def test_an_omega_that_is_not_a_real_number_is_degenerate_freq():
+    net = ReducedNetwork.from_b_matrix(np.array([[1.0 / 0.3]]))
+    op = OperatingPoint(np.array([0.5]), np.array([0.1]), np.array([1.0]))
+    one_omega = {
+        "gamma": lambda w: gamma(w, 1.0, KP, KI, W0),
+        "build_gnet": lambda w: build_gnet(w, net, op, W0),
+        "build_gnet_sym": lambda w: build_gnet_sym(w, net, op, W0),
+        "modal_weights": lambda w: modal_weights(net, op, w, W0),
+    }
+    for name, call in one_omega.items():
+        # gamma alone broadcasts over an array of ω
+        arrays = [] if name == "gamma" else [[100.0, 200.0], np.array([100.0])]
+        for w in (100.0 + 1j, 100.0 + 0j, "100", True, None, [100.0, [200.0]], *arrays):
+            with pytest.raises(AnalysisError) as exc:
+                call(w)
+            assert exc.value.code == "DEGENERATE_FREQ", (name, w)
+
+
+@pytest.mark.parametrize("grid", [
+    ["1", "2", "3"], np.array([1.0, 2.0, 3.0]) + 1j, np.array([1.0, 2.0]) + 0j,
+    [True, False], [1.0, [2.0, 3.0]], [None, None], np.array([[1.0, 2.0], [3.0, 4.0]]),
+], ids=["text", "complex", "complex-real", "bool", "ragged", "none", "2-d"])
+def test_a_grid_that_is_not_a_row_of_real_numbers_is_grid_invalid(grid):
+    # a complex grid is refused, not cast with a ComplexWarning
+    spec = parse_system_spec(TWO_BUS_CFG)
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, "inject", flat_voltage=True)
+    with pytest.raises(AnalysisError) as exc:
+        trace_curves(spec, net, op, grid)
+    assert exc.value.code == "GRID_INVALID"
 
 
 def test_resolve_pll_gains_identical_and_forced():
@@ -915,3 +949,77 @@ def test_the_scan_transient_memory_does_not_grow_with_the_grid():
         return peak - held
 
     assert abs(transient(12_000) - transient(1200)) <= 8192
+
+
+# ------------------------------------------ coded errors on any input
+
+_EXTREMES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-150,
+             1e150, 1e300, 1e308, -1e308, np.finfo(float).max]
+_NUMBERS = st.sampled_from(_EXTREMES) | st.floats()
+_FREQS = st.sampled_from(_EXTREMES) | st.floats(0.1, 100.0) | st.floats()
+_POWERS = st.floats(-2.0, 2.0) | st.floats(-1e308, 1e308) | st.sampled_from(_EXTREMES)
+_DTYPES = st.sampled_from([np.float64, np.float32, np.int64, np.uint8, np.complex128,
+                           np.bool_, np.str_, object])
+# grids and frequencies of any dtype, shape and order: ascending real rows
+# often enough that a scan runs, everything else refused
+_GRIDS = (st.lists(st.floats(0.1, 100.0), min_size=2, max_size=8, unique=True).map(sorted)
+          | st.lists(_FREQS, max_size=8).map(sorted)
+          | st.lists(_FREQS, max_size=8)
+          | hnp.arrays(_DTYPES, hnp.array_shapes(min_dims=0, max_dims=2, max_side=4))
+          | st.lists(st.lists(_FREQS, max_size=3), max_size=3)
+          | st.none() | _FREQS)
+_OMEGAS = (_FREQS | st.integers(-5, 10**30) | st.complex_numbers() | st.text(max_size=3)
+           | st.none() | st.booleans() | st.lists(_FREQS, max_size=3)
+           | hnp.arrays(_DTYPES, hnp.array_shapes(min_dims=0, max_dims=2, max_side=3)))
+
+
+def _coded_or_result(call):
+    """``call()``, or None when it raises a coded error; any other exception
+    or any warning fails the example."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = call()
+        except SyncstabError as exc:
+            event(exc.code)
+            return None
+    event("result")
+    return result
+
+
+@settings(max_examples=500, deadline=None)
+@given(fmin=st.floats(0.1, 10.0) | _FREQS, fmax=st.floats(10.0, 100.0) | _FREQS,
+       tol=st.floats(1e-12, 1.0) | _NUMBERS, p=_POWERS, q=_POWERS,
+       points=st.integers(2, 30) | st.sampled_from([-2, 0, 1, MAX_SCAN_POINTS + 1, 2.5, 12.0,
+                                                     True]),
+       flat=st.booleans())
+def test_run_analysis_on_any_options_and_setpoints_raises_only_coded_errors(
+        fmin, fmax, tol, p, q, points, flat):
+    spec = parse_system_spec(TWO_BUS_CFG)
+    options = dataclasses.replace(spec.options, scan_fmin_hz=fmin, scan_fmax_hz=fmax,
+                                  scan_points=points, root_tol_hz=tol)
+    spec = dataclasses.replace(spec, options=options).with_case("x", {"C1": PowerSetpoint(p, q)})
+    result = _coded_or_result(lambda: run_analysis(spec, "x", flat_voltage=flat))
+    if result is not None:
+        assert result.curves.m == points
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=_GRIDS, p=_POWERS, q=_POWERS)
+def test_trace_curves_on_any_grid_raises_only_coded_errors(grid, p, q):
+    spec = parse_system_spec(TWO_BUS_CFG)
+    net = build_reduced_network(spec)
+    curves = _coded_or_result(lambda: trace_curves(spec, net, OperatingPoint([p], [q], [1.0]),
+                                                   grid))
+    if curves is not None:
+        assert np.isfinite([curves.d_con, curves.k_con, curves.d_net[0], curves.k_net[0]]).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(omega=_OMEGAS, p=_POWERS, q=_POWERS)
+def test_modal_weights_at_any_omega_raises_only_coded_errors(omega, p, q):
+    net = ReducedNetwork.from_b_matrix(np.array([[1.0 / 0.3]]))
+    weights = _coded_or_result(lambda: modal_weights(net, OperatingPoint([p], [q], [1.0]),
+                                                     omega, W0))
+    if weights is not None:
+        assert np.isfinite(weights.eta).all()

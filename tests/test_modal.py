@@ -191,6 +191,24 @@ def test_finite_difference_rejects_mixed_pll_gains(station_path):
     assert info.value.code == "NONIDENTICAL_PLL"
 
 
+@pytest.mark.parametrize("i", [1.5, True, np.float64(0.0), "0", None, [0]])
+def test_finite_difference_refuses_an_index_that_is_not_an_integer(i):
+    spec, net, op = _adjustable("station")
+    with pytest.raises(AnalysisError) as info:
+        finite_difference_check(spec, net, op, i)
+    assert info.value.code == "OP_INVALID"
+
+
+def test_weights_from_another_plants_report_are_op_invalid():
+    spec, net, op = _adjustable("station")
+    report = assess(spec, trace_curves(spec, net, op))
+    _spec2, net2, op2 = _adjustable("two_bus")
+    for other_net, other_op in ((net2, op2), (net, op2), (net2, op)):
+        with pytest.raises(AnalysisError) as info:
+            modal_weights_from_report(other_net, other_op, report, spec.omega0)
+        assert info.value.code == "OP_INVALID"
+
+
 def test_adjustment_scalar_flip():
     spec = parse_system_spec(TWO_BUS_CFG)
     net = build_reduced_network(spec)

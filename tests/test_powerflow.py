@@ -154,3 +154,13 @@ def test_non_finite_injections_rejected(spec, flat, p, q):
     with pytest.raises(PowerFlowError) as exc:
         solve_steady_state(spec, np.array([p]), np.array([q]), flat_voltage=flat)
     assert exc.value.code == "PF_NOT_FINITE"
+
+
+@pytest.mark.parametrize("p", [1e300, -1e300])
+def test_a_huge_finite_injection_diverges_at_once_without_warnings(spec, p):
+    # runtime warnings are errors here, so an overflow inside Newton's loop
+    # would surface as a RuntimeWarning instead of the coded error
+    with pytest.raises(PowerFlowError) as exc:
+        solve_steady_state(spec, np.array([p]), np.array([0.0]), flat_voltage=False)
+    assert exc.value.code == "PF_DIVERGED"
+    assert "not finite after" in str(exc.value)
