@@ -45,7 +45,7 @@ from .pipeline import AnalysisResult, operating_point, oracle_model, run_analysi
 from .powerflow import solve_steady_state
 from .stability import MARGINAL, NO_CROSSING, STABLE, UNSTABLE, assess
 from .statespace import AnglePulse, modes, simulate, write_modes_csv, write_timeseries_csv
-from .textio import KVWriter, g12, write_csv
+from .textio import KVWriter, g12, write_table
 
 _EXIT = {STABLE: 0, UNSTABLE: 2, MARGINAL: 3, NO_CROSSING: 3}
 
@@ -140,8 +140,7 @@ class _Outputs:
 
 def _b_matrix_csv(net: ReducedNetwork, fh) -> None:
     names = list(net.converter_index)
-    write_csv(fh, ["node", *names],
-              ([names[i], *net.b_matrix[i]] for i in range(net.n)))
+    write_table(fh, ["node", *names], [names, net.b_matrix])
 
 
 def _report_document(args, result: AnalysisResult) -> tuple[KVWriter, str]:
@@ -275,7 +274,7 @@ def _parse_range(text: str) -> list[float]:
 
 
 def _sweep_row(args, spec: SystemSpec, net: ReducedNetwork, p0: np.ndarray,
-               q0: np.ndarray, value: float) -> list[object]:
+               q0: np.ndarray, value: float) -> tuple[float, float, float, str]:
     """One row of sweep.csv: the case with the swept P or Q set to ``value``;
     a coded error becomes an ``Error[CODE]`` row."""
     p, q = p0.copy(), q0.copy()
@@ -286,11 +285,11 @@ def _sweep_row(args, spec: SystemSpec, net: ReducedNetwork, p0: np.ndarray,
                               force_first_pll=args.force_first_pll)
         report = assess(spec, curves)
     except SyncstabError as exc:
-        return [value, float("nan"), float("nan"), f"Error[{exc.code}]"]
+        return value, float("nan"), float("nan"), f"Error[{exc.code}]"
     critical = report.critical
     if critical is None:
-        return [value, float("nan"), float("nan"), report.verdict]
-    return [value, critical.d_net1, critical.f_c1, report.verdict]
+        return value, float("nan"), float("nan"), report.verdict
+    return value, critical.d_net1, critical.f_c1, report.verdict
 
 
 def _available_cpus() -> int:
@@ -300,7 +299,7 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sweep_rows(row, values: list[float]) -> list[list[object]]:
+def _sweep_rows(row, values: list[float]) -> list[tuple]:
     """``row`` mapped over ``values`` in order, one forked worker per available
     CPU up to one per value; in this process when one worker would run or the
     platform cannot fork.  Every worker has exited when this returns."""
@@ -325,8 +324,9 @@ def _cmd_sweep(args, spec: SystemSpec, out: _Outputs) -> int:
     net = build_reduced_network(spec)
     p0, q0 = spec.case_injections(args.case)
     rows = _sweep_rows(partial(_sweep_row, args, spec, net, p0, q0), values)
-    out.emit("sweep.csv", partial(write_csv, header=["value", "D_net1", "f_c1", "verdict"],
-                                  rows=rows))
+    # the rows transposed; an empty range writes the header alone
+    out.emit("sweep.csv", partial(write_table, header=["value", "D_net1", "f_c1", "verdict"],
+                                  columns=list(zip(*rows)) or [()] * 4))
     return 0
 
 

@@ -62,6 +62,22 @@ __all__ = [
 ]
 
 
+def _real(values) -> np.ndarray | None:
+    """``values`` as a float array; None unless they are real numbers (not
+    complex, text, bool, objects or a ragged sequence)."""
+    try:
+        array = np.asarray(values)
+    except ValueError:                   # a ragged sequence
+        return None
+    if array.dtype.kind not in "iuf":
+        return None
+    # NumPy reads [True, 0.5] as floats; a bool is refused there too
+    if isinstance(values, (list, tuple)) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
+        return None
+    return array.astype(float, copy=False)
+
+
 # --------------------------------------------------------------------------
 # data model
 # --------------------------------------------------------------------------
@@ -160,8 +176,9 @@ class SystemSpec:
         """(P, Q) arrays in converter order for ``case`` (default: first).
 
         Raises ``SyncstabError`` (UNKNOWN_CASE) for a case that is not
-        declared, and (CASE_INCOMPLETE) for one that lacks a converter, which
-        only a spec built in code can do.
+        declared, (CASE_INCOMPLETE) for one that lacks a converter, and
+        (OP_INVALID) for a setpoint that is not a real number; a spec built
+        in code can do the last two.
         """
         name = self.default_case() if case is None else case
         try:
@@ -174,8 +191,11 @@ class SystemSpec:
         if missing:
             raise SyncstabError(f"operating point {name!r} has no setpoint for "
                                 f"{', '.join(missing)}", code="CASE_INCOMPLETE")
-        p = np.array([block[c.name].p_pu for c in self.converters], dtype=float)
-        q = np.array([block[c.name].q_pu for c in self.converters], dtype=float)
+        p = _real([block[c.name].p_pu for c in self.converters])
+        q = _real([block[c.name].q_pu for c in self.converters])
+        if p is None or q is None:
+            raise SyncstabError(f"operating point {name!r} has a setpoint that is not "
+                                f"a real number", code="OP_INVALID")
         return p, q
 
     def with_case(self, name: str, setpoints: dict[str, PowerSetpoint]) -> "SystemSpec":

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MAX_SCAN_POINTS, SystemSpec
+from .config import MAX_SCAN_POINTS, SystemSpec, _real
 from .errors import AnalysisError
 from .network import ReducedNetwork
 from .textio import write_table
@@ -69,9 +69,9 @@ _LOOP_MAX = 1e300
 class OperatingPoint:
     """Converter injections plus the steady-state voltage amplitudes.
 
-    Raises ``AnalysisError`` (OP_INVALID) for vectors of unequal length,
-    non-finite values, a voltage amplitude U ≤ 0, or a non-finite P/U² or
-    Q/U².
+    Raises ``AnalysisError`` (OP_INVALID) for values that are not real
+    numbers (complex, text or bool), vectors of unequal length, non-finite
+    values, a voltage amplitude U ≤ 0, or a non-finite P/U² or Q/U².
     """
 
     p_pu: np.ndarray
@@ -79,9 +79,10 @@ class OperatingPoint:
     u_pu: np.ndarray
 
     def __post_init__(self):
-        p = np.atleast_1d(np.asarray(self.p_pu, dtype=float))
-        q = np.atleast_1d(np.asarray(self.q_pu, dtype=float))
-        u = np.atleast_1d(np.asarray(self.u_pu, dtype=float))
+        p, q, u = (_real(v) for v in (self.p_pu, self.q_pu, self.u_pu))
+        if p is None or q is None or u is None:
+            raise AnalysisError("p_pu, q_pu, u_pu must be real numbers", code="OP_INVALID")
+        p, q, u = np.atleast_1d(p, q, u)
         if not (p.shape == q.shape == u.shape) or p.ndim != 1:
             raise AnalysisError("p_pu, q_pu, u_pu must be equal-length vectors",
                                 code="OP_INVALID")
@@ -124,16 +125,6 @@ def _require_fit(net: ReducedNetwork, op: OperatingPoint) -> None:
 def _is_int(value) -> bool:
     """Whether ``value`` is an integer, and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _real(values) -> np.ndarray | None:
-    """``values`` as a float array; None unless they are real numbers (not
-    complex, text, bool, objects or a ragged sequence)."""
-    try:
-        array = np.asarray(values)
-    except ValueError:                   # a ragged sequence
-        return None
-    return array.astype(float, copy=False) if array.dtype.kind in "iuf" else None
 
 
 def _omega(omega, what: str, *, scalar: bool = True):

@@ -25,7 +25,7 @@ from .frequency_response import (OperatingPoint, _classes, _is_int, _omega, _req
                                  _symmetry, sym_parts, trace_curves)
 from .network import ReducedNetwork
 from .stability import StabilityReport, assess
-from .textio import write_csv
+from .textio import write_table
 
 __all__ = [
     "ModalWeights", "Sensitivities", "FDCheck", "AdjustmentResult",
@@ -203,15 +203,8 @@ def write_sensitivity_csv(weights: ModalWeights, sens: Sensitivities,
     complex-square weights.
     """
     header = ["converter", "eta", "dD_dP", "dD_dQ", "dominant_flag"]
+    columns = [names, weights.eta, sens.dd_dp, sens.dd_dq, np.arange(len(names)) == sens.dominant]
     if eta_complex:
         header += ["eta_c_re", "eta_c_im"]
-
-    def rows():
-        for i, name in enumerate(names):
-            row: list[object] = [name, weights.eta[i], sens.dd_dp[i],
-                                 sens.dd_dq[i], 1 if i == sens.dominant else 0]
-            if eta_complex:
-                row += [weights.eta_complex[i].real, weights.eta_complex[i].imag]
-            yield row
-
-    write_csv(fh, header, rows())
+        columns += [weights.eta_complex.real, weights.eta_complex.imag]
+    write_table(fh, header, columns)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemSpec
+from .config import SystemSpec, _real
 from .errors import NetworkError
 
 __all__ = ["ReducedNetwork", "assemble_laplacian", "kron_reduce", "build_reduced_network"]
@@ -24,6 +24,8 @@ __all__ = ["ReducedNetwork", "assemble_laplacian", "kron_reduce", "build_reduced
 _COND_LIMIT = 1e12
 # relative eigenvalue floor below which B is rejected as not positive definite
 _PD_REL_FLOOR = 1e-10
+# the smallest branch inductance whose susceptance 1/L is a finite float
+_L_MIN = 1.0 / np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -79,17 +81,30 @@ def assemble_laplacian(spec: SystemSpec) -> tuple[np.ndarray, dict[str, int]]:
     """Grounded susceptance Laplacian over all declared nodes.
 
     Returns the (N, N) matrix and the node -> index map (declaration order).
-    Parallel branches accumulate.
+    Parallel branches accumulate.  Raises ``NetworkError``
+    (BRANCH_NONPOSITIVE_L, the code ``validate`` gives) for an inductance
+    that is not a real number with a finite, positive inverse, which only a
+    spec built in code can hold, and (NOT_FINITE) when the susceptances at
+    a node add up past the float range.
     """
     index = {name: i for i, name in enumerate(spec.nodes)}
     lap = np.zeros((len(index), len(index)))
     for br in spec.branches:
-        b = 1.0 / br.inductance_pu
+        inductance = _real(br.inductance_pu)
+        if inductance is None or inductance.ndim or not _L_MIN < inductance < np.inf:
+            raise NetworkError(f"branch {br.from_node}-{br.to_node} has inductance "
+                               f"{br.inductance_pu!r}; need a real number with a finite, "
+                               f"positive inverse", code="BRANCH_NONPOSITIVE_L")
+        b = 1.0 / float(inductance)
         i, j = index[br.from_node], index[br.to_node]
-        lap[i, i] += b
-        lap[j, j] += b
-        lap[i, j] -= b
-        lap[j, i] -= b
+        with np.errstate(over="ignore"):    # an overflowing sum is refused below
+            lap[i, i] += b
+            lap[j, j] += b
+            lap[i, j] -= b
+            lap[j, i] -= b
+    if not np.isfinite(lap).all():
+        raise NetworkError("the branch susceptances at a node add up past the float range",
+                           code="NOT_FINITE")
     return lap, index
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemSpec
+from .config import SystemSpec, _real
 from .errors import PowerFlowError
 from .network import assemble_laplacian
 
@@ -36,7 +36,6 @@ class SteadyState:
 
     u_pu: np.ndarray          # (n,) converter voltage amplitudes
     delta0_rad: np.ndarray    # (n,) converter voltage angles
-    converged: bool
     iterations: int
     slack_p_pu: float         # active power injected by the slack
     slack_q_pu: float         # reactive power injected by the slack (nan in flat mode)
@@ -55,21 +54,22 @@ def solve_steady_state(
     ``p_conv``/``q_conv`` follow converter declaration order.  ``flat_voltage``
     overrides ``spec.options.flat_voltage`` when given.
 
-    Raises ``PowerFlowError`` with code ``PF_NOT_FINITE`` for a NaN or
-    infinite injection, or a sum of P that overflows at flat voltage;
+    Raises ``PowerFlowError`` with code ``PF_NOT_FINITE`` for an injection
+    that is not a real, finite number, or a sum of P that overflows at flat
+    voltage;
     ``PF_DIVERGED`` when Newton-Raphson fails to reach 1e-8 mismatch in 50
     iterations or the mismatch stops being finite; and
     ``PF_VOLTAGE_OUT_OF_BAND`` when a converged solution leaves (0.5, 1.5) pu
     at a converter terminal.
     """
     n = spec.n_converters
-    p_conv = np.asarray(p_conv, dtype=float)
-    q_conv = np.asarray(q_conv, dtype=float)
-    if p_conv.shape != (n,) or q_conv.shape != (n,):
+    p_conv, q_conv = _real(p_conv), _real(q_conv)
+    real = p_conv is not None and q_conv is not None
+    if real and (p_conv.shape != (n,) or q_conv.shape != (n,)):
         raise PowerFlowError(
             f"injection vectors must have shape ({n},)", code="PF_BAD_SHAPE")
-    if not (np.isfinite(p_conv).all() and np.isfinite(q_conv).all()):
-        raise PowerFlowError("injections must be finite", code="PF_NOT_FINITE")
+    if not (real and np.isfinite(p_conv).all() and np.isfinite(q_conv).all()):
+        raise PowerFlowError("injections must be real, finite numbers", code="PF_NOT_FINITE")
 
     flat = spec.options.flat_voltage if flat_voltage is None else flat_voltage
     if flat:
@@ -81,7 +81,7 @@ def solve_steady_state(
             raise PowerFlowError("the slack's balance -sum(P) overflows", code="PF_NOT_FINITE")
         return SteadyState(
             u_pu=np.ones(n), delta0_rad=np.zeros(n),
-            converged=True, iterations=0,
+            iterations=0,
             slack_p_pu=slack_p, slack_q_pu=float("nan"),
             flat=True)
 
@@ -156,6 +156,6 @@ def solve_steady_state(
     # p, q are from the last iteration, which did not move the state
     return SteadyState(
         u_pu=u_conv, delta0_rad=theta[conv_rows].copy(),
-        converged=True, iterations=iterations,
+        iterations=iterations,
         slack_p_pu=float(p[slack]), slack_q_pu=float(q[slack]),
         flat=False)

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_SIM_STEPS
+from .config import MAX_SIM_STEPS, _real
 from .errors import AnalysisError
 from .frequency_response import OperatingPoint, _require_fit
 from .network import ReducedNetwork
 from .stability import MARGINAL_BAND, NO_CROSSING, STABLE, UNSTABLE, StabilityReport
-from .textio import write_csv, write_table
+from .textio import write_table
 
 __all__ = [
     "StateSpace", "DominantMode", "ModeSet", "AnglePulse", "SimResult",
@@ -88,8 +88,9 @@ class AnglePulse:
     amplitude_rad: float = 0.1
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.start_s, self.width_s, self.amplitude_rad))):
-            raise AnalysisError(f"pulse fields must be finite: {self}",
+        values = _real((self.start_s, self.width_s, self.amplitude_rad))
+        if values is None or not np.isfinite(values).all():
+            raise AnalysisError(f"pulse fields must be real, finite numbers: {self}",
                                 code="SIM_PARAMS_INVALID")
 
 
@@ -104,11 +105,7 @@ class SimResult:
 @dataclass(frozen=True)
 class CrossCheck:
     status: str                # AGREE | DISAGREE | SKIPPED
-    margin: float | None
-    dominant_sigma: float | None
-    f_c1_hz: float | None
-    f_mode_hz: float | None
-    freq_dev_hz: float | None
+    freq_dev_hz: float | None  # |f_c1 − f of the dominant mode|
     reason: str = ""
 
 
@@ -252,20 +249,16 @@ def crosscheck(report: StabilityReport, modeset: ModeSet) -> CrossCheck:
     """
     f_c1 = report.critical.f_c1 if report.critical else None
     if modeset.dominant is None:
-        return CrossCheck("SKIPPED", report.margin, None, f_c1, None, None,
-                          reason="oracle found no oscillatory mode")
+        return CrossCheck("SKIPPED", None, reason="oracle found no oscillatory mode")
     dom = modeset.dominant
     freq_dev = abs(f_c1 - dom.f_hz) if f_c1 is not None else None
     if report.verdict == NO_CROSSING:
-        return CrossCheck("SKIPPED", None, dom.sigma, None, dom.f_hz, None,
-                          reason="criterion had no crossing")
+        return CrossCheck("SKIPPED", None, reason="criterion had no crossing")
     if report.margin is not None and abs(report.margin) <= MARGINAL_BAND:
-        return CrossCheck("SKIPPED", report.margin, dom.sigma, f_c1, dom.f_hz,
-                          freq_dev, reason="margin inside the marginal band")
+        return CrossCheck("SKIPPED", freq_dev, reason="margin inside the marginal band")
     agree = (report.verdict == STABLE and dom.sigma < 0) or \
             (report.verdict == UNSTABLE and dom.sigma > 0)
-    return CrossCheck("AGREE" if agree else "DISAGREE", report.margin,
-                      dom.sigma, f_c1, dom.f_hz, freq_dev)
+    return CrossCheck("AGREE" if agree else "DISAGREE", freq_dev)
 
 
 def write_timeseries_csv(sim: SimResult, fh) -> None:
@@ -280,9 +273,8 @@ def write_timeseries_csv(sim: SimResult, fh) -> None:
 
 def write_modes_csv(modeset: ModeSet, fh) -> None:
     """Emit ``re,im,f_hz,damping_ratio`` rows, descending real part."""
-    def rows():
-        for lam in modeset.eigenvalues:
-            mag = abs(lam)
-            yield [lam.real, lam.imag, abs(lam.imag) / (2.0 * math.pi),
-                   (-lam.real / mag) if mag > 0 else 0.0]
-    write_csv(fh, ["re", "im", "f_hz", "damping_ratio"], rows())
+    vals = modeset.eigenvalues
+    mag = np.hypot(vals.real, vals.imag)    # bit for bit abs(λ), which np.abs is not
+    write_table(fh, ["re", "im", "f_hz", "damping_ratio"],
+                [vals.real, vals.imag, np.abs(vals.imag) / (2.0 * math.pi),
+                 np.divide(-vals.real, mag, out=np.zeros(len(vals)), where=mag > 0)])

@@ -1,11 +1,12 @@
-"""Deterministic text output helpers (12-significant-digit CSV, reports)."""
+"""Deterministic text output: one CSV writer, ``write_table`` (text cells as
+they are, numbers at 12 significant digits), and the report writer."""
 from __future__ import annotations
 
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
-__all__ = ["g12", "write_csv", "write_table", "KVWriter"]
+__all__ = ["g12", "write_table", "KVWriter"]
 
 # rows formatted by one %-operation in write_table; bounds the temporaries
 _BLOCK_ROWS = 256
@@ -20,25 +21,22 @@ def g12(value: float | int) -> str:
     return format(float(value), ".12g")
 
 
-def write_csv(fh: TextIO, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    """Write rows with numbers at 12 significant digits; strings pass through."""
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(cell if isinstance(cell, str) else g12(cell) for cell in row) + "\n")
+def write_table(fh: TextIO, header: Sequence[str], columns: Sequence) -> None:
+    """Write columns side by side: a 1-D column gives one CSV column, a 2-D
+    one a CSV column per array column; all share one row count.
 
-
-def write_table(fh: TextIO, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write float columns side by side, each cell as ``g12`` writes it.
-
-    ``columns`` are 1-D or 2-D arrays with one shared row count; a 2-D array
-    contributes one CSV column per array column.  Rows are formatted a block
-    at a time with ``"%.12g"``, which renders a float exactly as
-    ``format(x, ".12g")`` does.
+    A text column (a NumPy ``U`` array or a sequence of ``str``) renders
+    with ``"%s"``, every other cell with ``"%.12g"``, which renders a float
+    exactly as ``format(x, ".12g")`` does.  Rows are formatted a block at a time.
     """
     fh.write(",".join(header) + "\n")
+    columns = [np.asarray(c) for c in columns]
+    row_fmt = ",".join("%s" if c.dtype.kind == "U" else "%.12g" for c in columns
+                       for _ in range(c.shape[1] if c.ndim == 2 else 1)) + "\n"
+    if "%s" in row_fmt:      # beside text a float must stay a float, not become a str
+        columns = [c.astype(object) for c in columns]
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
-        row_fmt = ",".join(["%.12g"] * block.shape[1]) + "\n"
         fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import multiprocessing
 import os
 
@@ -10,8 +11,12 @@ import pytest
 
 from syncstab import cli, network
 from syncstab.cli import main
+from syncstab.config import load_system_spec
+from syncstab.modal import modal_weights_from_report, sensitivities
+from syncstab.pipeline import run_analysis, run_oracle
 
-from conftest import TWO_BUS_CFG
+from conftest import STATION_CFG_PATH, TWO_BUS_CFG
+from test_textio import _reference_rows
 
 
 @pytest.fixture()
@@ -848,3 +853,76 @@ def test_failed_command_with_dump_b_writes_no_file(two_bus_cfg, tmp_path, capsys
     assert code == 1
     assert "[UNKNOWN_CASE]" in captured.err
     assert list(out_dir.iterdir()) == []
+
+
+# ------------------------------------------ CSVs against the retired row rule
+
+@pytest.fixture()
+def sweep_rows(monkeypatch):
+    """The rows a sweep hands its writer, recorded as a serial sweep makes them."""
+    rows = []
+    sweep_row = cli._sweep_row
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "_sweep_row", lambda *a: rows.append(sweep_row(*a)) or rows[-1])
+    return rows
+
+
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "solved"])
+@pytest.mark.parametrize("config, case", [("station", "light"), ("station", "heavy"),
+                                          ("station", "peak"), ("two_bus", "inject"),
+                                          ("two_bus", "absorb")])
+def test_small_csvs_match_the_retired_row_rule(two_bus_cfg, sweep_rows, capsys, config,
+                                               case, flat):
+    path = STATION_CFG_PATH if config == "station" else two_bus_cfg
+    spec = load_system_spec(path)
+    argv = ["--config", path, "--case", case,
+            "--flat-voltage" if flat else "--no-flat-voltage"]
+    names = spec.converter_names
+    result = run_analysis(spec, case, flat_voltage=flat)
+
+    # simulate without --out: modes.csv, then b_matrix.csv, on stdout
+    assert main(["simulate", *argv, "--dump-b"]) == 0
+    vals = run_oracle(result)[1].eigenvalues
+    modes_rows = ([lam.real, lam.imag, abs(lam.imag) / (2.0 * math.pi),
+                   (-lam.real / abs(lam)) if abs(lam) > 0 else 0.0] for lam in vals)
+    b = network.build_reduced_network(spec).b_matrix
+    assert capsys.readouterr().out == (
+        _reference_rows(["re", "im", "f_hz", "damping_ratio"], modes_rows)
+        + _reference_rows(["node", *names], ([names[i], *b[i]] for i in range(len(names)))))
+
+    for eta_complex in ([], ["--eta-complex"]):
+        main(["sensitivity", *argv, *eta_complex])
+        out = capsys.readouterr().out
+        if result.report.critical is None:
+            assert out == ""
+            continue
+        weights = modal_weights_from_report(result.net, result.op, result.report, spec.omega0)
+        sens = sensitivities(weights)
+        header = ["converter", "eta", "dD_dP", "dD_dQ", "dominant_flag"]
+        rows = [[name, weights.eta[i], sens.dd_dp[i], sens.dd_dq[i],
+                 1 if i == sens.dominant else 0] for i, name in enumerate(names)]
+        if eta_complex:
+            header += ["eta_c_re", "eta_c_im"]
+            for i, row in enumerate(rows):
+                row += [weights.eta_complex[i].real, weights.eta_complex[i].imag]
+        assert out == _reference_rows(header, rows)
+
+    assert main(["sweep", *argv, "--converter", names[0], "--quantity", "p",
+                 "--range=-1e300:1e300:1e300"]) == 0
+    assert capsys.readouterr().out == _reference_rows(["value", "D_net1", "f_c1", "verdict"],
+                                                      sweep_rows)
+    assert len(sweep_rows) == 3 and sweep_rows[0][3] == sweep_rows[2][3] == (
+        "Error[OP_INVALID]" if flat else "Error[PF_DIVERGED]")
+
+
+@pytest.mark.parametrize("span, verdicts", [("0.5:0.5:1", ["NoCrossing"]), ("1:0:0.1", [])],
+                         ids=["no-crossing", "empty"])
+def test_a_sweep_csv_matches_the_retired_row_rule(tmp_path, sweep_rows, capsys, span,
+                                                  verdicts):
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(TWO_BUS_CFG + "\n[options]\nscan_fmin_hz = 25\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--converter", "C1", "--quantity", "p",
+                 f"--range={span}"]) == 0
+    assert capsys.readouterr().out == _reference_rows(["value", "D_net1", "f_c1", "verdict"],
+                                                      sweep_rows)
+    assert [row[3] for row in sweep_rows] == verdicts

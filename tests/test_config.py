@@ -76,6 +76,20 @@ def test_a_case_that_lacks_a_converter_is_case_incomplete():
         assert "ES1" in str(exc_info.value)
 
 
+@pytest.mark.parametrize("setpoint", [PowerSetpoint("a", 0.0), PowerSetpoint("0.5", 0.0),
+                                      PowerSetpoint(True, 0.0), PowerSetpoint(0.5, 1j),
+                                      PowerSetpoint(0.5, None)],
+                         ids=["text", "numeric-text", "bool", "complex", "none"])
+@pytest.mark.parametrize("path", [None, STATION_CFG_PATH], ids=["two_bus", "station"])
+def test_a_setpoint_that_is_not_a_real_number_is_op_invalid(path, setpoint):
+    spec = load_system_spec(path) if path else parse_system_spec(TWO_BUS_CFG)
+    spec = spec.with_case("x", {spec.converter_names[-1]: setpoint})
+    for call in (lambda: spec.case_injections("x"), lambda: run_analysis(spec, "x")):
+        with pytest.raises(SyncstabError) as exc_info:
+            call()
+        assert exc_info.value.code == "OP_INVALID"
+
+
 def test_omitted_converter_in_case_defaults_to_zero():
     text = TWO_BUS_CFG.replace(
         "C1 bus1 6.5 15782",

@@ -15,6 +15,7 @@ Independent oracles used here:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import tracemalloc
 import warnings
 from unittest import mock
@@ -35,9 +36,11 @@ from syncstab.frequency_response import (OVERLAP_THRESHOLD, OperatingPoint,
                                          resolve_pll_gains, sym_parts,
                                          trace_curves)
 from syncstab.modal import (_weights, adjustment_compare, finite_difference_check,
-                            modal_weights)
+                            modal_weights, modal_weights_from_report)
 from syncstab.network import ReducedNetwork, build_reduced_network
 from syncstab.pipeline import operating_point, run_analysis
+from syncstab.powerflow import solve_steady_state
+from syncstab.stability import assess
 from syncstab.statespace import assemble_state_space
 
 from conftest import (KI, KP, STATION_CFG_PATH, TWO_BUS_CFG, grouped_grid_spec,
@@ -174,6 +177,24 @@ def test_resolve_pll_gains_identical_and_forced():
 def test_operating_point_rejects_bad_values_with_code(p, q, u):
     with pytest.raises(AnalysisError) as exc:
         OperatingPoint(np.array(p), np.array(q), np.array(u))
+    assert exc.value.code == "OP_INVALID"
+
+
+# values that are not real numbers are refused, not cast: numeric text and
+# bools too, also beside floats in one list
+@pytest.mark.parametrize("p, q, u", [
+    ([1 + 1j], [0.0], [1.0]),
+    (["a"], [0.0], [1.0]),
+    (["0.5"], [0.0], [1.0]),
+    ([True], [0.0], [1.0]),
+    ([0.5], [0.0], [np.complex128(1.0)]),
+    ([0.5, True], [0.0, 0.0], [1.0, 1.0]),
+    ([0.5, 0.1], [0.0, 0.0], np.array([1.0, 1.0], dtype=object)),
+], ids=["complex-p", "text-p", "numeric-text-p", "bool-p", "complex-u",
+        "bool-beside-float", "object-u"])
+def test_an_operating_point_that_is_not_real_numbers_is_op_invalid(p, q, u):
+    with pytest.raises(AnalysisError) as exc:
+        OperatingPoint(p, q, u)
     assert exc.value.code == "OP_INVALID"
 
 
@@ -1023,3 +1044,45 @@ def test_modal_weights_at_any_omega_raises_only_coded_errors(omega, p, q):
                                                      omega, W0))
     if weights is not None:
         assert np.isfinite(weights.eta).all()
+
+
+@functools.cache
+def _coarse_plant(name):
+    """The station or a grouped n = 20 grid, scanned at 60 points."""
+    spec = load_system_spec(STATION_CFG_PATH) if name == "station" else grouped_grid_spec(0)
+    return dataclasses.replace(spec, options=dataclasses.replace(spec.options, scan_points=60))
+
+
+_INDUCTANCES = (st.floats(0.01, 0.1) | st.sampled_from(_EXTREMES) | st.floats()
+                | st.sampled_from([-0.05, 1e-320, 1e-308, "a", "0.05", None, 1j, True]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(plant=st.sampled_from(["station", "grouped"]), data=st.data(), flat=st.booleans(),
+       tol=st.floats(1e-9, 1.0) | _NUMBERS)
+def test_a_multi_converter_plant_built_in_code_raises_only_coded_errors(plant, data, flat,
+                                                                        tol):
+    # each layer called directly, on branches, setpoints and a tolerance set in code
+    spec = _coarse_plant(plant)
+    branches = list(spec.branches)
+    for k, value in data.draw(st.lists(st.tuples(st.integers(0, len(branches) - 1),
+                                                 _INDUCTANCES), max_size=3)):
+        branches[k] = dataclasses.replace(branches[k], inductance_pu=value)
+    p, q = spec.case_injections()
+    for k, p_k, q_k in data.draw(st.lists(st.tuples(st.integers(0, len(p) - 1), _POWERS,
+                                                    _POWERS), max_size=3)):
+        p[k], q[k] = p_k, q_k
+    spec = dataclasses.replace(spec, branches=tuple(branches),
+                               options=dataclasses.replace(spec.options, root_tol_hz=tol))
+    net = _coded_or_result(lambda: build_reduced_network(spec))
+    steady = _coded_or_result(lambda: solve_steady_state(spec, p, q, flat_voltage=flat))
+    if net is None or steady is None:
+        return
+    op = _coded_or_result(lambda: OperatingPoint(p, q, steady.u_pu))
+    curves = op and _coded_or_result(lambda: trace_curves(spec, net, op))
+    report = curves and _coded_or_result(lambda: assess(spec, curves))
+    if report is not None and report.critical is not None:
+        assert np.isfinite(report.margin)
+        weights = _coded_or_result(
+            lambda: modal_weights_from_report(net, op, report, spec.omega0))
+        assert weights is None or np.isfinite(weights.eta).all()

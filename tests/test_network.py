@@ -6,15 +6,18 @@ Schur complement over interior nodes.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncstab.config import parse_system_spec
+from syncstab.config import load_system_spec, parse_system_spec
 from syncstab.errors import NetworkError
 from syncstab.network import (ReducedNetwork, assemble_laplacian,
                               build_reduced_network, kron_reduce)
+from syncstab.powerflow import solve_steady_state
 
 from conftest import TWO_BUS_CFG
 
@@ -195,3 +198,36 @@ def test_station_network_shape(station_path):
     # the four on the same collector
     assert b[0, 0] == pytest.approx(b[1, 1], rel=1e-12)
     assert b[0, 0] == pytest.approx(b[3, 3], rel=1e-12)
+
+
+def _with_inductance(spec, value, branch=0):
+    branches = list(spec.branches)
+    branches[branch] = replace(branches[branch], inductance_pu=value)
+    return replace(spec, branches=tuple(branches))
+
+
+# a spec built in code never meets validate, so the Laplacian checks each
+# branch itself: 1e-320 has no finite inverse
+@pytest.mark.parametrize("value", [0.0, np.nan, "a", 1e-320, -0.05, np.inf, None, 1j, True,
+                                   [0.05]])
+@pytest.mark.parametrize("call", ["build_reduced_network", "solve_steady_state"])
+def test_a_branch_inductance_without_a_finite_positive_inverse_is_coded(station_path, call,
+                                                                        value):
+    spec = _with_inductance(load_system_spec(station_path), value)
+    p, q = spec.case_injections("heavy")
+    run = {"build_reduced_network": lambda: build_reduced_network(spec),
+           "solve_steady_state": lambda: solve_steady_state(spec, p, q, flat_voltage=False)}
+    with pytest.raises(NetworkError) as exc:
+        run[call]()
+    assert exc.value.code == "BRANCH_NONPOSITIVE_L"
+
+
+def test_susceptances_that_add_up_past_the_float_range_are_not_finite(station_path):
+    # es1-c7 and wtg1-c7 at 1e-308 each: 1e308 + 1e308 at c7 overflows
+    spec = _with_inductance(_with_inductance(load_system_spec(station_path), 1e-308), 1e-308, 1)
+    p, q = spec.case_injections("heavy")
+    for call in (lambda: build_reduced_network(spec),
+                 lambda: solve_steady_state(spec, p, q, flat_voltage=False)):
+        with pytest.raises(NetworkError) as exc:
+            call()
+        assert exc.value.code == "NOT_FINITE"

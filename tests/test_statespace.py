@@ -25,9 +25,9 @@ from syncstab.errors import AnalysisError
 from syncstab.frequency_response import OperatingPoint, trace_curves
 from syncstab.network import ReducedNetwork, build_reduced_network
 from syncstab.pipeline import run_analysis, run_oracle
-from syncstab.stability import assess
-from syncstab.statespace import (AnglePulse, assemble_state_space, crosscheck,
-                                 modes, simulate)
+from syncstab.stability import CriticalPoint, StabilityReport, assess
+from syncstab.statespace import (AnglePulse, CrossCheck, DominantMode, ModeSet,
+                                 assemble_state_space, crosscheck, modes, simulate)
 
 from conftest import (KI, KP, TWO_BUS_CFG, random_operating_point,
                       random_pd_network)
@@ -198,6 +198,35 @@ def test_crosscheck_agree_disagree_skip(station_path):
     assert chk.status == "SKIPPED"
 
 
+def _report(verdict, margin, f_c1):
+    critical = None if f_c1 is None else CriticalPoint(
+        subsystem=0, omega_c1=2 * np.pi * f_c1, f_c1=f_c1, d_net1=0.0,
+        d_con_at_c1=margin, margin=margin, lam1=0j, phi=np.ones(1))
+    return StabilityReport(verdict, margin, critical, ())
+
+
+def _modeset(sigma, f_hz):
+    if sigma is None:
+        return ModeSet(np.array([-1.0, -2.0]), None, note="NO_OSC_MODE")
+    lam = complex(sigma, 2 * np.pi * f_hz)
+    return ModeSet(np.array([lam, lam.conjugate()]),
+                   DominantMode(sigma, f_hz, -sigma / abs(lam)))
+
+
+@pytest.mark.parametrize("report, modeset, expect", [
+    (_report("Stable", 0.1, 20.0), _modeset(None, None),
+     CrossCheck("SKIPPED", None, "oracle found no oscillatory mode")),
+    (_report("NoCrossing", None, None), _modeset(-0.5, 20.0),
+     CrossCheck("SKIPPED", None, "criterion had no crossing")),
+    (_report("Marginal", 5e-4, 20.0), _modeset(0.1, 20.5),
+     CrossCheck("SKIPPED", 0.5, "margin inside the marginal band")),
+    (_report("Stable", 0.1, 20.0), _modeset(-0.5, 20.25), CrossCheck("AGREE", 0.25, "")),
+    (_report("Unstable", -0.1, 20.0), _modeset(-0.5, 19.5), CrossCheck("DISAGREE", 0.5, "")),
+], ids=["no-oscillatory-mode", "no-crossing", "marginal-band", "agree", "disagree"])
+def test_crosscheck_gives_status_frequency_deviation_and_reason(report, modeset, expect):
+    assert crosscheck(report, modeset) == expect
+
+
 def _station_with_wtg3_gains(station_path, kp):
     with open(station_path, encoding="utf-8") as fh:
         return parse_system_spec(fh.read().replace("WTG3 wtg3 6.5 15782",
@@ -317,6 +346,14 @@ def test_simulate_rejects_bad_step_or_duration(dt, duration):
 @pytest.mark.parametrize("field", ["start_s", "width_s", "amplitude_rad"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_pulse_rejects_non_finite_fields(field, value):
+    with pytest.raises(AnalysisError) as exc:
+        AnglePulse(**{field: value})
+    assert exc.value.code == "SIM_PARAMS_INVALID"
+
+
+@pytest.mark.parametrize("field", ["start_s", "width_s", "amplitude_rad"])
+@pytest.mark.parametrize("value", ["a", "0.5", None, 1j, True, [0.1]])
+def test_pulse_rejects_fields_that_are_not_real_numbers(field, value):
     with pytest.raises(AnalysisError) as exc:
         AnglePulse(**{field: value})
     assert exc.value.code == "SIM_PARAMS_INVALID"

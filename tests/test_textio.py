@@ -1,8 +1,9 @@
-"""Numeric CSV writing: the block writer against the row-by-row g12 writer.
+"""CSV writing: the one block writer against the retired per-cell rule.
 
-The reference below is the writer the large tables used before
-``write_table``: one ``g12`` call per cell, one line per row.  Every table
-``write_table`` produces must match it byte for byte.
+The reference below is the rule every CSV was written by before
+``write_table``: one line per row, text cells as they are and every other
+cell through ``g12``.  Every table ``write_table`` produces must match it
+byte for byte.
 """
 from __future__ import annotations
 
@@ -26,9 +27,11 @@ SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.22507385850720
 
 
 def _reference_rows(header, rows) -> str:
-    """The row-by-row writer: every cell through ``g12``."""
+    """The row-by-row writer: text passes through, every other cell goes
+    through ``g12``."""
     lines = [",".join(header)]
-    lines += [",".join(g12(cell) for cell in row) for row in rows]
+    lines += [",".join(cell if isinstance(cell, str) else g12(cell) for cell in row)
+              for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -49,12 +52,18 @@ def _special_values(rng, size):
                                   2 * textio._BLOCK_ROWS + 3])
 def test_write_table_matches_the_g12_rows(rows):
     rng = np.random.default_rng(rows)
+    names = [f"C{k}" for k in range(rows)]                 # a sequence of str
     a = _special_values(rng, rows)
     b = _special_values(rng, (rows, 3))
     c = np.round(rng.normal(size=(rows, 2)) * 1e4)     # integral floats
-    header = ["a", "b1", "b2", "b3", "c1", "c2"]
-    expect = _reference_rows(header, ([a[k], *b[k], *c[k]] for k in range(rows)))
-    assert _table(header, [a, b, c]) == expect
+    verdicts = np.array(["Stable", "Error[PF_DIVERGED]", "nan", "1e5"])[
+        rng.integers(0, 4, size=rows)]                      # a U array
+    flags = rng.uniform(size=rows) < 0.5                    # renders 1 or 0
+    header = ["name", "a", "b1", "b2", "b3", "c1", "c2", "verdict", "flag"]
+    expect = _reference_rows(header, ([names[k], a[k], *b[k], *c[k], verdicts[k], flags[k]]
+                                      for k in range(rows)))
+    assert _table(header, [names, a, b, c, verdicts, flags]) == expect
+    assert all(line.split(",")[8] in ("0", "1") for line in expect.splitlines()[1:])
 
 
 def test_percent_g_equals_format_g12():
