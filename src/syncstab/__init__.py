@@ -24,12 +24,12 @@ from .errors import (AnalysisError, ConfigSyntaxError, NetworkError,
                      PowerFlowError, SpecValidationError, SyncstabError,
                      Violation)
 from .frequency_response import (OperatingPoint, SubsystemCurves, build_gnet,
-                                 build_gnet_sym, gamma, trace_curves)
+                                 build_gnet_sym, crossing_window, gamma, trace_curves)
 from .modal import (AdjustmentResult, FDCheck, ModalWeights, Sensitivities,
                     adjustment_compare, finite_difference_check, modal_weights,
                     modal_weights_from_report, sensitivities)
 from .network import ReducedNetwork, assemble_laplacian, build_reduced_network, kron_reduce
-from .pipeline import AnalysisResult, operating_point, run_analysis, run_oracle
+from .pipeline import AnalysisResult, assess_point, operating_point, run_analysis, run_oracle
 from .powerflow import SteadyState, solve_steady_state
 from .stability import (MARGINAL_BAND, CriticalPoint, Crossing,
                         StabilityReport, SubsystemAssessment, assess,
@@ -53,7 +53,7 @@ __all__ = [
     "SteadyState", "solve_steady_state",
     # frequency response
     "OperatingPoint", "SubsystemCurves", "gamma", "build_gnet", "build_gnet_sym",
-    "trace_curves",
+    "trace_curves", "crossing_window",
     # stability
     "MARGINAL_BAND", "Crossing", "SubsystemAssessment", "CriticalPoint",
     "StabilityReport", "find_crossings", "assess",
@@ -65,5 +65,5 @@ __all__ = [
     "StateSpace", "DominantMode", "ModeSet", "AnglePulse", "SimResult",
     "CrossCheck", "assemble_state_space", "modes", "simulate", "crosscheck",
     # pipeline
-    "AnalysisResult", "operating_point", "run_analysis", "run_oracle",
+    "AnalysisResult", "operating_point", "run_analysis", "assess_point", "run_oracle",
 ]

@@ -23,9 +23,7 @@ and simulate return 0 on success.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
-import signal
 import sys
 import time
 from decimal import Decimal
@@ -41,15 +39,16 @@ from .errors import SyncstabError
 from .frequency_response import OperatingPoint, per_converter_gamma, trace_curves, write_curves_csv
 from .modal import adjustment_compare, modal_weights_from_report, sensitivities, write_sensitivity_csv
 from .network import ReducedNetwork, build_reduced_network
-from .pipeline import AnalysisResult, operating_point, oracle_model, run_analysis, run_oracle
+from .pipeline import (AnalysisResult, assess_point, operating_point, oracle_model, run_analysis,
+                       run_oracle)
 from .powerflow import solve_steady_state
-from .stability import MARGINAL, NO_CROSSING, STABLE, UNSTABLE, assess
+from .stability import MARGINAL, NO_CROSSING, STABLE, UNSTABLE
 from .statespace import AnglePulse, modes, simulate, write_modes_csv, write_timeseries_csv
 from .textio import KVWriter, g12, write_table
 
 _EXIT = {STABLE: 0, UNSTABLE: 2, MARGINAL: 3, NO_CROSSING: 3}
 
-MAX_SWEEP_POINTS = 100_000     # ~70 ms per point: about 2 h on one CPU, 2/k h on k
+MAX_SWEEP_POINTS = 100_000     # ~10 ms per station point: about 17 min
 _MIN_EXP, _MAX_EXP = sys.float_info.min_10_exp, sys.float_info.max_10_exp
 
 # flags every command takes
@@ -281,39 +280,14 @@ def _sweep_row(args, spec: SystemSpec, net: ReducedNetwork, p0: np.ndarray,
     (p if args.quantity == "p" else q)[spec.converter_names.index(args.converter)] = value
     try:
         steady = solve_steady_state(spec, p, q, flat_voltage=args.flat_voltage)
-        curves = trace_curves(spec, net, OperatingPoint(p, q, steady.u_pu),
+        report = assess_point(spec, net, OperatingPoint(p, q, steady.u_pu),
                               force_first_pll=args.force_first_pll)
-        report = assess(spec, curves)
     except SyncstabError as exc:
         return value, float("nan"), float("nan"), f"Error[{exc.code}]"
     critical = report.critical
     if critical is None:
         return value, float("nan"), float("nan"), report.verdict
     return value, critical.d_net1, critical.f_c1, report.verdict
-
-
-def _available_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _sweep_rows(row, values: list[float]) -> list[tuple]:
-    """``row`` mapped over ``values`` in order, one forked worker per available
-    CPU up to one per value; in this process when one worker would run or the
-    platform cannot fork.  Every worker has exited when this returns."""
-    workers = min(len(values), _available_cpus())
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return list(map(row, values))
-    # fork, not spawn: a spawned worker starts a fresh interpreter and imports
-    # NumPy and syncstab, which takes as long as about three station points.
-    # Workers ignore Ctrl-C; the parent's KeyboardInterrupt leaves the with
-    # block, whose terminate() stops and joins them.
-    with multiprocessing.get_context("fork").Pool(
-            workers, initializer=signal.signal,
-            initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-        return pool.map(row, values, chunksize=1)
 
 
 def _cmd_sweep(args, spec: SystemSpec, out: _Outputs) -> int:
@@ -323,7 +297,7 @@ def _cmd_sweep(args, spec: SystemSpec, out: _Outputs) -> int:
     values = _parse_range(args.range)
     net = build_reduced_network(spec)
     p0, q0 = spec.case_injections(args.case)
-    rows = _sweep_rows(partial(_sweep_row, args, spec, net, p0, q0), values)
+    rows = [_sweep_row(args, spec, net, p0, q0, value) for value in values]
     # the rows transposed; an empty range writes the header alone
     out.emit("sweep.csv", partial(write_table, header=["value", "D_net1", "f_c1", "verdict"],
                                   columns=list(zip(*rows)) or [()] * 4))
@@ -331,18 +305,18 @@ def _cmd_sweep(args, spec: SystemSpec, out: _Outputs) -> int:
 
 
 def _cmd_sensitivity(args, spec: SystemSpec, out: _Outputs) -> int:
-    result = run_analysis(spec, args.case, flat_voltage=args.flat_voltage,
-                          force_first_pll=args.force_first_pll)
-    if result.report.critical is None:
+    net = build_reduced_network(spec)
+    _case, _steady, op = operating_point(spec, args.case, flat_voltage=args.flat_voltage)
+    report = assess_point(spec, net, op, force_first_pll=args.force_first_pll)
+    if report.critical is None:
         sys.stderr.write("syncstab: no crossing in the scan band; "
                          "no weights to report\n")
-        return _EXIT[result.report.verdict]
-    weights = modal_weights_from_report(result.net, result.op, result.report,
-                                        spec.omega0)
+        return _EXIT[report.verdict]
+    weights = modal_weights_from_report(net, op, report, spec.omega0)
     sens = sensitivities(weights)
     out.emit("sensitivity.csv", partial(write_sensitivity_csv, weights, sens,
                                         spec.converter_names, eta_complex=args.eta_complex))
-    return _EXIT[result.report.verdict]
+    return _EXIT[report.verdict]
 
 
 def _parse_assignments(chunks: list[str], spec: SystemSpec) -> dict[str, float]:

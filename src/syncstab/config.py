@@ -78,6 +78,12 @@ def _real(values) -> np.ndarray | None:
     return array.astype(float, copy=False)
 
 
+def _number(value) -> float | None:
+    """``value`` as a float; None unless it is one real number (see :func:`_real`)."""
+    array = _real(value)
+    return None if array is None or array.ndim else float(array)
+
+
 # --------------------------------------------------------------------------
 # data model
 # --------------------------------------------------------------------------
@@ -394,8 +400,18 @@ def load_system_spec(path: str) -> SystemSpec:
 # validation
 # --------------------------------------------------------------------------
 
+def _positive(value) -> bool:
+    """Whether ``value`` is a real number > 0 (not text or a bool)."""
+    number = _number(value)
+    return number is not None and number > 0
+
+
 def validate(spec: SystemSpec) -> list[Violation]:
-    """Collect every semantic problem with ``spec`` (empty list = valid)."""
+    """Collect every semantic problem with ``spec`` (empty list = valid).
+
+    A field that is not a real number (text or a bool, in a spec built in
+    code) is a violation of its range check, not a ``TypeError``.
+    """
     out: list[Violation] = []
     node_set = set(spec.nodes)
 
@@ -403,7 +419,7 @@ def validate(spec: SystemSpec) -> list[Violation]:
         dupes = sorted({n for n in spec.nodes if spec.nodes.count(n) > 1})
         out.append(Violation("NODE_DUPLICATE", f"node(s) declared twice: {', '.join(dupes)}"))
 
-    if spec.rated_frequency_hz <= 0:
+    if not _positive(spec.rated_frequency_hz):
         out.append(Violation("RATED_FREQ_NONPOSITIVE",
                              f"rated_frequency_hz must be > 0, got {spec.rated_frequency_hz}"))
 
@@ -414,7 +430,7 @@ def validate(spec: SystemSpec) -> list[Violation]:
         if b.from_node == b.to_node:
             out.append(Violation("BRANCH_SELF_LOOP",
                                  f"branch {b.from_node}-{b.to_node} is a self loop"))
-        if not (b.inductance_pu > 0):
+        if not _positive(b.inductance_pu):
             out.append(Violation("BRANCH_NONPOSITIVE_L",
                                  f"branch {b.from_node}-{b.to_node} has inductance "
                                  f"{b.inductance_pu} (must be > 0)"))
@@ -444,7 +460,7 @@ def validate(spec: SystemSpec) -> list[Violation]:
                                  f"converters {used_nodes[c.node]!r} and {c.name!r} share "
                                  f"node {c.node!r}"))
         used_nodes.setdefault(c.node, c.name)
-        if not (c.pll_kp > 0) or not (c.pll_ki > 0):
+        if not _positive(c.pll_kp) or not _positive(c.pll_ki):
             out.append(Violation("PLL_GAIN_NONPOSITIVE",
                                  f"converter {c.name!r} has non-positive PLL gain(s) "
                                  f"kp={c.pll_kp}, ki={c.pll_ki}"))
@@ -468,21 +484,24 @@ def validate(spec: SystemSpec) -> list[Violation]:
                                  f"node(s) not connected to the slack: {', '.join(stranded)}"))
 
     opt = spec.options
-    if not (0 < opt.scan_fmin_hz < opt.scan_fmax_hz):
+    fmin, fmax = _number(opt.scan_fmin_hz), _number(opt.scan_fmax_hz)
+    if fmin is None or fmax is None or not 0 < fmin < fmax:
         out.append(Violation("SCAN_RANGE_INVALID",
                              f"need 0 < scan_fmin_hz < scan_fmax_hz, got "
                              f"[{opt.scan_fmin_hz}, {opt.scan_fmax_hz}]"))
-    if not 2 <= opt.scan_points <= MAX_SCAN_POINTS:
+    points = _number(opt.scan_points)
+    if points is None or not 2 <= points <= MAX_SCAN_POINTS:
         out.append(Violation("SCAN_POINTS_INVALID", f"scan_points must be in "
                              f"2..{MAX_SCAN_POINTS}, got {opt.scan_points}"))
-    if not (opt.root_tol_hz > 0):
+    if not _positive(opt.root_tol_hz):
         out.append(Violation("ROOT_TOL_INVALID",
                              f"root_tol_hz must be > 0, got {opt.root_tol_hz}"))
-    if not (opt.sim_dt_s > 0) or not (opt.sim_duration_s > opt.sim_dt_s):
+    dt, duration = _number(opt.sim_dt_s), _number(opt.sim_duration_s)
+    if dt is None or duration is None or not 0 < dt < duration:
         out.append(Violation("SIM_PARAMS_INVALID",
                              f"need 0 < sim_dt_s < sim_duration_s, got "
                              f"dt={opt.sim_dt_s}, duration={opt.sim_duration_s}"))
-    elif opt.sim_duration_s / opt.sim_dt_s > MAX_SIM_STEPS:
+    elif duration / dt > MAX_SIM_STEPS:
         out.append(Violation("SIM_PARAMS_INVALID",
                              f"sim_duration_s/sim_dt_s may not exceed {MAX_SIM_STEPS} "
                              f"steps, got dt={opt.sim_dt_s}, duration={opt.sim_duration_s}"))

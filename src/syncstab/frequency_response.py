@@ -25,14 +25,34 @@ g×g quotient on the class sums and, per difference vector d, the exact
 eigenvalue −dᵀS_P·d + j·(ω0/ω)·dᵀS_Q·d.  Only the quotient is solved, and
 the scan matches in the sums basis; without interchangeable converters the
 classes are n singletons, whose quotient is G′_net itself.
+
+:func:`crossing_window` certifies where on the scan grid a crossing can lie.
+For a unit eigenvector φ, Im λ_i = (ω0/ω)·φ*S_Qφ lies in (ω0/ω)·[λmin(S_Q),
+λmax(S_Q)] (Bendixson), so K_con + K_neti can only vanish where h(ω) =
+−K_con(ω)·ω/ω0 is in that range; a computed eigenvalue is off by at most
+zgeev's backward error, for which the range is padded.  The window is the
+slice of the grid over every cell whose [h_k, h_{k+1}] meets the padded
+range; outside it every branch's K_con + K_neti keeps one sign, so the full
+scan has no sign change and no exact zero there.  Branch matching between two
+points depends on those points only (up to exact overlap ties), so a trace of
+the window finds the same crossings, bisected the same way, as the full
+scan.  ``sweep``, ``adjust``, ``sensitivity`` and the finite-difference
+check, which read only the critical crossing, trace the window
+(:func:`~syncstab.pipeline.assess_point`); ``analyze``, ``curves`` and
+``run_analysis`` trace the full grid.  The certificate holds for this loop:
+a complex-symmetric G′ with real symmetric S_P and S_Q, and K_con from one
+``u_ref``.  A loop with per-converter U or gains must re-derive or widen the
+window; the containment tests in ``tests/test_frequency_response.py`` fail
+if it does not.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import MAX_SCAN_POINTS, SystemSpec, _real
+from .config import MAX_SCAN_POINTS, SystemSpec, _number, _real
 from .errors import AnalysisError
 from .network import ReducedNetwork
 from .textio import write_table
@@ -46,6 +66,7 @@ __all__ = [
     "sym_parts",
     "resolve_pll_gains",
     "trace_curves",
+    "crossing_window",
     "per_converter_gamma",
     "write_curves_csv",
 ]
@@ -63,6 +84,9 @@ _BLOCK_ENTRIES = 400
 # the largest ω0/ω, and entry of (ω0/ω)·S_Q, at which the loop is evaluated:
 # sums of a few such terms stay below the float range
 _LOOP_MAX = 1e300
+# the crossing window's pad, relative to ‖S_P‖·ω/ω0 + ‖S_Q‖: far above
+# zgeev's backward error of a few n·ε
+_WINDOW_PAD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -148,7 +172,7 @@ def gamma(omega, u: float, kp: float, ki: float, omega0: float):
         value = omega0 * (jw / g_pll + u) / (jw * u)
     if not np.isfinite(value).all():
         raise AnalysisError("gamma overflows at this omega", code="DEGENERATE_FREQ")
-    return complex(value) if np.isscalar(omega) else value
+    return complex(value) if value.ndim == 0 else value
 
 
 def sym_parts(net: ReducedNetwork, op: OperatingPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -412,31 +436,16 @@ def _strict_bests(overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return overlap.argmax(axis=2), top, settled
 
 
-def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
-                 grid_hz: np.ndarray | None = None, *,
-                 force_first_pll: bool = False) -> SubsystemCurves:
-    """Eigendecompose G′_net over a frequency grid with branch tracking.
+def _scan_grid(spec: SystemSpec, grid_hz=None) -> np.ndarray:
+    """``grid_hz`` checked, or the spec's scan grid when it is None.
 
-    ``grid_hz`` defaults to the spec's scan options.  Either may hold at
-    most ``MAX_SCAN_POINTS`` points; a longer one, or a ``scan_points`` that
-    is not an integer, raises ``AnalysisError`` (SCAN_POINTS_INVALID or
-    GRID_INVALID) before the scan allocates.  The initial branch order
-    (lowest frequency) is ascending (Re λ, Im λ) over all n branches;
-    subsequent points are matched by maximal eigenvector overlap.  Overlap
-    below ``OVERLAP_THRESHOLD`` records a (grid index, branch) entry in
-    ``branch_jumps`` — a warning, not an error.
-
-    Every point has its own eigensolve; the points are matched a block at a
-    time, a block holding about ``_BLOCK_ENTRIES`` eigenvector entries.  One
-    batched product gives the overlaps of each point's eigenvectors with
-    the point before's (the last of the previous block carried over).  A
-    point whose row-wise best overlaps are distinct strict maxima takes
-    them (:func:`_strict_bests`); any other point takes
-    :func:`_match_branches`.  The result is that of matching point by point.
-
-    Only the g quotient branches are solved and matched, in the orthonormal
-    sums basis, which keeps the lifted eigenvectors' overlaps.  A difference
-    branch keeps its Helmert vector and closed-form eigenvalue throughout.
+    The spec's grid needs an integer ``scan_points`` in 2..``MAX_SCAN_POINTS``
+    (SCAN_POINTS_INVALID), real-number scan limits (SCAN_RANGE_INVALID), a
+    real-number ``root_tol_hz`` (ROOT_TOL_INVALID) and a bool
+    ``flat_voltage`` (FLAT_VOLTAGE_INVALID): options built in code may hold
+    text or bools.  Either grid must be a row of 2..``MAX_SCAN_POINTS``
+    finite, positive, ascending real numbers (GRID_INVALID).  Nothing is
+    allocated before the counts are checked.
     """
     if grid_hz is None:
         opt = spec.options
@@ -444,6 +453,16 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
         if not _is_int(points) or not 2 <= points <= MAX_SCAN_POINTS:
             raise AnalysisError(f"scan_points must be an integer in 2..{MAX_SCAN_POINTS}, "
                                 f"got {points!r}", code="SCAN_POINTS_INVALID")
+        if _number(opt.scan_fmin_hz) is None or _number(opt.scan_fmax_hz) is None:
+            raise AnalysisError(f"scan_fmin_hz and scan_fmax_hz must be real numbers, got "
+                                f"{opt.scan_fmin_hz!r} and {opt.scan_fmax_hz!r}",
+                                code="SCAN_RANGE_INVALID")
+        if _number(opt.root_tol_hz) is None:
+            raise AnalysisError(f"root_tol_hz must be a real number, got {opt.root_tol_hz!r}",
+                                code="ROOT_TOL_INVALID")
+        if not isinstance(opt.flat_voltage, (bool, np.bool_)):
+            raise AnalysisError(f"flat_voltage must be a bool, got {opt.flat_voltage!r}",
+                                code="FLAT_VOLTAGE_INVALID")
         with np.errstate(over="ignore", invalid="ignore"):   # a non-finite grid is refused below
             grid_hz = np.linspace(opt.scan_fmin_hz, opt.scan_fmax_hz, points)
     grid_hz = _real(grid_hz)
@@ -457,19 +476,102 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     if np.any(grid_hz <= 0) or np.any(np.diff(grid_hz) <= 0):
         raise AnalysisError("frequency grid must be positive and ascending",
                             code="GRID_INVALID")
+    return grid_hz
 
+
+class _Loop(NamedTuple):
+    """What a trace over ``omega`` needs before its first eigensolve."""
+
+    kp: float
+    ki: float
+    warnings: list[str]
+    omega: np.ndarray         # (m,) rad/s
+    u_ref: float
+    gamma: np.ndarray         # (m,) Γ(jω) at u_ref
+    s_p: np.ndarray
+    s_q: np.ndarray
+    sym: _Symmetry
+
+
+def _loop(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint, grid_hz: np.ndarray,
+          force_first_pll: bool) -> _Loop:
+    """The loop's pieces over a checked ``grid_hz``, with their errors in this
+    order: :func:`resolve_pll_gains`, :func:`gamma` at every point,
+    :func:`sym_parts`, and the scale of the loop at the grid's lowest point."""
     kp, ki, warnings = resolve_pll_gains(spec, force_first_pll=force_first_pll)
     omega0 = spec.omega0
     with np.errstate(over="ignore"):       # gamma refuses an ω that overflows
-        omega_grid = 2.0 * np.pi * grid_hz
+        omega = 2.0 * np.pi * grid_hz
     u_ref = float(np.mean(op.u_pu))
-
-    gamma_vals = gamma(omega_grid, u_ref, kp, ki, omega0)
-
-    n, m = op.n, len(grid_hz)
+    gamma_vals = gamma(omega, u_ref, kp, ki, omega0)
     s_p, s_q = sym_parts(net, op)
     sym = _symmetry(_classes(net, op), s_p, s_q)
-    sym.require_scale(omega0, omega_grid[0])
+    sym.require_scale(omega0, omega[0])
+    return _Loop(kp, ki, warnings, omega, u_ref, gamma_vals, s_p, s_q, sym)
+
+
+def crossing_window(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint, *,
+                    force_first_pll: bool = False) -> np.ndarray:
+    """The slice of the spec's scan grid outside which no crossing can lie.
+
+    Every sign change and exact zero of K_con + K_neti that
+    :func:`trace_curves` finds on the spec's grid lies in the returned
+    ``grid_hz[a:b + 1]`` (the grid's own floats); it is empty when no
+    crossing can occur.  h_k = −K_con(ω_k)·ω_k/ω0 is taken from the trace's
+    own Γ over the full grid and compared with [λmin(S_Q), λmax(S_Q)],
+    padded by ``_WINDOW_PAD``·(‖S_P‖·ω_max/ω0 + ‖S_Q‖) for the eigensolver's
+    backward error; a cell is kept when [h_k, h_{k+1}] meets the padded
+    range, and the slice runs from the first kept cell to the last (h is
+    strictly decreasing for kp, ki > 0, so they are contiguous).  Raises the
+    coded errors of :func:`trace_curves` on the spec's grid, in its order,
+    up to its first eigensolve; it solves no eigenproblem of G′_net.
+    """
+    grid_hz = _scan_grid(spec)
+    loop = _loop(spec, net, op, grid_hz, force_first_pll)
+    omega0 = spec.omega0
+    q_min, q_max = np.linalg.eigvalsh(loop.s_q)[[0, -1]]
+    with np.errstate(over="ignore"):       # an infinite h or pad only widens the window
+        pad = _WINDOW_PAD * (np.linalg.norm(loop.s_p) * (loop.omega[-1] / omega0)
+                             + max(-q_min, q_max))
+        h = -loop.gamma.imag * (loop.omega / omega0)
+    lo, hi = np.minimum(h[:-1], h[1:]), np.maximum(h[:-1], h[1:])
+    cells = np.flatnonzero((hi >= q_min - pad) & (lo <= q_max + pad))
+    if not len(cells):
+        return grid_hz[:0]
+    return grid_hz[cells[0]:cells[-1] + 2]
+
+
+def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
+                 grid_hz: np.ndarray | None = None, *,
+                 force_first_pll: bool = False) -> SubsystemCurves:
+    """Eigendecompose G′_net over a frequency grid with branch tracking.
+
+    ``grid_hz`` defaults to the spec's scan options.  Either may hold at
+    most ``MAX_SCAN_POINTS`` points; a longer one, or a ``scan_points`` that
+    is not an integer, raises ``AnalysisError`` (SCAN_POINTS_INVALID or
+    GRID_INVALID) before the scan allocates (see :func:`_scan_grid`).  The
+    initial branch order (lowest frequency) is ascending (Re λ, Im λ) over
+    all n branches; subsequent points are matched by maximal eigenvector
+    overlap.  Overlap below ``OVERLAP_THRESHOLD`` records a (grid index,
+    branch) entry in ``branch_jumps`` — a warning, not an error.
+
+    Every point has its own eigensolve; the points are matched a block at a
+    time, a block holding about ``_BLOCK_ENTRIES`` eigenvector entries.  One
+    batched product gives the overlaps of each point's eigenvectors with
+    the point before's (the last of the previous block carried over).  A
+    point whose row-wise best overlaps are distinct strict maxima takes
+    them (:func:`_strict_bests`); any other point takes
+    :func:`_match_branches`.  The result is that of matching point by point.
+
+    Only the g quotient branches are solved and matched, in the orthonormal
+    sums basis, which keeps the lifted eigenvectors' overlaps.  A difference
+    branch keeps its Helmert vector and closed-form eigenvalue throughout.
+    """
+    grid_hz = _scan_grid(spec, grid_hz)
+    kp, ki, warnings, omega_grid, u_ref, gamma_vals, _s_p, _s_q, sym = _loop(
+        spec, net, op, grid_hz, force_first_pll)
+    omega0 = spec.omega0
+    n, m = op.n, len(grid_hz)
     g = len(sym.classes)                           # columns matched by overlap
     lam = np.empty((n, m), dtype=complex)
     columns = np.empty((m, n), dtype=np.min_scalar_type(n))

@@ -22,9 +22,10 @@ import numpy as np
 from .config import SystemSpec
 from .errors import AnalysisError
 from .frequency_response import (OperatingPoint, _classes, _is_int, _omega, _require_fit,
-                                 _symmetry, sym_parts, trace_curves)
+                                 _symmetry, sym_parts)
 from .network import ReducedNetwork
-from .stability import StabilityReport, assess
+from .pipeline import assess_point
+from .stability import StabilityReport
 from .textio import write_table
 
 __all__ = [
@@ -135,9 +136,8 @@ def sensitivities(weights: ModalWeights) -> Sensitivities:
 
 def _critical(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
               force_first_pll: bool) -> StabilityReport:
-    """Trace and assess one operating point; the report always has a critical crossing."""
-    curves = trace_curves(spec, net, op, force_first_pll=force_first_pll)
-    report = assess(spec, curves)
+    """Assess one operating point; the report always has a critical crossing."""
+    report = assess_point(spec, net, op, force_first_pll=force_first_pll)
     if report.critical is None:
         raise AnalysisError("no crossing found while evaluating the indicator",
                             code="NO_CROSSING")
@@ -180,8 +180,9 @@ def adjustment_compare(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint
     small-perturbation voltage assumption.  So ``p_after`` must hold one
     finite value per converter (``AnalysisError`` OP_INVALID otherwise).
     Each point is assessed at its own critical frequency; either one without
-    a crossing raises NO_CROSSING.  ``force_first_pll`` is passed to
-    :func:`trace_curves`.
+    a crossing raises NO_CROSSING.  Each is traced over its crossing window
+    only (:func:`~syncstab.pipeline.assess_point`); ``force_first_pll`` is
+    passed on.
     """
     op_after = OperatingPoint(p_after, op.q_pu, op.u_pu)
     before = _critical(spec, net, op, force_first_pll)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemSpec
+from .config import SystemSpec, _number
 from .errors import AnalysisError
 from .frequency_response import SubsystemCurves
 
@@ -111,6 +111,15 @@ def _make_crossing(i: int, omega_c: float, g: complex, lam: complex,
         net_damping=g.real + lam.real, lam=lam, phi=phi)
 
 
+def _require_root_tol(root_tol_hz) -> None:
+    """Raise ``AnalysisError`` (ROOT_TOL_INVALID) unless ``root_tol_hz`` is a
+    real number > 0 (text, bools and NaN are refused)."""
+    tol = _number(root_tol_hz)
+    if tol is None or not tol > 0:
+        raise AnalysisError(f"root_tol_hz must be a real number > 0, got {root_tol_hz!r}",
+                            code="ROOT_TOL_INVALID")
+
+
 def find_crossings(curves: SubsystemCurves, i: int,
                    root_tol_hz: float = 1e-4) -> list[Crossing]:
     """All zeros of K_con + K_neti for subsystem i, ascending in frequency.
@@ -118,11 +127,9 @@ def find_crossings(curves: SubsystemCurves, i: int,
     Grid sign changes are refined by bisection to |Δf| ≤ ``root_tol_hz``, or
     to adjacent floats when that is finer; exact zeros at grid points are
     taken as crossings directly.  Raises ``AnalysisError`` (ROOT_TOL_INVALID)
-    unless ``root_tol_hz`` > 0.
+    unless ``root_tol_hz`` is a real number > 0.
     """
-    if not root_tol_hz > 0:
-        raise AnalysisError(f"root_tol_hz must be > 0, got {root_tol_hz}",
-                            code="ROOT_TOL_INVALID")
+    _require_root_tol(root_tol_hz)
     g = curves.k_con + curves.k_net[i]
     zero, neg = g == 0.0, g < 0.0
     # a cell with an exact zero at either end is not a sign change
@@ -153,7 +160,12 @@ def assess(spec: SystemSpec, curves: SubsystemCurves) -> StabilityReport:
     notes = [f"branch overlap below threshold at {len(curves.branch_jumps)} "
              f"grid point(s)"] if curves.branch_jumps else []
     notes.extend(curves.warnings)
+    return _verdict(assessments, notes)
 
+
+def _verdict(assessments: tuple[SubsystemAssessment, ...], notes: list[str]) -> StabilityReport:
+    """The report on ``assessments``: the globally worst crossing, or
+    NoCrossing (with a note appended to ``notes``) when there is none."""
     all_crossings = [c for a in assessments for c in a.crossings]
     if not all_crossings:
         notes.append("NO_CROSSING: K_con + K_neti has no zero in the scan "

@@ -3,17 +3,18 @@ from __future__ import annotations
 
 import gc
 import math
-import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from syncstab import cli, network
+from syncstab import cli, modal, network
 from syncstab.cli import main
 from syncstab.config import load_system_spec
+from syncstab.frequency_response import trace_curves
 from syncstab.modal import modal_weights_from_report, sensitivities
 from syncstab.pipeline import run_analysis, run_oracle
+from syncstab.stability import assess
 
 from conftest import STATION_CFG_PATH, TWO_BUS_CFG
 from test_textio import _reference_rows
@@ -323,92 +324,50 @@ def banded_station(station_cfg, tmp_path):
     return str(path)
 
 
-@pytest.fixture()
-def pools(monkeypatch):
-    """The start method of every pool the sweep asks for."""
-    methods = []
-    get_context = multiprocessing.get_context
-
-    def spied(method=None):
-        methods.append(method)
-        return get_context(method)
-
-    monkeypatch.setattr(multiprocessing, "get_context", spied)
-    return methods
+def _full_grid_assess_point(spec, net, op, *, force_first_pll=False):
+    """The report of one point from a trace of the whole scan grid."""
+    return assess(spec, trace_curves(spec, net, op, force_first_pll=force_first_pll))
 
 
-def _sweep_outputs(argv, out_dir, capsys):
-    """(exit code, stdout, stderr) without --out, then the same with --out and
-    the bytes of sweep.csv; no worker may outlive either run."""
-    runs = []
-    for extra in ([], ["--out", str(out_dir)]):
-        code = main(argv + extra)
-        assert multiprocessing.active_children() == []
-        runs.append((code, *capsys.readouterr()))
-    return runs, (out_dir / "sweep.csv").read_bytes()
+def _outputs(argv, out_dir, capsys):
+    """(exit code, stdout, stderr) of ``argv`` with --out ``out_dir``, and the
+    bytes of every file but the manifest, whose wall time varies."""
+    code = main(argv + ["--out", str(out_dir)])
+    files = {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())
+             if f.name != "manifest.txt"}
+    return code, *capsys.readouterr(), files
 
 
-@pytest.mark.parametrize("quantity", ["p", "q"])
-@pytest.mark.parametrize("voltage, span", [("--flat-voltage", "-1e300:1e300:1e300"),
-                                           ("--no-flat-voltage", "-6:8:2")],
-                         ids=["flat", "solved"])
-def test_parallel_and_serial_sweeps_write_the_same_bytes(banded_station, tmp_path, monkeypatch,
-                                                         capsys, pools, quantity, voltage, span):
-    argv = ["sweep", "--config", banded_station, "--case", "heavy", voltage,
-            "--converter", "ES1", "--quantity", quantity, f"--range={span}"]
-    monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
-    parallel = _sweep_outputs(argv, tmp_path / "parallel", capsys)
-    assert pools == ["fork", "fork"]
-    monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
-    serial = _sweep_outputs(argv, tmp_path / "serial", capsys)
-    assert pools == ["fork", "fork"]
-    assert parallel == serial
-    verdicts = [row.split(",")[3] for row in serial[0][0][1].splitlines()[1:]]
-    assert "NoCrossing" in verdicts
-    assert any(v.startswith("Error[") for v in verdicts)
+@pytest.mark.parametrize("argv", [
+    *(["sweep", "--case", "heavy", voltage, "--converter", "ES1", "--quantity", quantity,
+       f"--range={span}"]
+      for quantity in ("p", "q")
+      for voltage, span in (("--flat-voltage", "-1e300:1e300:1e300"),
+                            ("--no-flat-voltage", "-6:8:2"))),
+    ["sweep", "--case", "peak", "--no-flat-voltage", "--converter", "WTG2", "--quantity", "q",
+     "--range=-0.5:0.5:0.25"],
+    ["adjust", "--case", "heavy", "--set", "ES1=-0.8,ES2=-0.6"],
+    ["adjust", "--case", "peak", "--no-flat-voltage", "--set", "WTG1=0.2"],
+    ["sensitivity", "--case", "light"],
+    ["sensitivity", "--case", "heavy", "--no-flat-voltage", "--eta-complex"],
+], ids=["sweep-p-flat", "sweep-p-solved", "sweep-q-flat", "sweep-q-solved", "sweep-peak",
+        "adjust-heavy", "adjust-peak", "sensitivity", "sensitivity-eta-complex"])
+@pytest.mark.parametrize("banded", [False, True], ids=["band", "banded"])
+def test_the_window_writes_what_the_full_grid_writes(station_cfg, banded_station, tmp_path,
+                                                      monkeypatch, capsys, argv, banded):
+    argv = [argv[0], "--config", banded_station if banded else station_cfg, *argv[1:]]
+    window = _outputs(argv, tmp_path / "window", capsys)
+    monkeypatch.setattr(cli, "assess_point", _full_grid_assess_point)
+    monkeypatch.setattr(modal, "assess_point", _full_grid_assess_point)
+    assert _outputs(argv, tmp_path / "full", capsys) == window
+    if banded and argv[0] == "sweep" and argv[4] == "heavy":
+        rows = window[3]["sweep.csv"].decode().splitlines()[1:]
+        verdicts = [row.split(",")[3] for row in rows]
+        assert "NoCrossing" in verdicts
+        assert any(v.startswith("Error[") for v in verdicts)
 
 
-def test_a_sweep_runs_serially_where_fork_is_unavailable(banded_station, tmp_path,
-                                                         monkeypatch, capsys, pools):
-    argv = ["sweep", "--config", banded_station, "--case", "heavy", "--flat-voltage",
-            "--converter", "ES1", "--quantity", "q", "--range=-1e300:1e300:1e300"]
-    monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
-    forked = _sweep_outputs(argv, tmp_path / "forked", capsys)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert _sweep_outputs(argv, tmp_path / "serial", capsys) == forked
-    assert pools == ["fork", "fork"]
-
-
-@pytest.mark.parametrize("span, rows", [("1:0:0.5", 0), ("0.5:0.5:1", 1)],
-                         ids=["empty", "one-value"])
-def test_an_empty_or_one_value_sweep_starts_no_pool(two_bus_cfg, monkeypatch, capsys, pools,
-                                                    span, rows):
-    monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
-    code = main(["sweep", "--config", two_bus_cfg, "--converter", "C1",
-                 "--quantity", "p", f"--range={span}"])
-    assert code == 0
-    assert len(capsys.readouterr().out.splitlines()) == 1 + rows
-    assert pools == []
-
-
-def test_an_uncoded_error_in_a_worker_reaches_the_caller_and_leaves_no_worker(
-        station_cfg, monkeypatch, pools):
-    def broken(*args, **kwargs):
-        raise ZeroDivisionError("injected into every sweep row")
-
-    monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "trace_curves", broken)
-    with pytest.raises(ZeroDivisionError, match="injected into every sweep row"):
-        main(["sweep", "--config", station_cfg, "--case", "heavy", "--converter", "ES1",
-              "--quantity", "p", "--range=0:0.6:0.1"])
-    assert pools == ["fork"]
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "parallel"])
-def test_a_sweep_whose_power_flow_overflows_prints_no_warning(station_cfg, monkeypatch,
-                                                              capsys, cpus):
-    monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+def test_a_sweep_whose_power_flow_overflows_prints_no_warning(station_cfg, capsys):
     code = main(["sweep", "--config", station_cfg, "--case", "heavy", "--no-flat-voltage",
                  "--converter", "ES1", "--quantity", "p", "--range=-1e300:1e300:1e300"])
     out, err = capsys.readouterr()
@@ -859,10 +818,9 @@ def test_failed_command_with_dump_b_writes_no_file(two_bus_cfg, tmp_path, capsys
 
 @pytest.fixture()
 def sweep_rows(monkeypatch):
-    """The rows a sweep hands its writer, recorded as a serial sweep makes them."""
+    """The rows a sweep hands its writer, recorded as it makes them."""
     rows = []
     sweep_row = cli._sweep_row
-    monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
     monkeypatch.setattr(cli, "_sweep_row", lambda *a: rows.append(sweep_row(*a)) or rows[-1])
     return rows
 

@@ -292,6 +292,37 @@ def test_validate_returns_empty_for_good_spec():
     assert validate(spec) == []
 
 
+def _branch(spec, **change):
+    return replace(spec, branches=(replace(spec.branches[0], **change), *spec.branches[1:]))
+
+
+def _converter(spec, **change):
+    return replace(spec, converters=(replace(spec.converters[0], **change),
+                                     *spec.converters[1:]))
+
+
+def _options(spec, **change):
+    return replace(spec, options=replace(spec.options, **change))
+
+
+@pytest.mark.parametrize("change, code", [
+    (lambda s: replace(s, rated_frequency_hz="a"), "RATED_FREQ_NONPOSITIVE"),
+    (lambda s: replace(s, rated_frequency_hz=True), "RATED_FREQ_NONPOSITIVE"),
+    (lambda s: _branch(s, inductance_pu="a"), "BRANCH_NONPOSITIVE_L"),
+    (lambda s: _branch(s, inductance_pu=None), "BRANCH_NONPOSITIVE_L"),
+    (lambda s: _converter(s, pll_kp="6.5"), "PLL_GAIN_NONPOSITIVE"),
+    (lambda s: _options(s, scan_fmin_hz="1"), "SCAN_RANGE_INVALID"),
+    (lambda s: _options(s, scan_points="1200"), "SCAN_POINTS_INVALID"),
+    (lambda s: _options(s, root_tol_hz="a"), "ROOT_TOL_INVALID"),
+    (lambda s: _options(s, root_tol_hz=True), "ROOT_TOL_INVALID"),
+    (lambda s: _options(s, sim_dt_s="1e-4"), "SIM_PARAMS_INVALID"),
+], ids=["rated-text", "rated-bool", "inductance-text", "inductance-none", "kp-text",
+        "fmin-text", "points-text", "tol-text", "tol-bool", "dt-text"])
+def test_validate_turns_a_field_that_is_not_a_number_into_a_violation(change, code):
+    # a spec built in code may hold any value; validate reports it, not TypeError
+    assert [v.code for v in validate(change(parse_system_spec(TWO_BUS_CFG)))] == [code]
+
+
 # --- grammar: exact messages --------------------------------------------------
 
 def _syntax_error(text: str) -> ConfigSyntaxError:

@@ -31,14 +31,14 @@ from syncstab.config import MAX_SCAN_POINTS, PowerSetpoint, load_system_spec, pa
 from syncstab.errors import AnalysisError, SyncstabError
 from syncstab.frequency_response import (OVERLAP_THRESHOLD, OperatingPoint,
                                          _match_branches, _strict_bests,
-                                         build_gnet, build_gnet_sym, gamma,
-                                         per_converter_gamma,
+                                         build_gnet, build_gnet_sym, crossing_window,
+                                         gamma, per_converter_gamma,
                                          resolve_pll_gains, sym_parts,
                                          trace_curves)
 from syncstab.modal import (_weights, adjustment_compare, finite_difference_check,
                             modal_weights, modal_weights_from_report)
 from syncstab.network import ReducedNetwork, build_reduced_network
-from syncstab.pipeline import operating_point, run_analysis
+from syncstab.pipeline import assess_point, operating_point, run_analysis
 from syncstab.powerflow import solve_steady_state
 from syncstab.stability import assess
 from syncstab.statespace import assemble_state_space
@@ -116,6 +116,15 @@ def test_gamma_vectorized_and_degenerate():
             with pytest.raises(AnalysisError) as exc:
                 call(w)
             assert exc.value.code == "DEGENERATE_FREQ", (name, w)
+
+
+def test_gamma_broadcasts_a_vector_u_against_a_scalar_omega():
+    u = np.array([1.0, 1.02])
+    got = gamma(100.0, u, KP, KI, W0)
+    assert got.shape == (2,)
+    assert list(got) == [gamma(100.0, 1.0, KP, KI, W0), gamma(100.0, 1.02, KP, KI, W0)]
+    assert type(gamma(100.0, 1.0, KP, KI, W0)) is complex
+    assert type(gamma(np.float64(100.0), np.array(1.0), KP, KI, W0)) is complex
 
 
 def test_an_omega_that_is_not_a_real_number_is_degenerate_freq():
@@ -1086,3 +1095,199 @@ def test_a_multi_converter_plant_built_in_code_raises_only_coded_errors(plant, d
         weights = _coded_or_result(
             lambda: modal_weights_from_report(net, op, report, spec.omega0))
         assert weights is None or np.isfinite(weights.eta).all()
+
+
+# ----------------------------------------------- the certified crossing window
+
+def _with_options(spec, **options):
+    return dataclasses.replace(spec, options=dataclasses.replace(spec.options, **options))
+
+
+def _crossings(report):
+    """Every crossing of ``report``, bit for bit, whatever its branch number."""
+    return sorted((c.f_ci, c.net_damping, c.lam, c.phi.tobytes())
+                  for a in report.per_subsystem for c in a.crossings)
+
+
+def _same_report(window, full):
+    """The windowed report against the full scan's: the same crossings and
+    the same critical crossing and verdict."""
+    assert window.verdict == full.verdict
+    assert _crossings(window) == _crossings(full)
+    if full.critical is None:
+        assert window.critical is None
+        return
+    w, f = window.critical, full.critical
+    assert (w.d_net1, w.f_c1, w.margin, w.d_con_at_c1, w.lam1) == (
+        f.d_net1, f.f_c1, f.margin, f.d_con_at_c1, f.lam1)
+    np.testing.assert_array_equal(w.phi, f.phi)
+
+
+def _assert_window_holds(spec, net, op) -> int:
+    """The full scan's sign-change cells and exact zeros all lie in the
+    window, the window is a slice of the scan's own floats, and the windowed
+    report equals the full one; returns the number of crossings."""
+    curves = trace_curves(spec, net, op)
+    window = crossing_window(spec, net, op)
+    a = int(np.searchsorted(curves.f_hz, window[0])) if len(window) else 0
+    b = a + len(window) - 1
+    np.testing.assert_array_equal(window, curves.f_hz[a:b + 1])
+    for i in range(curves.n):
+        g = curves.k_con + curves.k_net[i]
+        zero, neg = g == 0.0, g < 0.0
+        cells = np.flatnonzero((neg[:-1] != neg[1:]) & ~zero[:-1] & ~zero[1:])
+        assert all(a <= k and k + 1 <= b for k in cells), (i, cells, a, b)
+        assert all(a <= k <= b for k in np.flatnonzero(zero)), (i, a, b)
+    full = assess(spec, curves)
+    _same_report(assess_point(spec, net, op), full)
+    return sum(len(s.crossings) for s in full.per_subsystem)
+
+
+_STATION_INPUTS = [("station", case, flat) for case in ("light", "heavy", "peak")
+                   for flat in (True, False)]
+_TWO_BUS_INPUTS = [("two_bus", case, flat) for case in ("inject", "absorb")
+                   for flat in (True, False)]
+
+
+@pytest.mark.parametrize("plant, case, flat", _STATION_INPUTS + _TWO_BUS_INPUTS)
+def test_every_crossing_of_the_full_scan_lies_in_the_window(plant, case, flat):
+    spec = (load_system_spec(STATION_CFG_PATH) if plant == "station"
+            else parse_system_spec(TWO_BUS_CFG))
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, case, flat_voltage=flat)
+    assert _assert_window_holds(spec, net, op) == (5 if plant == "station" else 1)
+    assert len(crossing_window(spec, net, op)) < spec.options.scan_points / 40
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_crossing_of_a_grouped_grid_lies_in_the_window(seed):
+    spec = grouped_grid_spec(seed)
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec)
+    assert _assert_window_holds(spec, net, op) == 20
+
+
+def test_every_crossing_of_an_ensemble_sample_lies_in_the_window():
+    from test_acceptance import ensemble
+    sample = ensemble()[::8]                      # 125 members, spread voltages
+    crossings = 0
+    for net, op, _flat, _omegas in sample:
+        spec = synthetic_spec(op.n)
+        try:
+            crossings += _assert_window_holds(spec, net, op)
+        except SyncstabError as exc:
+            with pytest.raises(SyncstabError) as window:
+                assess_point(spec, net, op)
+            assert window.value.code == exc.code
+    assert len(sample) >= 100
+    assert crossings >= len(sample)
+
+
+def test_a_cell_that_h_jumps_across_is_kept():
+    # three grid points: h falls from ~1 to ~-7.8 across each cell, while the
+    # range of S_Q (1 × 1) is the single value 0.3·Q/U²
+    spec = _with_options(parse_system_spec(TWO_BUS_CFG), scan_points=3)
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, "inject")
+    window = crossing_window(spec, net, op)
+    assert len(window) == 2
+    q_range = np.linalg.eigvalsh(sym_parts(net, op)[1])
+    omega = 2 * np.pi * window
+    h = -gamma(omega, float(np.mean(op.u_pu)), KP, KI, W0).imag * omega / W0
+    assert h[1] < q_range[0] <= q_range[-1] < h[0]
+    assert _assert_window_holds(spec, net, op) == 1
+
+
+def _mixed(spec):
+    first, *rest = spec.converters
+    return dataclasses.replace(spec, converters=(dataclasses.replace(first, pll_kp=7.0),
+                                                 *rest))
+
+
+def _two_bus_point(q=0.1, **options):
+    spec = _with_options(parse_system_spec(TWO_BUS_CFG), **options)
+    return spec, build_reduced_network(spec), OperatingPoint([0.5], [q], [1.0])
+
+
+def _station_point(**options):
+    spec = _with_options(load_system_spec(STATION_CFG_PATH), **options)
+    _name, _steady, op = operating_point(spec, "heavy")
+    return spec, build_reduced_network(spec), op
+
+
+# each input has two faults or more; the first in the scan's order is raised
+_ERROR_CASES = {
+    "scan_points before the gains": (
+        lambda: _station_point(scan_points=1), _mixed, "SCAN_POINTS_INVALID"),
+    "the gains before gamma": (
+        lambda: _station_point(scan_fmin_hz=1e-310), _mixed, "NONIDENTICAL_PLL"),
+    "gamma before sym_parts": (
+        lambda: (*_station_point(scan_fmin_hz=1e-310)[:2], OperatingPoint([1.0], [0.0], [1.0])),
+        None, "DEGENERATE_FREQ"),
+    "sym_parts": (
+        lambda: (*_station_point()[:2], OperatingPoint([1.0], [0.0], [1.0])), None,
+        "OP_INVALID"),
+    # the window is empty (S_Q = 9e149), yet (ω0/ω)·S_Q passes 1e300 at 1e-150 Hz
+    "the scale at the grid's lowest point": (
+        lambda: _two_bus_point(q=3e150, scan_fmin_hz=1e-150), None, "DEGENERATE_FREQ"),
+    "the tolerance last, also with an empty window": (
+        lambda: _two_bus_point(q=10.0), lambda s: _with_options(s, root_tol_hz=0.0),
+        "ROOT_TOL_INVALID"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ERROR_CASES))
+def test_the_window_raises_the_full_scans_error_in_its_order(case):
+    make, change, code = _ERROR_CASES[case]
+    spec, net, op = make()
+    spec = change(spec) if change else spec
+    with pytest.raises(SyncstabError) as full:
+        assess(spec, trace_curves(spec, net, op))
+    with pytest.raises(SyncstabError) as window:
+        assess_point(spec, net, op)
+    assert full.value.code == window.value.code == code
+    assert str(full.value) == str(window.value)
+    if code != "ROOT_TOL_INVALID":
+        with pytest.raises(SyncstabError) as helper:
+            crossing_window(spec, net, op)
+        assert str(helper.value) == str(full.value)
+    else:
+        assert len(crossing_window(spec, net, op)) == 0
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_an_empty_window_is_no_crossing_without_an_eigensolve(monkeypatch, force):
+    # above 30 Hz the station's spring sums keep one sign
+    spec = _with_options(load_system_spec(STATION_CFG_PATH), scan_fmin_hz=30.0)
+    spec = _mixed(spec) if force else spec
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, "heavy")
+    full = assess(spec, trace_curves(spec, net, op, force_first_pll=force))
+    assert full.verdict == "NoCrossing"
+    eig = np.linalg.eig
+    solves = []
+    monkeypatch.setattr(np.linalg, "eig", lambda a: solves.append(a) or eig(a))
+    report = assess_point(spec, net, op, force_first_pll=force)
+    assert solves == []
+    assert report.verdict == "NoCrossing" and report.margin is None
+    assert report.per_subsystem == full.per_subsystem
+    assert report.notes == full.notes and len(report.notes) == 1 + force
+
+
+@pytest.mark.parametrize("field, value, code", [
+    ("root_tol_hz", "a", "ROOT_TOL_INVALID"),
+    ("root_tol_hz", True, "ROOT_TOL_INVALID"),
+    ("scan_fmin_hz", "1", "SCAN_RANGE_INVALID"),
+    ("scan_fmax_hz", True, "SCAN_RANGE_INVALID"),
+    ("flat_voltage", "no", "FLAT_VOLTAGE_INVALID"),
+])
+def test_options_that_are_not_numbers_are_refused_with_a_code(field, value, code):
+    spec = _with_options(parse_system_spec(TWO_BUS_CFG), **{field: value})
+    _s, net, op = _two_bus_point()
+    for call in (lambda: run_analysis(spec, "inject"),
+                 lambda: trace_curves(spec, net, op),
+                 lambda: crossing_window(spec, net, op),
+                 lambda: assess_point(spec, net, op)):
+        with pytest.raises(SyncstabError) as exc:
+            call()
+        assert exc.value.code == code

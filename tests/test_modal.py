@@ -19,6 +19,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from syncstab import modal
 from syncstab.config import PowerSetpoint, load_system_spec, parse_system_spec
 from syncstab.errors import AnalysisError, SyncstabError
 from syncstab.frequency_response import OperatingPoint, build_gnet_sym, trace_curves
@@ -301,3 +302,16 @@ def test_powers_whose_norm_overflows_are_op_invalid(name, p0, coded):
     with pytest.raises(AnalysisError) as exc:
         adjustment_compare(spec, net, op, p_after)
     assert exc.value.code == "OP_INVALID"
+
+
+@pytest.mark.parametrize("case, flat", [("heavy", True), ("heavy", False), ("peak", False)])
+def test_the_finite_difference_check_equals_the_full_grids_bit_for_bit(monkeypatch, case,
+                                                                       flat):
+    spec = load_system_spec(STATION_CFG_PATH)
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, case, flat_voltage=flat)
+    window = [finite_difference_check(spec, net, op, i) for i in range(op.n)]
+    monkeypatch.setattr(modal, "assess_point",
+                        lambda spec, net, op, force_first_pll: assess(
+                            spec, trace_curves(spec, net, op, force_first_pll=force_first_pll)))
+    assert [finite_difference_check(spec, net, op, i) for i in range(op.n)] == window
