@@ -40,15 +40,19 @@ scan.  ``sweep``, ``adjust``, ``sensitivity`` and the finite-difference
 check, which read only the critical crossing, trace the window
 (:func:`~syncstab.pipeline.assess_point`); ``analyze``, ``curves`` and
 ``run_analysis`` trace the full grid.  The certificate holds for this loop:
-a complex-symmetric G′ with real symmetric S_P and S_Q, and K_con from one
-``u_ref``.  A loop with per-converter U or gains must re-derive or widen the
-window; the containment tests in ``tests/test_frequency_response.py`` fail
-if it does not.
+a complex-symmetric G′ with real symmetric S_P and S_Q, and K_con from the
+one mean voltage ``u_ref``.  A loop with per-converter U or gains must
+re-derive or widen the window; the containment tests in
+``tests/test_frequency_response.py`` fail if it does not.
+
+One private ``_Loop`` per operating point holds the loop's gains, ω0,
+``u_ref``, Γ over the grid and the symmetry split; its ``at`` is the one
+evaluator of (Γ, λ, φ) off the scan, where :meth:`SubsystemCurves.loop`
+and :meth:`SubsystemCurves.loop_at` only pick the eigenvector column.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -205,17 +209,6 @@ class _Symmetry:
         self.classes, self.sums, self.diffs = classes, sums, diffs
         self.s_p, self.s_q, self.a, self.b = s_p, s_q, a, b
 
-    def require_scale(self, omega0: float, omega: float) -> None:
-        """Raise ``AnalysisError`` (DEGENERATE_FREQ) unless ω0/ω and the
-        entries of (ω0/ω)·S_Q are at most ``_LOOP_MAX`` at ω, and so at every
-        higher frequency."""
-        with np.errstate(over="ignore"):
-            top = omega0 / omega * max(1.0, np.abs(self.s_q).max(),
-                                       np.abs(self.b).max(initial=0.0))
-        if not top <= _LOOP_MAX:
-            raise AnalysisError(f"the loop overflows at f_hz = {omega / (2.0 * np.pi):.12g}",
-                                code="DEGENERATE_FREQ")
-
     def values(self, vals: np.ndarray, omega_r) -> np.ndarray:
         """The n eigenvalues at ω0/ω = ``omega_r``: the quotient's ``vals``,
         then the differences' −a + j·(ω0/ω)·b."""
@@ -286,6 +279,22 @@ def _symmetry(classes: list[list[int]], s_p: np.ndarray, s_q: np.ndarray) -> _Sy
     return _Symmetry(classes, sums, diffs, s_p_q, s_q_q, a, b)
 
 
+def _split(net: ReducedNetwork, op: OperatingPoint, omega0: float, omega: float
+           ) -> tuple[_Symmetry, np.ndarray, np.ndarray]:
+    """(split, S_P, S_Q): :func:`sym_parts` and their symmetry split.  Raises
+    ``AnalysisError`` (DEGENERATE_FREQ) unless ω0/ω and the entries of
+    (ω0/ω)·S_Q are at most ``_LOOP_MAX`` at ω, and so at every higher
+    frequency."""
+    s_p, s_q = sym_parts(net, op)
+    sym = _symmetry(_classes(net, op), s_p, s_q)
+    with np.errstate(over="ignore"):
+        top = omega0 / omega * max(1.0, np.abs(sym.s_q).max(), np.abs(sym.b).max(initial=0.0))
+    if not top <= _LOOP_MAX:
+        raise AnalysisError(f"the loop overflows at f_hz = {omega / (2.0 * np.pi):.12g}",
+                            code="DEGENERATE_FREQ")
+    return sym, s_p, s_q
+
+
 def _eig(s_p: np.ndarray, s_q: np.ndarray, omega0: float, omega: float
          ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of −S_P + j·(ω0/ω)·S_Q, the quotient of G′_net(jω): every
@@ -348,6 +357,31 @@ def resolve_pll_gains(spec: SystemSpec, *, force_first_pll: bool = False
     return first.pll_kp, first.pll_ki, warnings
 
 
+class _Loop:
+    """The loop Γ(jω) + λ_i(G′_net(jω)) of one operating point over a checked
+    grid ``omega``, with the errors of :func:`resolve_pll_gains`,
+    :func:`gamma` at every grid point and :func:`_split` in this order.
+    ``parts`` (S_P, S_Q) is kept only for :func:`crossing_window`."""
+
+    def __init__(self, spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
+                 grid_hz: np.ndarray, force_first_pll: bool, keep_parts: bool = False):
+        self.kp, self.ki, self.warnings = resolve_pll_gains(
+            spec, force_first_pll=force_first_pll)
+        self.omega0 = spec.omega0
+        with np.errstate(over="ignore"):       # gamma refuses an ω that overflows
+            self.omega = 2.0 * np.pi * grid_hz
+        self.u_ref = float(np.mean(op.u_pu))
+        self.gamma = gamma(self.omega, self.u_ref, self.kp, self.ki, self.omega0)
+        self.sym, *parts = _split(net, op, self.omega0, self.omega[0])
+        self.parts = parts if keep_parts else None
+
+    def at(self, omega: float, pick) -> tuple[complex, complex, np.ndarray]:
+        """(Γ, λ, φ) at ω for eigenpair ``pick(vecs)`` of G′_net(jω)."""
+        vals, vecs = self.sym.eig(self.omega0, omega)
+        j = pick(vecs)
+        return gamma(omega, self.u_ref, self.kp, self.ki, self.omega0), vals[j], vecs[:, j]
+
+
 @dataclass
 class SubsystemCurves:
     """Damping/spring curves for every tracked subsystem over a grid.
@@ -355,8 +389,8 @@ class SubsystemCurves:
     ``d_net[i, k] + 1j*k_net[i, k]`` is tracked eigenvalue branch i at grid
     point k; ``columns[k, i]`` the column of the eigensolver output at point k
     that became branch i (see :meth:`loop_at`).  :meth:`loop` and
-    :meth:`loop_at` are the one place the loop Γ(jω) + λ_i(G′_net(jω)) of a
-    tracked branch is evaluated off the grid or again on it.
+    :meth:`loop_at` evaluate the loop Γ(jω) + λ_i(G′_net(jω)) of a tracked
+    branch off the grid or again on it, through the point's one loop object.
     """
 
     f_hz: np.ndarray              # (m,)
@@ -367,12 +401,7 @@ class SubsystemCurves:
     k_net: np.ndarray             # (n, m)
     columns: np.ndarray           # (m, n) unsigned int, the smallest that holds n
     branch_jumps: list[tuple[int, int]]   # (grid index, branch index)
-    u_ref: float
-    kp: float
-    ki: float
-    omega0: float
-    _symmetry: _Symmetry = field(repr=False)
-    warnings: list[str] = field(default_factory=list)
+    _loop: _Loop = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -382,19 +411,18 @@ class SubsystemCurves:
     def m(self) -> int:
         return len(self.f_hz)
 
+    @property
+    def warnings(self) -> list[str]:
+        return self._loop.warnings
+
     def loop(self, omega: float, ref: np.ndarray) -> tuple[complex, complex, np.ndarray]:
         """(Γ, λ, φ) at ω for the eigenpair of G′_net(jω) whose eigenvector
         overlaps ``ref`` most (the tracked branch)."""
-        vals, vecs = self._symmetry.eig(self.omega0, omega)
-        j = int(np.argmax(np.abs(np.asarray(ref).conj() @ vecs)))
-        return gamma(omega, self.u_ref, self.kp, self.ki, self.omega0), vals[j], vecs[:, j]
+        return self._loop.at(omega, lambda vecs: np.argmax(np.abs(np.asarray(ref).conj() @ vecs)))
 
     def loop_at(self, k: int, i: int) -> tuple[complex, complex, np.ndarray]:
         """(Γ, λ, φ) of branch i at grid point k, solved again (bit-identical)."""
-        omega = self.omega_rad_s[k]
-        vals, vecs = self._symmetry.eig(self.omega0, omega)
-        j = self.columns[k, i]
-        return gamma(omega, self.u_ref, self.kp, self.ki, self.omega0), vals[j], vecs[:, j]
+        return self._loop.at(self.omega_rad_s[k], lambda _vecs: self.columns[k, i])
 
 
 def _match_branches(prev_vecs: np.ndarray, vals: np.ndarray, vecs: np.ndarray
@@ -479,37 +507,6 @@ def _scan_grid(spec: SystemSpec, grid_hz=None) -> np.ndarray:
     return grid_hz
 
 
-class _Loop(NamedTuple):
-    """What a trace over ``omega`` needs before its first eigensolve."""
-
-    kp: float
-    ki: float
-    warnings: list[str]
-    omega: np.ndarray         # (m,) rad/s
-    u_ref: float
-    gamma: np.ndarray         # (m,) Γ(jω) at u_ref
-    s_p: np.ndarray
-    s_q: np.ndarray
-    sym: _Symmetry
-
-
-def _loop(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint, grid_hz: np.ndarray,
-          force_first_pll: bool) -> _Loop:
-    """The loop's pieces over a checked ``grid_hz``, with their errors in this
-    order: :func:`resolve_pll_gains`, :func:`gamma` at every point,
-    :func:`sym_parts`, and the scale of the loop at the grid's lowest point."""
-    kp, ki, warnings = resolve_pll_gains(spec, force_first_pll=force_first_pll)
-    omega0 = spec.omega0
-    with np.errstate(over="ignore"):       # gamma refuses an ω that overflows
-        omega = 2.0 * np.pi * grid_hz
-    u_ref = float(np.mean(op.u_pu))
-    gamma_vals = gamma(omega, u_ref, kp, ki, omega0)
-    s_p, s_q = sym_parts(net, op)
-    sym = _symmetry(_classes(net, op), s_p, s_q)
-    sym.require_scale(omega0, omega[0])
-    return _Loop(kp, ki, warnings, omega, u_ref, gamma_vals, s_p, s_q, sym)
-
-
 def crossing_window(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint, *,
                     force_first_pll: bool = False) -> np.ndarray:
     """The slice of the spec's scan grid outside which no crossing can lie.
@@ -527,11 +524,12 @@ def crossing_window(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint, *
     up to its first eigensolve; it solves no eigenproblem of G′_net.
     """
     grid_hz = _scan_grid(spec)
-    loop = _loop(spec, net, op, grid_hz, force_first_pll)
+    loop = _Loop(spec, net, op, grid_hz, force_first_pll, keep_parts=True)
+    s_p, s_q = loop.parts
     omega0 = spec.omega0
-    q_min, q_max = np.linalg.eigvalsh(loop.s_q)[[0, -1]]
+    q_min, q_max = np.linalg.eigvalsh(s_q)[[0, -1]]
     with np.errstate(over="ignore"):       # an infinite h or pad only widens the window
-        pad = _WINDOW_PAD * (np.linalg.norm(loop.s_p) * (loop.omega[-1] / omega0)
+        pad = _WINDOW_PAD * (np.linalg.norm(s_p) * (loop.omega[-1] / omega0)
                              + max(-q_min, q_max))
         h = -loop.gamma.imag * (loop.omega / omega0)
     lo, hi = np.minimum(h[:-1], h[1:]), np.maximum(h[:-1], h[1:])
@@ -568,9 +566,8 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     branch keeps its Helmert vector and closed-form eigenvalue throughout.
     """
     grid_hz = _scan_grid(spec, grid_hz)
-    kp, ki, warnings, omega_grid, u_ref, gamma_vals, _s_p, _s_q, sym = _loop(
-        spec, net, op, grid_hz, force_first_pll)
-    omega0 = spec.omega0
+    loop = _Loop(spec, net, op, grid_hz, force_first_pll)
+    omega0, omega_grid, sym = loop.omega0, loop.omega, loop.sym
     n, m = op.n, len(grid_hz)
     g = len(sym.classes)                           # columns matched by overlap
     lam = np.empty((n, m), dtype=complex)
@@ -618,11 +615,9 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
 
     return SubsystemCurves(
         f_hz=grid_hz, omega_rad_s=omega_grid,
-        d_con=gamma_vals.real, k_con=gamma_vals.imag,
+        d_con=loop.gamma.real, k_con=loop.gamma.imag,
         d_net=lam.real, k_net=lam.imag,
-        columns=columns, branch_jumps=jumps,
-        u_ref=u_ref, kp=kp, ki=ki, omega0=omega0,
-        _symmetry=sym, warnings=warnings)
+        columns=columns, branch_jumps=jumps, _loop=loop)
 
 
 def per_converter_gamma(spec: SystemSpec, op: OperatingPoint,

@@ -21,8 +21,7 @@ import numpy as np
 
 from .config import SystemSpec
 from .errors import AnalysisError
-from .frequency_response import (OperatingPoint, _classes, _is_int, _omega, _require_fit,
-                                 _symmetry, sym_parts)
+from .frequency_response import OperatingPoint, _is_int, _omega, _require_fit, _split
 from .network import ReducedNetwork
 from .pipeline import assess_point
 from .stability import StabilityReport
@@ -84,10 +83,7 @@ def modal_weights(net: ReducedNetwork, op: OperatingPoint, omega_c1: float,
     and > 0.
     """
     omega_c1 = _omega(omega_c1, "modal_weights")
-    s_p, s_q = sym_parts(net, op)
-    sym = _symmetry(_classes(net, op), s_p, s_q)
-    sym.require_scale(omega0, omega_c1)
-    vals, vecs = sym.eig(omega0, omega_c1)
+    vals, vecs = _split(net, op, omega0, omega_c1)[0].eig(omega0, omega_c1)
     j = int(np.argmin(vals.real))
     return _weights(net, op, omega_c1, omega0, vals[j], vecs[:, j])
 

@@ -57,6 +57,8 @@ def solve_steady_state(
     Raises ``PowerFlowError`` with code ``PF_NOT_FINITE`` for an injection
     that is not a real, finite number, or a sum of P that overflows at flat
     voltage;
+    ``FLAT_VOLTAGE_INVALID`` when the setting in use (``flat_voltage``, or
+    the option when it is None) is not a bool, before anything is solved;
     ``PF_DIVERGED`` when Newton-Raphson fails to reach 1e-8 mismatch in 50
     iterations or the mismatch stops being finite; and
     ``PF_VOLTAGE_OUT_OF_BAND`` when a converged solution leaves (0.5, 1.5) pu
@@ -72,6 +74,9 @@ def solve_steady_state(
         raise PowerFlowError("injections must be real, finite numbers", code="PF_NOT_FINITE")
 
     flat = spec.options.flat_voltage if flat_voltage is None else flat_voltage
+    if not isinstance(flat, (bool, np.bool_)):
+        raise PowerFlowError(f"flat_voltage must be a bool, got {flat!r}",
+                             code="FLAT_VOLTAGE_INVALID")
     if flat:
         # lossless network: slack always absorbs exactly -sum(P); reactive
         # balance is undefined without a solved voltage profile

@@ -566,11 +566,35 @@ def test_loop_reproduces_every_reported_crossing_bit_for_bit(case, flat, setpoin
         assert phi.tobytes() == c.phi.tobytes()
 
 
+def test_the_forced_loop_at_solved_voltages_is_gamma_at_the_mean_u():
+    # WTG3 declares its own kp: the forced loop takes converter 1's gains and
+    # the mean of the solved U, on the grid and off it
+    with open(STATION_CFG_PATH, encoding="utf-8") as fh:
+        spec = parse_system_spec(fh.read().replace("WTG3 wtg3 6.5 15782", "WTG3 wtg3 7.0 15782"))
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, "heavy", flat_voltage=False)
+    assert np.ptp(op.u_pu) > 1e-3
+    curves = trace_curves(spec, net, op, force_first_pll=True)
+    assert len(curves.warnings) == 1
+    first = spec.converters[0]
+    loop_args = (float(np.mean(op.u_pu)), first.pll_kp, first.pll_ki, spec.omega0)
+    for k, i in ((0, 0), (curves.m // 2, 2), (curves.m - 2, curves.n - 1)):
+        on_grid = curves.loop_at(k, i)
+        off_grid = 0.5 * (curves.omega_rad_s[k] + curves.omega_rad_s[k + 1])
+        for omega, (g, lam, _phi) in ((curves.omega_rad_s[k], on_grid),
+                                      (off_grid, curves.loop(off_grid, on_grid[2]))):
+            assert g == gamma(omega, *loop_args), (k, i, omega)
+            eigs = np.linalg.eigvals(build_gnet_sym(omega, net, op, spec.omega0))
+            assert np.min(np.abs(eigs - lam)) <= 1e-9 * np.max(np.abs(eigs)), (k, i, omega)
+
+
 def test_curves_hold_no_per_point_eigenvectors():
     curves = _station_curves()
     for f in dataclasses.fields(curves):
         value = getattr(curves, f.name)
         assert np.ndim(value) <= 2, f.name
+    # nor the full S_P and S_Q: the loop keeps only its symmetry split
+    assert curves._loop.parts is None
     assert curves.columns.shape == (curves.m, curves.n)
     for k in range(curves.m):
         assert sorted(curves.columns[k].tolist()) == list(range(curves.n))
@@ -641,8 +665,8 @@ def test_quotient_scan_matches_the_full_scan(make, case, flat):
     with _full_scan():
         full = run_analysis(spec, case, flat_voltage=flat)
     n = reduced.op.n
-    assert len(reduced.curves._symmetry.classes) < n
-    assert full.curves._symmetry.classes == _singletons(n)
+    assert len(reduced.curves._loop.sym.classes) < n
+    assert full.curves._loop.sym.classes == _singletons(n)
     assert reduced.report.verdict == full.report.verdict
     assert abs(reduced.report.critical.d_net1 - full.report.critical.d_net1) <= 1e-9
     f_reduced, f_full = _crossing_freqs(reduced.report), _crossing_freqs(full.report)
@@ -698,7 +722,7 @@ def test_a_plant_without_groups_scans_g_prime_net_itself(cfg, case, flat):
     spec = load_system_spec(cfg) if cfg is STATION_CFG_PATH else parse_system_spec(cfg)
     net = build_reduced_network(spec)
     _name, _steady, op = operating_point(spec, case, flat_voltage=flat)
-    sym = trace_curves(spec, net, op)._symmetry
+    sym = trace_curves(spec, net, op)._loop.sym
     assert sym.classes == _singletons(op.n) and sym.diffs.shape == (op.n, 0)
     s_p, s_q = sym_parts(net, op)
     assert sym.s_p.tobytes() == s_p.tobytes() and sym.s_q.tobytes() == s_q.tobytes()
@@ -764,7 +788,7 @@ def test_near_symmetry_takes_the_full_scan():
         shapes, spy = _eig_shapes()
         with spy:
             curves = trace_curves(spec, net2, op2)
-        assert curves._symmetry.classes == _singletons(5)
+        assert curves._loop.sym.classes == _singletons(5)
         assert set(shapes) == {(5, 5)}
 
 
@@ -779,7 +803,7 @@ def test_a_class_that_fails_the_residual_check_takes_the_full_scan():
     assert frequency_response._symmetry(wrong, s_p, s_q).classes == _singletons(5)
     with mock.patch.object(frequency_response, "_classes", return_value=wrong):
         curves = trace_curves(spec, net, op)
-    assert curves._symmetry.classes == _singletons(5)
+    assert curves._loop.sym.classes == _singletons(5)
     with _full_scan():
         full = trace_curves(spec, net, op)
     np.testing.assert_array_equal(curves.d_net, full.d_net)
@@ -788,7 +812,7 @@ def test_a_class_that_fails_the_residual_check_takes_the_full_scan():
 def test_difference_branch_carries_its_helmert_vector_and_the_rayleigh_identity():
     spec = grouped_grid_spec(0)
     result = run_analysis(spec, "base")
-    sym, curves = result.curves._symmetry, result.curves
+    sym, curves = result.curves._loop.sym, result.curves
     g = len(sym.classes)
     diff_crossings = [c for a in result.report.per_subsystem for c in a.crossings
                       if curves.columns[0, c.subsystem] >= g]

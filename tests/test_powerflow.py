@@ -12,6 +12,7 @@ taking the high-voltage root; U = hypot(x, y), delta = atan2(y, x).
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -172,3 +173,27 @@ def test_a_huge_finite_injection_diverges_at_once_without_warnings(spec, p):
         solve_steady_state(spec, np.array([p]), np.array([0.0]), flat_voltage=False)
     assert exc.value.code == "PF_DIVERGED"
     assert "not finite after" in str(exc.value)
+
+
+@pytest.mark.parametrize("value", ["no", "", 1, 0.0, None], ids=["text", "empty", "one",
+                                                                 "zero", "none"])
+def test_a_flat_voltage_that_is_not_a_bool_is_refused_before_the_solve(station_path, value):
+    # read by truth value, "no" and 1 pinned U = 1 and "" or 0.0 solved
+    from syncstab.config import load_system_spec
+    from syncstab.pipeline import operating_point
+    spec = load_system_spec(station_path)
+    p, q = spec.case_injections("heavy")
+    calls = [lambda: operating_point(dataclasses.replace(
+        spec, options=dataclasses.replace(spec.options, flat_voltage=value)), "heavy")]
+    if value is not None:          # None as the argument defers to the option
+        calls.append(lambda: solve_steady_state(spec, p, q, flat_voltage=value))
+    for call in calls:
+        with pytest.raises(PowerFlowError) as exc:
+            call()
+        assert exc.value.code == "FLAT_VOLTAGE_INVALID"
+
+
+@pytest.mark.parametrize("flat", [True, False, np.True_, np.False_])
+def test_a_numpy_bool_flat_voltage_is_read_as_its_value(spec, flat):
+    st8 = solve_steady_state(spec, np.array([0.5]), np.array([0.1]), flat_voltage=flat)
+    assert st8.flat == bool(flat) and (st8.iterations == 0) == bool(flat)

@@ -347,7 +347,7 @@ def _grouped_outcome(spec):
     """Classes by converter name, whether the critical crossing is on a
     quotient branch, verdict, crossing count, D_net1 and η by name."""
     result = run_analysis(spec, "base")
-    report, sym = result.report, result.curves._symmetry
+    report, sym = result.report, result.curves._loop.sym
     names = spec.converter_names
     classes = {frozenset(names[i] for i in members) for members in sym.classes}
     on_quotient = result.curves.columns[0, report.critical.subsystem] < len(sym.classes)
