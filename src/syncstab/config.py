@@ -130,7 +130,7 @@ class AnalysisOptions:
     scan_fmin_hz: float = 0.5
     scan_fmax_hz: float = 60.0
     scan_points: int = 1200
-    root_tol_hz: float = 1e-4       # bisection width for crossing refinement
+    root_tol_hz: float = 1e-4       # final bracket width of a refined crossing
     sim_dt_s: float = 1e-4
     sim_duration_s: float = 3.0
 

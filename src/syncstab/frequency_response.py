@@ -35,7 +35,7 @@ slice of the grid over every cell whose [h_k, h_{k+1}] meets the padded
 range; outside it every branch's K_con + K_neti keeps one sign, so the full
 scan has no sign change and no exact zero there.  Branch matching between two
 points depends on those points only (up to exact overlap ties), so a trace of
-the window finds the same crossings, bisected the same way, as the full
+the window finds the same crossings, refined the same way, as the full
 scan.  ``sweep``, ``adjust``, ``sensitivity`` and the finite-difference
 check, which read only the critical crossing, trace the window
 (:func:`~syncstab.pipeline.assess_point`); ``analyze``, ``curves`` and

@@ -6,7 +6,8 @@ D_con(ω_ci) + D_neti(ω_ci) > 0 at every such crossing; the globally minimal
 sum defines the critical subsystem, its crossing frequency ω_c1, and the
 stability indicator D_net1 = D_neti(ω_c1).
 
-Crossings are bracketed on the scan grid and refined by bisection.  Each
+Crossings are bracketed on the scan grid and refined by safeguarded regula
+falsi (Illinois steps with a bisection fallback, see :func:`_refine`).  Each
 trial frequency re-evaluates the loop exactly through
 :meth:`SubsystemCurves.loop`, which selects the eigenpair by overlap with a
 carried reference eigenvector (no interpolation of eigenvalues); this module
@@ -82,24 +83,47 @@ class StabilityReport:
 
 def _refine(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float
             ) -> Crossing:
-    """Bisect the sign change of subsystem i inside grid cell [k_lo, k_lo+1]."""
+    """Refine the sign change of subsystem i inside grid cell [k_lo, k_lo+1].
+
+    Illinois regula falsi (Dowell & Jarratt 1971): each trial point is the
+    chord point of the bracket, with the chord weight of an end kept twice
+    in a row halved (the true end values stay), clamped ``root_tol_hz/2``
+    inside the bracket so that a step next to the root is followed by one
+    across it.  Once two chord steps in a row fail to halve the bracket, each
+    further one that fails, until one halves it, is followed by a bisection
+    step.  The crossing is the chord point of the final bracket's true end
+    values, or its midpoint if that chord point falls outside.
+    """
     f_lo, f_hi = curves.f_hz[k_lo], curves.f_hz[k_lo + 1]
+    g_lo = w_lo = curves.k_con[k_lo] + curves.k_net[i, k_lo]          # w: chord weights
+    g_hi = w_hi = curves.k_con[k_lo + 1] + curves.k_net[i, k_lo + 1]
     ref = curves.loop_at(k_lo, i)[2]
-    g_lo = curves.k_con[k_lo] + curves.k_net[i, k_lo]
+    kept, misses, bisect = 0, 0, False   # kept: +1 low end, -1 high end
 
     while (f_hi - f_lo) > root_tol_hz:
         f_mid = 0.5 * (f_lo + f_hi)
         if f_mid in (f_lo, f_hi):      # adjacent floats: the bracket cannot shrink
             break
+        width, f = f_hi - f_lo, f_mid
+        if not bisect:
+            chord = f_lo + w_lo / (w_lo - w_hi) * width
+            chord = min(max(chord, f_lo + 0.5 * root_tol_hz), f_hi - 0.5 * root_tol_hz)
+            f = chord if f_lo < chord < f_hi else f_mid
         # the new eigenvector becomes the reference: branch identity carried inward
-        g, lam, ref = curves.loop(2.0 * np.pi * f_mid, ref)
-        g_mid = g.imag + lam.imag
-        if (g_mid < 0.0) == (g_lo < 0.0):
-            f_lo, g_lo = f_mid, g_mid
+        g, lam, ref = curves.loop(2.0 * np.pi * f, ref)
+        g_f = g.imag + lam.imag
+        if (g_f < 0.0) == (g_lo < 0.0):
+            w_hi *= 0.5 if kept < 0 else 1.0
+            f_lo, g_lo, w_lo, kept = f, g_f, g_f, -1
         else:
-            f_hi = f_mid
+            w_lo *= 0.5 if kept > 0 else 1.0
+            f_hi, g_hi, w_hi, kept = f, g_f, g_f, 1
+        if not bisect:
+            misses = misses + 1 if (f_hi - f_lo) > 0.5 * width else 0
+        bisect = not bisect and misses >= 2
 
-    omega_c = 2.0 * np.pi * (0.5 * (f_lo + f_hi))
+    f_c = f_lo + g_lo / (g_lo - g_hi) * (f_hi - f_lo)
+    omega_c = 2.0 * np.pi * (f_c if f_lo <= f_c <= f_hi else 0.5 * (f_lo + f_hi))
     return _make_crossing(i, omega_c, *curves.loop(omega_c, ref))
 
 
@@ -124,8 +148,9 @@ def find_crossings(curves: SubsystemCurves, i: int,
                    root_tol_hz: float = 1e-4) -> list[Crossing]:
     """All zeros of K_con + K_neti for subsystem i, ascending in frequency.
 
-    Grid sign changes are refined by bisection to |Δf| ≤ ``root_tol_hz``, or
-    to adjacent floats when that is finer; exact zeros at grid points are
+    Grid sign changes are refined by safeguarded regula falsi to a bracket
+    |Δf| ≤ ``root_tol_hz``, or to adjacent floats when that is finer, and
+    reported inside that bracket; exact zeros at grid points are
     taken as crossings directly.  Raises ``AnalysisError`` (ROOT_TOL_INVALID)
     unless ``root_tol_hz`` is a real number > 0.
     """

@@ -705,7 +705,7 @@ def test_every_solve_of_a_grouped_input_is_g_by_g(make, case):
         scan = len(shapes)
         stability.assess(spec, curves)
     assert scan == spec.options.scan_points
-    assert len(shapes) > scan          # the bisection solved too
+    assert len(shapes) > scan          # the refinement solved too
     assert set(shapes) == {(g, g)} and g < op.n
 
 

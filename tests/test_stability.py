@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from syncstab import stability
@@ -378,3 +378,114 @@ def test_relabelling_a_grouped_grid_permutes_eta_and_nothing_else(order):
     if on_quotient:
         for name, value in eta.items():
             assert abs(got[5][name] - value) <= 1e-9, name
+
+
+# ------------------------------------------------------ refining a crossing
+
+def _synthetic_cell(g, f_lo, f_hi):
+    """Curves of one subsystem over the cell [f_lo, f_hi] whose loop is
+    K_con + K_net = g(f), and the list of frequencies ``loop`` was asked for."""
+    calls = []
+
+    def loop(omega, ref):
+        calls.append(omega / (2.0 * np.pi))
+        return complex(0.0, g(omega / (2.0 * np.pi))), 0j, ref
+
+    curves = SimpleNamespace(f_hz=np.array([f_lo, f_hi]), k_con=np.array([g(f_lo), g(f_hi)]),
+                             k_net=np.zeros((1, 2)), loop=loop,
+                             loop_at=lambda k, i: (0j, 0j, np.ones(1)))
+    return curves, calls
+
+
+@st.composite
+def _cells(draw):
+    """(g, its roots, f_lo, f_hi, root_tol_hz): a steep, a strongly curved or
+    a three-root g, or one with its root within root_tol_hz/10 of an end."""
+    tol = draw(st.sampled_from([1e-4, 1e-6, 1e-9]))
+    f_lo = draw(st.floats(0.5, 60.0))
+    width = draw(st.floats(10 * tol, 2.0))
+    f_hi = f_lo + width
+    kind = draw(st.sampled_from(["steep", "curved", "near_end", "three_roots"]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if kind == "three_roots":
+        roots = sorted(draw(st.lists(st.floats(0.01, 0.99), min_size=3, max_size=3,
+                                     unique=True)))
+        roots = [f_lo + u * width for u in roots]
+        return (lambda f: sign * (f - roots[0]) * (f - roots[1]) * (f - roots[2]) / width ** 3,
+                roots, f_lo, f_hi, tol)
+    if kind == "near_end":
+        gap = draw(st.floats(0.01, 1.0)) * tol / 10
+        root = draw(st.sampled_from([f_lo + gap, f_hi - gap]))
+    else:
+        root = f_lo + draw(st.floats(0.01, 0.99)) * width
+    if kind == "steep":
+        slope = draw(st.floats(1e2, 1e6)) / width
+        return lambda f: sign * np.tanh(slope * (f - root)), [root], f_lo, f_hi, tol
+    bend = draw(st.floats(-30.0, 30.0).filter(lambda c: abs(c) > 1.0))
+    return lambda f: sign * np.expm1(bend * (f - root) / width), [root], f_lo, f_hi, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cells())
+def test_a_refined_crossing_lies_within_tolerance_of_a_root_at_bounded_cost(cell):
+    g, roots, f_lo, f_hi, tol = cell
+    assume(g(f_lo) != 0.0 and g(f_hi) != 0.0 and (g(f_lo) < 0.0) != (g(f_hi) < 0.0))
+    curves, calls = _synthetic_cell(g, f_lo, f_hi)
+    crossing = stability._refine(curves, 0, 0, tol)
+    # a few ulps of slack: f -> ω -> f in the fake loop rounds once each way
+    assert min(abs(crossing.f_ci - r) for r in roots) <= tol + 1e-12
+    assert len(calls) <= 2 * np.ceil(np.log2((f_hi - f_lo) / tol)) + 2
+
+
+def _count_refine_calls(monkeypatch):
+    """Record (loop_at calls, loop calls) of every ``_refine`` call."""
+    counts, per_refine = {"loop": 0, "loop_at": 0}, []
+
+    def counted(name):
+        method = getattr(SubsystemCurves, name)
+
+        def spy(self, *args):
+            counts[name] += 1
+            return method(self, *args)
+        return spy
+
+    refine = stability._refine
+
+    def spy_refine(*args):
+        before = dict(counts)
+        crossing = refine(*args)
+        per_refine.append((counts["loop_at"] - before["loop_at"], counts["loop"] - before["loop"]))
+        return crossing
+
+    monkeypatch.setattr(SubsystemCurves, "loop", counted("loop"))
+    monkeypatch.setattr(SubsystemCurves, "loop_at", counted("loop_at"))
+    monkeypatch.setattr(stability, "_refine", spy_refine)
+    return per_refine
+
+
+@pytest.mark.parametrize("case,flat", [*_STATION_INPUTS, ("grouped", None)])
+def test_a_refined_crossing_costs_one_grid_solve_and_at_most_three_loop_solves(
+        monkeypatch, case, flat):
+    per_refine = _count_refine_calls(monkeypatch)
+    if case == "grouped":
+        run_analysis(grouped_grid_spec(0), "base")
+    else:
+        run_analysis(_station_spec(), case, flat_voltage=flat)
+    assert per_refine
+    assert all(loop_at == 1 and loop <= 3 for loop_at, loop in per_refine), per_refine
+
+
+@pytest.mark.parametrize("case,flat", _STATION_INPUTS)
+def test_the_refined_crossing_does_not_depend_on_grid_density(case, flat):
+    spec = _station_spec()
+    outcomes = []
+    for points in (601, 1200, 2400):
+        dense = replace(spec, options=replace(spec.options, scan_points=points))
+        report = run_analysis(dense, case, flat_voltage=flat).report
+        count = sum(len(a.crossings) for a in report.per_subsystem)
+        outcomes.append((report.verdict, count, report.margin, report.critical.f_c1))
+    assert len({(verdict, count) for verdict, count, _m, _f in outcomes}) == 1
+    margins = [margin for _v, _c, margin, _f in outcomes]
+    f_c1 = [f for _v, _c, _m, f in outcomes]
+    assert max(margins) - min(margins) <= 1e-10
+    assert max(f_c1) - min(f_c1) <= 1e-8
