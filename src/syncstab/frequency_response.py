@@ -47,8 +47,11 @@ re-derive or widen the window; the containment tests in
 
 One private ``_Loop`` per operating point holds the loop's gains, ω0,
 ``u_ref``, Γ over the grid and the symmetry split; its ``at`` is the one
-evaluator of (Γ, λ, φ) off the scan, where :meth:`SubsystemCurves.loop`
-and :meth:`SubsystemCurves.loop_at` only pick the eigenvector column.
+evaluator of (Γ, λ, φ) off the scan, batched: it takes a row of ω, forms Γ
+in one vectorised :func:`gamma` call and solves the quotients as stacks of
+at most ``_BLOCK_ENTRIES`` entries, the scan's block rule.
+:meth:`SubsystemCurves.loops` hands it a row; :meth:`SubsystemCurves.loop`
+and :meth:`SubsystemCurves.loop_at` hand it a row of one.
 """
 from __future__ import annotations
 
@@ -214,11 +217,16 @@ class _Symmetry:
         then the differences' −a + j·(ω0/ω)·b."""
         return np.concatenate((vals, -self.a + 1j * omega_r * self.b))
 
+    def lift(self, vals: np.ndarray, psi: np.ndarray, omega_r
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """All n eigenpairs of G′_net from the quotient's (``vals``, ``psi``)
+        at ω0/ω = ``omega_r``, the only n-long eigenvectors: the quotient's
+        lifted by the sums (columns 0..g−1), then the differences."""
+        return self.values(vals, omega_r), np.hstack((self.sums @ psi, self.diffs))
+
     def eig(self, omega0: float, omega: float) -> tuple[np.ndarray, np.ndarray]:
-        """All n eigenpairs of G′_net(jω), the only n-long eigenvectors: the
-        quotient's lifted by the sums (columns 0..g−1), then the differences."""
-        vals, psi = _eig(self.s_p, self.s_q, omega0, omega)
-        return self.values(vals, omega0 / omega), np.hstack((self.sums @ psi, self.diffs))
+        """All n eigenpairs of G′_net(jω) (see :meth:`lift`)."""
+        return self.lift(*_eig(self.s_p, self.s_q, omega0, omega), omega0 / omega)
 
 
 def _classes(net: ReducedNetwork, op: OperatingPoint) -> list[list[int]]:
@@ -295,14 +303,21 @@ def _split(net: ReducedNetwork, op: OperatingPoint, omega0: float, omega: float
     return sym, s_p, s_q
 
 
-def _eig(s_p: np.ndarray, s_q: np.ndarray, omega0: float, omega: float
+def _eig(s_p: np.ndarray, s_q: np.ndarray, omega0: float, omega
          ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of −S_P + j·(ω0/ω)·S_Q, the quotient of G′_net(jω): every
-    solve of a trace, so a repeated solve is bit-identical.  Raises
-    ``AnalysisError`` (EIG_NOT_CONVERGED) when LAPACK gives up."""
+    """Eigenpairs of −S_P + j·(ω0/ω)·S_Q, the quotient of G′_net(jω), at one
+    ω or, for a row of ω, as one stack: every solve of a trace or a
+    refinement, so a repeated solve is bit-identical, alone or stacked.
+    Raises ``AnalysisError`` (EIG_NOT_CONVERGED) when LAPACK gives up, at
+    the first ω of a stack whose matrix fails alone."""
+    stack = isinstance(omega, np.ndarray)
+    ratio = omega0 / omega
     try:
-        return np.linalg.eig(-s_p + 1j * (omega0 / omega) * s_q)
+        return np.linalg.eig(-s_p + 1j * (ratio[:, None, None] if stack else ratio) * s_q)
     except np.linalg.LinAlgError as exc:
+        if stack:
+            vals, vecs = zip(*(_eig(s_p, s_q, omega0, w) for w in omega))
+            return np.stack(vals), np.stack(vecs)
         raise AnalysisError(f"eigensolver did not converge at f_hz = "
                             f"{omega / (2.0 * np.pi):.12g}: {exc}",
                             code="EIG_NOT_CONVERGED") from None
@@ -375,11 +390,26 @@ class _Loop:
         self.sym, *parts = _split(net, op, self.omega0, self.omega[0])
         self.parts = parts if keep_parts else None
 
-    def at(self, omega: float, pick) -> tuple[complex, complex, np.ndarray]:
-        """(Γ, λ, φ) at ω for eigenpair ``pick(vecs)`` of G′_net(jω)."""
-        vals, vecs = self.sym.eig(self.omega0, omega)
-        j = pick(vecs)
-        return gamma(omega, self.u_ref, self.kp, self.ki, self.omega0), vals[j], vecs[:, j]
+    def at(self, omega, picks) -> list[tuple[complex, complex, np.ndarray]]:
+        """(Γ, λ, φ) at each ω of the row ``omega`` for the eigenpair of
+        G′_net(jω) that ``picks`` names: an eigensolver column, or a
+        reference vector whose overlap with the eigenvectors picks the
+        most.  The quotients are solved as stacks of at most
+        ``_BLOCK_ENTRIES`` matrix entries, the scan's block rule."""
+        sym, omega0 = self.sym, self.omega0
+        gammas = gamma(omega, self.u_ref, self.kp, self.ki, omega0)
+        omega = np.asarray(omega, dtype=float)
+        block = max(1, _BLOCK_ENTRIES // len(sym.classes) ** 2)
+        out = []
+        for start in range(0, len(omega), block):
+            part = slice(start, start + block)
+            for w, gam, pick, vals, psi in zip(omega[part], gammas[part], picks[part],
+                                               *_eig(sym.s_p, sym.s_q, omega0, omega[part])):
+                vals, vecs = sym.lift(vals, psi, omega0 / w)
+                j = pick if np.ndim(pick) == 0 else np.argmax(np.abs(pick.conj() @ vecs))
+                # a copy: a view would hold all n eigenvectors while the crossing lives
+                out.append((complex(gam), vals[j], vecs[:, j].copy()))
+        return out
 
 
 @dataclass
@@ -415,14 +445,22 @@ class SubsystemCurves:
     def warnings(self) -> list[str]:
         return self._loop.warnings
 
+    def loops(self, omega, picks) -> list[tuple[complex, complex, np.ndarray]]:
+        """(Γ, λ, φ) at each ω of the row ``omega``, for the eigenpair of
+        G′_net(jω) that ``picks`` names: an eigensolver column (as in
+        ``columns``), or a reference eigenvector whose overlap picks the
+        tracked branch.  One evaluation, solved as stacks; each result is
+        bit-identical to that ω's alone."""
+        return self._loop.at(omega, picks)
+
     def loop(self, omega: float, ref: np.ndarray) -> tuple[complex, complex, np.ndarray]:
         """(Γ, λ, φ) at ω for the eigenpair of G′_net(jω) whose eigenvector
         overlaps ``ref`` most (the tracked branch)."""
-        return self._loop.at(omega, lambda vecs: np.argmax(np.abs(np.asarray(ref).conj() @ vecs)))
+        return self.loops([omega], [np.asarray(ref)])[0]
 
     def loop_at(self, k: int, i: int) -> tuple[complex, complex, np.ndarray]:
         """(Γ, λ, φ) of branch i at grid point k, solved again (bit-identical)."""
-        return self._loop.at(self.omega_rad_s[k], lambda _vecs: self.columns[k, i])
+        return self.loops([self.omega_rad_s[k]], [self.columns[k, i]])[0]
 
 
 def _match_branches(prev_vecs: np.ndarray, vals: np.ndarray, vecs: np.ndarray

@@ -7,16 +7,24 @@ sum defines the critical subsystem, its crossing frequency ω_c1, and the
 stability indicator D_net1 = D_neti(ω_c1).
 
 Crossings are bracketed on the scan grid and refined by safeguarded regula
-falsi (Illinois steps with a bisection fallback, see :func:`_refine`).  Each
-trial frequency re-evaluates the loop exactly through
-:meth:`SubsystemCurves.loop`, which selects the eigenpair by overlap with a
+falsi (Illinois steps with a bisection fallback, see :func:`_refine_steps`).
+Each trial frequency re-evaluates the loop exactly through
+:meth:`SubsystemCurves.loops`, which selects the eigenpair by overlap with a
 carried reference eigenvector (no interpolation of eigenvalues); this module
-never forms Γ or G′_net itself.  Verdicts inside ``MARGINAL_BAND`` of zero
-are reported Marginal instead of being coin-flipped by rounding.
+never forms Γ or G′_net itself.  All crossings of a point are refined
+together, in rounds (:func:`_run`): round 0 re-solves every crossing's grid
+point, and each later round evaluates every pending trial frequency in one
+batched call, solved as stacks.  Each crossing takes exactly the steps it
+would take alone, so the result is bit-identical; where every crossing
+takes at most 3 steps, as on the station and on grouped n = 20 grids, a
+point costs at most 4 rounds, one stacked solve each while its crossings
+fit one stack.  Verdicts inside ``MARGINAL_BAND`` of zero are reported
+Marginal instead of being coin-flipped by rounding.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -81,9 +89,11 @@ class StabilityReport:
     notes: tuple[str, ...] = ()
 
 
-def _refine(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float
-            ) -> Crossing:
-    """Refine the sign change of subsystem i inside grid cell [k_lo, k_lo+1].
+def _refine_steps(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float):
+    """The refinement of the sign change of subsystem i inside grid cell
+    [k_lo, k_lo+1], as a step sequence for :func:`_run`: it yields each
+    evaluation it needs as (ω, pick) (see :meth:`SubsystemCurves.loops`),
+    is sent its (Γ, λ, φ), and returns the :class:`Crossing`.
 
     Illinois regula falsi (Dowell & Jarratt 1971): each trial point is the
     chord point of the bracket, with the chord weight of an end kept twice
@@ -97,7 +107,7 @@ def _refine(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float
     f_lo, f_hi = curves.f_hz[k_lo], curves.f_hz[k_lo + 1]
     g_lo = w_lo = curves.k_con[k_lo] + curves.k_net[i, k_lo]          # w: chord weights
     g_hi = w_hi = curves.k_con[k_lo + 1] + curves.k_net[i, k_lo + 1]
-    ref = curves.loop_at(k_lo, i)[2]
+    ref = (yield curves.omega_rad_s[k_lo], curves.columns[k_lo, i])[2]
     kept, misses, bisect = 0, 0, False   # kept: +1 low end, -1 high end
 
     while (f_hi - f_lo) > root_tol_hz:
@@ -110,7 +120,7 @@ def _refine(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float
             chord = min(max(chord, f_lo + 0.5 * root_tol_hz), f_hi - 0.5 * root_tol_hz)
             f = chord if f_lo < chord < f_hi else f_mid
         # the new eigenvector becomes the reference: branch identity carried inward
-        g, lam, ref = curves.loop(2.0 * np.pi * f, ref)
+        g, lam, ref = yield 2.0 * np.pi * f, ref
         g_f = g.imag + lam.imag
         if (g_f < 0.0) == (g_lo < 0.0):
             w_hi *= 0.5 if kept < 0 else 1.0
@@ -124,7 +134,45 @@ def _refine(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float
 
     f_c = f_lo + g_lo / (g_lo - g_hi) * (f_hi - f_lo)
     omega_c = 2.0 * np.pi * (f_c if f_lo <= f_c <= f_hi else 0.5 * (f_lo + f_hi))
-    return _make_crossing(i, omega_c, *curves.loop(omega_c, ref))
+    return _make_crossing(i, omega_c, *(yield omega_c, ref))
+
+
+def _zero_steps(curves: SubsystemCurves, i: int, k: int):
+    """The crossing of subsystem i at grid point k, where K_con + K_neti is
+    exactly zero, as a step sequence of one evaluation (see :func:`_run`)."""
+    return _make_crossing(i, curves.omega_rad_s[k],
+                          *(yield curves.omega_rad_s[k], curves.columns[k, i]))
+
+
+def _run(curves: SubsystemCurves, sequences: list) -> list[Crossing]:
+    """The results of the step ``sequences``, in their order, run in rounds:
+    each round sends every pending evaluation to one
+    :meth:`SubsystemCurves.loops` call and advances each sequence by one step
+    with its own answer.  A sequence sees exactly what it would alone."""
+    results: list = [None] * len(sequences)
+    pending: list[tuple[int, tuple]] = []
+
+    def advance(s: int, answer) -> None:
+        try:
+            pending.append((s, sequences[s].send(answer)))
+        except StopIteration as stop:
+            results[s] = stop.value
+
+    for s in range(len(sequences)):
+        advance(s, None)
+    while pending:
+        asked, pending = pending, []
+        answers = curves.loops(np.array([omega for _s, (omega, _pick) in asked]),
+                               [pick for _s, (_omega, pick) in asked])
+        for (s, _request), answer in zip(asked, answers):
+            advance(s, answer)
+    return results
+
+
+def _refine(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float
+            ) -> Crossing:
+    """The crossing of :func:`_refine_steps` on its own."""
+    return _run(curves, [_refine_steps(curves, i, k_lo, root_tol_hz)])[0]
 
 
 def _make_crossing(i: int, omega_c: float, g: complex, lam: complex,
@@ -144,6 +192,17 @@ def _require_root_tol(root_tol_hz) -> None:
                             code="ROOT_TOL_INVALID")
 
 
+def _sequences(curves: SubsystemCurves, i: int, root_tol_hz: float) -> list:
+    """The step sequences of subsystem i's crossings, ascending in frequency:
+    one per exact zero at a grid point and one per grid cell whose ends
+    change sign (a cell with an exact zero at either end is not one)."""
+    g = curves.k_con + curves.k_net[i]
+    zero, neg = g == 0.0, g < 0.0
+    cell = np.append((neg[:-1] != neg[1:]) & ~zero[:-1] & ~zero[1:], False)
+    return [_zero_steps(curves, i, k) if zero[k] else _refine_steps(curves, i, k, root_tol_hz)
+            for k in np.flatnonzero(zero | cell).tolist()]
+
+
 def find_crossings(curves: SubsystemCurves, i: int,
                    root_tol_hz: float = 1e-4) -> list[Crossing]:
     """All zeros of K_con + K_neti for subsystem i, ascending in frequency.
@@ -151,36 +210,30 @@ def find_crossings(curves: SubsystemCurves, i: int,
     Grid sign changes are refined by safeguarded regula falsi to a bracket
     |Δf| ≤ ``root_tol_hz``, or to adjacent floats when that is finer, and
     reported inside that bracket; exact zeros at grid points are
-    taken as crossings directly.  Raises ``AnalysisError`` (ROOT_TOL_INVALID)
-    unless ``root_tol_hz`` is a real number > 0.
+    taken as crossings directly.  All of them advance together, one batched
+    evaluation per round (see :func:`_run`).  Raises ``AnalysisError``
+    (ROOT_TOL_INVALID) unless ``root_tol_hz`` is a real number > 0.
     """
     _require_root_tol(root_tol_hz)
-    g = curves.k_con + curves.k_net[i]
-    zero, neg = g == 0.0, g < 0.0
-    # a cell with an exact zero at either end is not a sign change
-    cell = np.append((neg[:-1] != neg[1:]) & ~zero[:-1] & ~zero[1:], False)
-    out: list[Crossing] = []
-    for k in np.flatnonzero(zero | cell).tolist():
-        if zero[k]:
-            out.append(_make_crossing(i, curves.omega_rad_s[k], *curves.loop_at(k, i)))
-        else:
-            out.append(_refine(curves, i, k, root_tol_hz))
-    return out
+    return _run(curves, _sequences(curves, i, root_tol_hz))
 
 
 def assess(spec: SystemSpec, curves: SubsystemCurves) -> StabilityReport:
     """Evaluate the positive-net-damping criterion over every subsystem.
 
-    The verdict follows the globally minimal net damping over all crossings:
-    Stable above +MARGINAL_BAND, Unstable below −MARGINAL_BAND, Marginal
-    inside the band.  With no crossing anywhere in the scan band the verdict
-    is NoCrossing (the criterion is only defined at crossings; stability is
-    *not* silently asserted).
+    The crossings of every subsystem are refined together, as in
+    :func:`find_crossings`.  The verdict follows the globally minimal net
+    damping over all crossings: Stable above +MARGINAL_BAND, Unstable below
+    −MARGINAL_BAND, Marginal inside the band.  With no crossing anywhere in
+    the scan band the verdict is NoCrossing (the criterion is only defined
+    at crossings; stability is *not* silently asserted).
     """
     tol = spec.options.root_tol_hz
-    assessments = tuple(
-        SubsystemAssessment(i, tuple(find_crossings(curves, i, tol)))
-        for i in range(curves.n))
+    _require_root_tol(tol)
+    per_subsystem = [_sequences(curves, i, tol) for i in range(curves.n)]
+    found = iter(_run(curves, [s for sequences in per_subsystem for s in sequences]))
+    assessments = tuple(SubsystemAssessment(i, tuple(islice(found, len(sequences))))
+                        for i, sequences in enumerate(per_subsystem))
 
     notes = [f"branch overlap below threshold at {len(curves.branch_jumps)} "
              f"grid point(s)"] if curves.branch_jumps else []

@@ -704,9 +704,10 @@ def test_every_solve_of_a_grouped_input_is_g_by_g(make, case):
         curves = trace_curves(spec, net, op)
         scan = len(shapes)
         stability.assess(spec, curves)
-    assert scan == spec.options.scan_points
+    # the scan solves one matrix per point, the refinement stacks of them
+    assert scan == spec.options.scan_points and set(shapes[:scan]) == {(g, g)}
     assert len(shapes) > scan          # the refinement solved too
-    assert set(shapes) == {(g, g)} and g < op.n
+    assert {shape[-2:] for shape in shapes} == {(g, g)} and g < op.n
 
 
 # the station's six inputs and the two-bus config's two cases, flat and solved
@@ -847,6 +848,60 @@ def test_eigensolver_failure_is_a_coded_error(monkeypatch, make, case):
         modal_weights(result.net, result.op, 2 * np.pi * 20.0, spec.omega0)
     assert exc.value.code == "EIG_NOT_CONVERGED"
     assert "f_hz = 20" in str(exc.value)
+
+
+def test_a_failing_stack_names_the_first_omega_that_fails_alone(monkeypatch):
+    curves = _station_curves()
+    sym, omega0 = curves._loop.sym, curves._loop.omega0
+    omega = curves.omega_rad_s[[100, 200, 300, 400, 500]] + 0.25
+    eig = np.linalg.eig
+
+    def refusing(bad=(), stacks=False):
+        """np.linalg.eig refusing the matrices at ``omega[bad]``, and every
+        stack if ``stacks``."""
+        refused = [-sym.s_p + 1j * (omega0 / omega[k]) * sym.s_q for k in bad]
+
+        def spy(a):
+            matrices = a.reshape(-1, *a.shape[-2:])
+            if (stacks and a.ndim == 3) or any(np.array_equal(m, r) for m in matrices
+                                                 for r in refused):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eig(a)
+        return spy
+
+    picks = [0] * len(omega)
+    expected = [(g, lam, phi.tobytes()) for g, lam, phi in curves.loops(omega, picks)]
+    monkeypatch.setattr(np.linalg, "eig", refusing(bad=[3, 1]))
+    with pytest.raises(AnalysisError) as exc:
+        curves.loops(omega, picks)
+    assert exc.value.code == "EIG_NOT_CONVERGED"
+    assert f"f_hz = {omega[1] / (2.0 * np.pi):.12g}:" in str(exc.value)
+    # a stack that fails while each of its matrices converges alone is solved alone
+    monkeypatch.setattr(np.linalg, "eig", refusing(stacks=True))
+    got = [(g, lam, phi.tobytes()) for g, lam, phi in curves.loops(omega, picks)]
+    assert got == expected
+
+
+def test_the_refinement_holds_no_more_memory_than_the_scan():
+    # the refinement solves stacks of at most _BLOCK_ENTRIES entries, as the
+    # scan does, so what it allocates above what it leaves held (the report
+    # for assess, the curves for the scan) stays at or below the scan's
+    spec = grouped_grid_spec(0)
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, "base")
+    tracemalloc.start()
+    try:
+        curves = trace_curves(spec, net, op)
+        held, peak = tracemalloc.get_traced_memory()
+        scan = peak - held
+        tracemalloc.reset_peak()
+        report = assess(spec, curves)
+        held, peak = tracemalloc.get_traced_memory()
+        refine = peak - held
+    finally:
+        tracemalloc.stop()
+    assert sum(len(a.crossings) for a in report.per_subsystem) > 1
+    assert refine <= scan, (refine, scan)
 
 
 # ---------------------------------------------- the scan, a block at a time

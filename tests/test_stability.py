@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 from syncstab import stability
 from syncstab.config import PowerSetpoint, load_system_spec, parse_system_spec
 from syncstab.errors import AnalysisError
-from syncstab.frequency_response import (OperatingPoint, SubsystemCurves, build_gnet,
-                                         trace_curves)
+from syncstab.frequency_response import (_BLOCK_ENTRIES, OperatingPoint, SubsystemCurves,
+                                         build_gnet, trace_curves)
 from syncstab.modal import modal_weights_from_report
 from syncstab.network import build_reduced_network
-from syncstab.pipeline import run_analysis
+from syncstab.pipeline import operating_point, run_analysis
 from syncstab.stability import (MARGINAL, MARGINAL_BAND, NO_CROSSING, STABLE,
                                 UNSTABLE, assess, find_crossings)
 
@@ -195,17 +195,17 @@ def test_find_crossings_exact_zero_at_grid_end(end):
 
 
 def _bounded_loop(monkeypatch, limit=500):
-    """Make ``SubsystemCurves.loop`` raise after ``limit`` calls, so a
-    bisection that stops shrinking fails the test instead of hanging it."""
-    loop, calls = SubsystemCurves.loop, []
+    """Make ``SubsystemCurves.loops`` raise after ``limit`` evaluations, so a
+    refinement that stops shrinking fails the test instead of hanging it."""
+    loops, calls = SubsystemCurves.loops, []
 
-    def spy(self, omega, ref):
-        calls.append(omega)
+    def spy(self, omega, picks):
+        calls.extend(omega)
         if len(calls) > limit:
             raise RuntimeError(f"more than {limit} loop evaluations")
-        return loop(self, omega, ref)
+        return loops(self, omega, picks)
 
-    monkeypatch.setattr(SubsystemCurves, "loop", spy)
+    monkeypatch.setattr(SubsystemCurves, "loops", spy)
     return calls
 
 
@@ -255,16 +255,19 @@ def _crossing_events_reference(g):
 def test_find_crossings_visits_the_same_points_as_the_loop_rule(values):
     g = np.array(values)
     events = []
-    curves = SimpleNamespace(
-        k_con=np.zeros_like(g), k_net=g[None, :], omega_rad_s=np.arange(len(g)),
-        loop_at=lambda k, i: (0j, 0j, None))
-    original = (stability._make_crossing, stability._refine)
-    stability._make_crossing = lambda i, omega, g, lam, phi: events.append(("zero", omega))
-    stability._refine = lambda curves, i, k, tol: events.append(("cell", k))
+
+    def no_steps(kind, k):
+        events.append((kind, k))
+        yield from ()
+
+    curves = SimpleNamespace(k_con=np.zeros_like(g), k_net=g[None, :])
+    original = (stability._zero_steps, stability._refine_steps)
+    stability._zero_steps = lambda curves, i, k: no_steps("zero", k)
+    stability._refine_steps = lambda curves, i, k, tol: no_steps("cell", k)
     try:
         stability.find_crossings(curves, 0)
     finally:
-        stability._make_crossing, stability._refine = original
+        stability._zero_steps, stability._refine_steps = original
     assert events == _crossing_events_reference(g)
 
 
@@ -382,19 +385,33 @@ def test_relabelling_a_grouped_grid_permutes_eta_and_nothing_else(order):
 
 # ------------------------------------------------------ refining a crossing
 
-def _synthetic_cell(g, f_lo, f_hi):
-    """Curves of one subsystem over the cell [f_lo, f_hi] whose loop is
-    K_con + K_net = g(f), and the list of frequencies ``loop`` was asked for."""
-    calls = []
+def _synthetic_cells(cells):
+    """Curves whose subsystem j is K_con + K_net = g_j(f) over the grid cell
+    [2j, 2j + 1] = [f_lo, f_hi] of ``cells[j] = (g_j, f_lo, f_hi)``, the
+    frequencies evaluated per subsystem, and the size of each batch."""
+    calls, batches = [[] for _ in cells], []
+    f_hz = np.array([f for _g, f_lo, f_hi in cells for f in (f_lo, f_hi)])
+    k_net = np.zeros((len(cells), len(f_hz)))
+    for j, (g, f_lo, f_hi) in enumerate(cells):
+        k_net[j, 2 * j:2 * j + 2] = g(f_lo), g(f_hi)
 
-    def loop(omega, ref):
-        calls.append(omega / (2.0 * np.pi))
-        return complex(0.0, g(omega / (2.0 * np.pi))), 0j, ref
+    def loops(omega, picks):
+        batches.append(len(omega))
+        out = []
+        for w, pick in zip(omega, picks):
+            if np.ndim(pick):          # a trial point: the reference names the subsystem
+                j = int(pick[0])
+                calls[j].append(w / (2.0 * np.pi))
+                out.append((complex(0.0, cells[j][0](w / (2.0 * np.pi))), 0j, pick))
+            else:                      # the grid re-solve that starts a cell
+                out.append((0j, 0j, np.array([float(pick)])))
+        return out
 
-    curves = SimpleNamespace(f_hz=np.array([f_lo, f_hi]), k_con=np.array([g(f_lo), g(f_hi)]),
-                             k_net=np.zeros((1, 2)), loop=loop,
-                             loop_at=lambda k, i: (0j, 0j, np.ones(1)))
-    return curves, calls
+    curves = SimpleNamespace(f_hz=f_hz, omega_rad_s=2.0 * np.pi * f_hz,
+                             k_con=np.zeros(len(f_hz)), k_net=k_net,
+                             columns=np.tile(np.arange(len(cells)), (len(f_hz), 1)),
+                             loops=loops)
+    return curves, calls, batches
 
 
 @st.composite
@@ -425,54 +442,144 @@ def _cells(draw):
     return lambda f: sign * np.expm1(bend * (f - root) / width), [root], f_lo, f_hi, tol
 
 
+def _sign_change(cell):
+    g, _roots, f_lo, f_hi, _tol = cell
+    return g(f_lo) != 0.0 and g(f_hi) != 0.0 and (g(f_lo) < 0.0) != (g(f_hi) < 0.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_cells())
 def test_a_refined_crossing_lies_within_tolerance_of_a_root_at_bounded_cost(cell):
+    assume(_sign_change(cell))
     g, roots, f_lo, f_hi, tol = cell
-    assume(g(f_lo) != 0.0 and g(f_hi) != 0.0 and (g(f_lo) < 0.0) != (g(f_hi) < 0.0))
-    curves, calls = _synthetic_cell(g, f_lo, f_hi)
+    curves, calls, _batches = _synthetic_cells([(g, f_lo, f_hi)])
     crossing = stability._refine(curves, 0, 0, tol)
     # a few ulps of slack: f -> ω -> f in the fake loop rounds once each way
     assert min(abs(crossing.f_ci - r) for r in roots) <= tol + 1e-12
-    assert len(calls) <= 2 * np.ceil(np.log2((f_hi - f_lo) / tol)) + 2
+    # trial evaluations, after the one grid re-solve
+    assert len(calls[0]) <= 2 * np.ceil(np.log2((f_hi - f_lo) / tol)) + 2
 
 
-def _count_refine_calls(monkeypatch):
-    """Record (loop_at calls, loop calls) of every ``_refine`` call."""
-    counts, per_refine = {"loop": 0, "loop_at": 0}, []
+def _crossing_bits(c):
+    """Every number of a crossing, as bytes."""
+    numbers = np.array([c.omega_ci, c.f_ci, c.d_con, c.d_neti, c.k_neti, c.net_damping,
+                        c.lam.real, c.lam.imag])
+    return c.subsystem, numbers.tobytes(), np.asarray(c.phi).tobytes()
 
-    def counted(name):
-        method = getattr(SubsystemCurves, name)
 
-        def spy(self, *args):
-            counts[name] += 1
-            return method(self, *args)
-        return spy
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_cells(), min_size=2, max_size=4))
+def test_refining_cells_together_is_refining_each_alone(cells):
+    assume(all(_sign_change(cell) for cell in cells))
+    shape = [(g, f_lo, f_hi) for g, _roots, f_lo, f_hi, _tol in cells]
+    curves, calls, batches = _synthetic_cells(shape)
+    together = stability._run(curves, [stability._refine_steps(curves, j, 2 * j, cell[4])
+                                       for j, cell in enumerate(cells)])
+    alone, alone_calls = [], []
+    for j, cell in enumerate(cells):
+        curves_j, calls_j, _batches = _synthetic_cells(shape)
+        alone.append(stability._refine(curves_j, j, 2 * j, cell[4]))
+        alone_calls.append(calls_j[j])
+    assert [_crossing_bits(c) for c in together] == [_crossing_bits(c) for c in alone]
+    assert calls == alone_calls
+    # one batch per round: the grid re-solves, then a step of each live cell
+    assert len(batches) == 1 + max(len(c) for c in calls)
+    assert batches[0] == len(cells) and sum(batches) == len(cells) + sum(map(len, calls))
 
-    refine = stability._refine
 
-    def spy_refine(*args):
-        before = dict(counts)
-        crossing = refine(*args)
-        per_refine.append((counts["loop_at"] - before["loop_at"], counts["loop"] - before["loop"]))
-        return crossing
+def _count_refine_steps(monkeypatch):
+    """Record [grid re-solves, loop solves] of every refined crossing."""
+    steps, per_refine = stability._refine_steps, []
 
-    monkeypatch.setattr(SubsystemCurves, "loop", counted("loop"))
-    monkeypatch.setattr(SubsystemCurves, "loop_at", counted("loop_at"))
-    monkeypatch.setattr(stability, "_refine", spy_refine)
+    def spy(*args):
+        counts, sequence, answer = [0, 0], steps(*args), None
+        per_refine.append(counts)
+        while True:
+            try:
+                omega, pick = sequence.send(answer)
+            except StopIteration as stop:
+                return stop.value
+            counts[np.ndim(pick) > 0] += 1
+            answer = yield omega, pick
+
+    monkeypatch.setattr(stability, "_refine_steps", spy)
     return per_refine
+
+
+def _count_solves(monkeypatch):
+    """Record [eig calls, matrices solved] of ``np.linalg.eig``."""
+    eig, counts = np.linalg.eig, [0, 0]
+
+    def spy(a):
+        counts[0] += 1
+        counts[1] += a.shape[0] if a.ndim == 3 else 1
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    return counts
+
+
+def _traced(case, flat):
+    """(spec, curves) of a station input, or of grouped seed 0 for "grouped"."""
+    if case == "grouped":
+        return _traced_grouped(0)
+    spec = _station_spec()
+    _name, _steady, op = operating_point(spec, case, flat_voltage=flat)
+    return spec, trace_curves(spec, build_reduced_network(spec), op)
+
+
+def _traced_grouped(seed):
+    spec = grouped_grid_spec(seed)
+    _name, _steady, op = operating_point(spec, "base")
+    return spec, trace_curves(spec, build_reduced_network(spec), op)
 
 
 @pytest.mark.parametrize("case,flat", [*_STATION_INPUTS, ("grouped", None)])
 def test_a_refined_crossing_costs_one_grid_solve_and_at_most_three_loop_solves(
         monkeypatch, case, flat):
-    per_refine = _count_refine_calls(monkeypatch)
-    if case == "grouped":
-        run_analysis(grouped_grid_spec(0), "base")
-    else:
-        run_analysis(_station_spec(), case, flat_voltage=flat)
+    spec, curves = _traced(case, flat)
+    per_refine = _count_refine_steps(monkeypatch)
+    solves = _count_solves(monkeypatch)
+    report = assess(spec, curves)
+    calls, matrices = solves
     assert per_refine
-    assert all(loop_at == 1 and loop <= 3 for loop_at, loop in per_refine), per_refine
+    assert all(grid == 1 and loop <= 3 for grid, loop in per_refine), per_refine
+    # one solved matrix per evaluation, an exact grid zero taking one
+    crossings = sum(len(a.crossings) for a in report.per_subsystem)
+    assert matrices == sum(map(sum, per_refine)) + crossings - len(per_refine)
+    # every crossing advances in each round: at most 4 rounds of stacked solves
+    block = max(1, _BLOCK_ENTRIES // len(curves._loop.sym.classes) ** 2)
+    assert calls <= 4 * -(-crossings // block)
+
+
+def _no_symmetry_grid():
+    """(spec, curves) of a random 20-converter grid with spread U: no two
+    converters are interchangeable."""
+    rng = np.random.default_rng(7)
+    spec = synthetic_spec(20, scan_points=1200)
+    curves = trace_curves(spec, random_pd_network(rng, 20),
+                          random_operating_point(rng, 20, flat=False))
+    assert len(curves._loop.sym.classes) == 20
+    return spec, curves
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda case=case, flat=flat: _traced(case, flat) for case, flat in _STATION_INPUTS),
+    *(lambda seed=seed: _traced_grouped(seed) for seed in range(3)),
+    _no_symmetry_grid,
+], ids=[*(f"{case}_{flat}" for case, flat in _STATION_INPUTS),
+        *(f"grouped{seed}" for seed in range(3)), "no_symmetry20"])
+def test_refining_in_rounds_is_refining_each_crossing_alone(make):
+    spec, curves = make()
+    tol = spec.options.root_tol_hz
+    report = assess(spec, curves)
+    assert any(a.crossings for a in report.per_subsystem)
+    for a in report.per_subsystem:
+        alone = [stability._run(curves, [sequence])[0]
+                 for sequence in stability._sequences(curves, a.index, tol)]
+        expected = [_crossing_bits(c) for c in alone]
+        assert [_crossing_bits(c) for c in a.crossings] == expected
+        assert [_crossing_bits(c) for c in find_crossings(curves, a.index, tol)] == expected
 
 
 @pytest.mark.parametrize("case,flat", _STATION_INPUTS)
