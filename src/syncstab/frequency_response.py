@@ -52,6 +52,11 @@ in one vectorised :func:`gamma` call and solves the quotients as stacks of
 at most ``_BLOCK_ENTRIES`` entries, the scan's block rule.
 :meth:`SubsystemCurves.loops` hands it a row; :meth:`SubsystemCurves.loop`
 and :meth:`SubsystemCurves.loop_at` hand it a row of one.
+
+``_quotient`` is the one formula of the quotient −S_P + j·(ω0/ω)·S_Q: the
+scan forms each block's matrices with it, and ``_eig``, which solves every
+refinement step and the scan's first point, forms its matrices with it, so
+the same ω gives the same bits on the scan and off it.
 """
 from __future__ import annotations
 
@@ -303,17 +308,27 @@ def _split(net: ReducedNetwork, op: OperatingPoint, omega0: float, omega: float
     return sym, s_p, s_q
 
 
+def _quotient(s_p: np.ndarray, s_q: np.ndarray, omega0: float, omega, out=None
+              ) -> np.ndarray:
+    """−S_P + j·(ω0/ω)·S_Q, the quotient of G′_net(jω), at one ω or, for a
+    row of ω, as one stack, written into ``out`` when it is given: the one
+    formula of every matrix that a trace or a refinement solves, so the
+    same ω gives the same bits, alone or stacked."""
+    ratio = omega0 / omega
+    scaled = np.multiply(1j * (ratio[:, None, None] if isinstance(omega, np.ndarray)
+                               else ratio), s_q, out=out)
+    return np.add(-s_p, scaled, out=scaled)
+
+
 def _eig(s_p: np.ndarray, s_q: np.ndarray, omega0: float, omega
          ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of −S_P + j·(ω0/ω)·S_Q, the quotient of G′_net(jω), at one
-    ω or, for a row of ω, as one stack: every solve of a trace or a
-    refinement, so a repeated solve is bit-identical, alone or stacked.
-    Raises ``AnalysisError`` (EIG_NOT_CONVERGED) when LAPACK gives up, at
-    the first ω of a stack whose matrix fails alone."""
+    """Eigenpairs of :func:`_quotient` at one ω or, for a row of ω, as one
+    stack: a repeated solve is bit-identical, alone or stacked.  Raises
+    ``AnalysisError`` (EIG_NOT_CONVERGED) when LAPACK gives up, at the
+    first ω of a stack whose matrix fails alone."""
     stack = isinstance(omega, np.ndarray)
-    ratio = omega0 / omega
     try:
-        return np.linalg.eig(-s_p + 1j * (ratio[:, None, None] if stack else ratio) * s_q)
+        return np.linalg.eig(_quotient(s_p, s_q, omega0, omega))
     except np.linalg.LinAlgError as exc:
         if stack:
             vals, vecs = zip(*(_eig(s_p, s_q, omega0, w) for w in omega))
@@ -591,12 +606,15 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     overlap.  Overlap below ``OVERLAP_THRESHOLD`` records a (grid index,
     branch) entry in ``branch_jumps`` — a warning, not an error.
 
-    Every point has its own eigensolve; the points are matched a block at a
-    time, a block holding about ``_BLOCK_ENTRIES`` eigenvector entries.  One
-    batched product gives the overlaps of each point's eigenvectors with
-    the point before's (the last of the previous block carried over).  A
-    point whose row-wise best overlaps are distinct strict maxima takes
-    them (:func:`_strict_bests`); any other point takes
+    The points go a block at a time, a block holding about
+    ``_BLOCK_ENTRIES`` eigenvector entries.  A block's quotient matrices
+    are formed in one vectorised :func:`_quotient` call, in place in the
+    block's eigenvector buffer, and each point still has its own eigensolve,
+    so every matrix is bit for bit the one :meth:`SubsystemCurves.loop_at`
+    solves there.  One batched product gives the overlaps of each point's
+    eigenvectors with the point before's (the last of the previous block
+    carried over).  A point whose row-wise best overlaps are distinct strict
+    maxima takes them (:func:`_strict_bests`); any other point takes
     :func:`_match_branches`.  The result is that of matching point by point.
 
     Only the g quotient branches are solved and matched, in the orthonormal
@@ -620,33 +638,47 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     every = sym.values(vals, omega0 / omega_grid[0])
     order = np.lexsort((every.imag, every.real))
     tracked = np.flatnonzero(order < g)            # the branches on quotient columns
-    matched = order[tracked]
+    matched = order[tracked].tolist()
     lam[tracked, 0], columns[:] = vals[matched], order
-    matched_block = np.empty((block, g), dtype=np.intp)
+    matched_block = np.empty((block + 1, g), dtype=np.intp)   # [0]: the point before
+    matched_block[0] = matched
     overlaps_block = np.empty((block, g))
+    points = np.arange(block)[:, None]             # row index of a block's points
 
     for start in range(1, m, block):
         count = min(block, m - start)
+        # each slot holds its point's quotient until eig replaces it with the
+        # eigenvectors; a point LAPACK refuses is solved again alone, to raise
+        _quotient(sym.s_p, sym.s_q, omega0, omega_grid[start:start + count],
+                  out=vecs_block[1:count + 1])
         for c in range(count):
-            vals_block[c], vecs_block[c + 1] = _eig(sym.s_p, sym.s_q, omega0,
-                                                    omega_grid[start + c])
-        # raw overlaps of each point's eigenvectors with the point before's
-        prev = vecs_block[:count].conj().transpose(0, 2, 1)
-        best, top, settled = _strict_bests(np.abs(prev @ vecs_block[1:count + 1]))
-        for c in range(count):
-            if settled[c]:
-                overlaps_block[c], matched = top[c, matched], best[c, matched]
+            try:
+                vals_block[c], vecs_block[c + 1] = np.linalg.eig(vecs_block[c + 1])
+            except np.linalg.LinAlgError:
+                vals_block[c], vecs_block[c + 1] = _eig(sym.s_p, sym.s_q, omega0,
+                                                        omega_grid[start + c])
+        # raw overlaps of each point's eigenvectors with the point before's; the
+        # conjugate is not kept, so it is gone before the next block is formed
+        best, top, settled = _strict_bests(np.abs(
+            vecs_block[:count].conj().transpose(0, 2, 1) @ vecs_block[1:count + 1]))
+        # the columns are chained through the block as lists; a settled point's
+        # overlaps are read off afterwards, by the columns of the point before
+        for c, (row, strict) in enumerate(zip(best.tolist(), settled.tolist())):
+            if strict:
+                matched = [row[j] for j in matched]
             else:
                 matched, overlaps_block[c] = _match_branches(
                     vecs_block[c][:, matched], vals_block[c], vecs_block[c + 1])
-            matched_block[c] = matched
+                matched = matched.tolist()
+            matched_block[c + 1] = matched
+        np.copyto(overlaps_block[:count], top[points[:count], matched_block[:count]],
+                  where=settled[:, None])
         stop = start + count
-        lam[tracked, start:stop] = np.take_along_axis(
-            vals_block[:count], matched_block[:count], axis=1).T
-        columns[start:stop, tracked] = matched_block[:count]
+        lam[tracked, start:stop] = vals_block[points[:count], matched_block[1:count + 1]].T
+        columns[start:stop, tracked] = matched_block[1:count + 1]
         rows, branches = np.nonzero(overlaps_block[:count] < OVERLAP_THRESHOLD)
         jumps.extend(zip((start + rows).tolist(), tracked[branches].tolist()))
-        vecs_block[0] = vecs_block[count]
+        vecs_block[0], matched_block[0] = vecs_block[count], matched_block[count]
     # difference branches one row at a time: an (n − g, m) block raises the peak memory
     for i in np.flatnonzero(order >= g):
         lam[i] = -sym.a[order[i] - g] + 1j * (omega0 / omega_grid) * sym.b[order[i] - g]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import SystemSpec, _number
 from .errors import AnalysisError
-from .frequency_response import SubsystemCurves
+from .frequency_response import SubsystemCurves, _is_int
 
 __all__ = [
     "MARGINAL_BAND",
@@ -212,8 +212,14 @@ def find_crossings(curves: SubsystemCurves, i: int,
     reported inside that bracket; exact zeros at grid points are
     taken as crossings directly.  All of them advance together, one batched
     evaluation per round (see :func:`_run`).  Raises ``AnalysisError``
-    (ROOT_TOL_INVALID) unless ``root_tol_hz`` is a real number > 0.
+    (SUBSYSTEM_INVALID) unless ``i`` is an integer in 0..n − 1 (a bool or a
+    negative index is refused, not read as a number or counted from the
+    end), and (ROOT_TOL_INVALID) unless ``root_tol_hz`` is a real number > 0.
     """
+    n = len(curves.k_net)
+    if not _is_int(i) or not 0 <= i < n:
+        raise AnalysisError(f"subsystem index {i!r} is not an integer in 0..{n - 1}",
+                            code="SUBSYSTEM_INVALID")
     _require_root_tol(root_tol_hz)
     return _run(curves, _sequences(curves, i, root_tol_hz))
 

@@ -396,7 +396,9 @@ def test_an_over_cap_scan_is_refused_before_it_solves_or_allocates(monkeypatch):
     def refuse(*args):
         raise AssertionError("an over-cap scan reached the eigensolver")
 
+    # the scan solves most points by np.linalg.eig on its own block, not by _eig
     monkeypatch.setattr(frequency_response, "_eig", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
     refused = []
     tracemalloc.start()
     try:
@@ -1041,6 +1043,61 @@ def test_the_scan_solves_once_per_grid_point(make):
         with spy:
             trace_curves(spec, net, op, np.linspace(0.5, 60.0, m))
         assert len(shapes) == m
+
+
+def _eig_inputs():
+    """A spy for np.linalg.eig, and a copy of every array it is given (the
+    scan overwrites each matrix with its eigenvectors)."""
+    given = []
+    eig = np.linalg.eig
+
+    def spy(a):
+        given.append(a.copy())
+        return eig(a)
+
+    return given, spy
+
+
+# the station's heavy case (g = 5, blocks of 16) and the WTG1-3 repro (g = 3,
+# blocks of 44)
+@pytest.mark.parametrize("setpoints", [None, _REPRO], ids=["heavy", "identical_units"])
+def test_the_scan_solves_the_matrix_that_loop_at_solves(setpoints):
+    # one formula: a block of the scan and loop_at's stack of one hold the same
+    # bits at a grid point, so loop_at's column restarts the branch the scan took
+    given, spy = _eig_inputs()
+    with mock.patch.object(np.linalg, "eig", spy):
+        curves = _station_curves(setpoints)
+    scan = given[:]
+    assert len(scan) == curves.m and {a.ndim for a in scan} == {2}
+    b = _block_length(len(curves._loop.sym.classes))
+    for k in (1, b, b + 1, curves.m - 1):
+        for i in (0, curves.n - 1):
+            given.clear()
+            with mock.patch.object(np.linalg, "eig", spy):
+                curves.loop_at(k, i)
+            (stack,) = given
+            assert stack.shape == (1, *scan[k].shape)
+            assert stack[0].tobytes() == scan[k].tobytes(), (k, i)
+
+
+def test_a_point_the_scan_cannot_solve_names_its_own_frequency(monkeypatch):
+    # a refused point inside a block, solved again alone, raises at its own f
+    curves = _station_curves()
+    sym, omega0 = curves._loop.sym, curves._loop.omega0
+    k = _block_length(len(sym.classes)) + 3
+    refused = -sym.s_p + 1j * (omega0 / curves.omega_rad_s[k]) * sym.s_q
+    eig = np.linalg.eig
+
+    def spy(a):
+        if any(np.array_equal(m, refused) for m in a.reshape(-1, *a.shape[-2:])):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    with pytest.raises(AnalysisError) as exc:
+        _station_curves()
+    assert exc.value.code == "EIG_NOT_CONVERGED"
+    assert f"f_hz = {curves.f_hz[k]:.12g}:" in str(exc.value)
 
 
 def test_the_scan_transient_memory_does_not_grow_with_the_grid():

@@ -237,6 +237,21 @@ def test_a_root_tolerance_that_is_not_positive_is_a_coded_error(monkeypatch, tol
     assert exc.value.code == "ROOT_TOL_INVALID"
 
 
+@pytest.mark.parametrize("i", [-1, 5, 1.0, True, np.int64(5), "0"])
+def test_a_subsystem_index_that_is_not_one_of_the_n_is_a_coded_error(i):
+    # -1 would read subsystem 4 under the label -1, True subsystem 1, and 5
+    # or 1.0 would raise IndexError
+    result = run_analysis(load_system_spec(STATION_CFG_PATH), "heavy")
+    with pytest.raises(AnalysisError) as exc:
+        find_crossings(result.curves, i)
+    assert exc.value.code == "SUBSYSTEM_INVALID"
+    # the last subsystem, by a NumPy integer, is found under its own label
+    found = find_crossings(result.curves, np.int64(4))
+    assert found and {c.subsystem for c in found} == {4}
+    assert ([(c.f_ci, c.net_damping) for c in found]
+            == [(c.f_ci, c.net_damping) for c in result.report.per_subsystem[4].crossings])
+
+
 def _crossing_events_reference(g):
     """The grid rule as a loop over every point: an exact zero is a crossing;
     a sign change is a cell to refine unless either end is an exact zero."""
