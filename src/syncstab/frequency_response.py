@@ -46,12 +46,12 @@ re-derive or widen the window; the containment tests in
 ``tests/test_frequency_response.py`` fail if it does not.
 
 One private ``_Loop`` per operating point holds the loop's gains, ω0,
-``u_ref``, Γ over the grid and the symmetry split; its ``at`` is the one
-evaluator of (Γ, λ, φ) off the scan, batched: it takes a row of ω, forms Γ
-in one vectorised :func:`gamma` call and solves the quotients as stacks of
-at most ``_BLOCK_ENTRIES`` entries, the scan's block rule.
-:meth:`SubsystemCurves.loops` hands it a row; :meth:`SubsystemCurves.loop`
-and :meth:`SubsystemCurves.loop_at` hand it a row of one.
+``u_ref``, Γ over the grid, the symmetry split and the crossing window;
+:func:`_scan` scans it, over the full grid or narrowed to the window.  Its
+``at`` is the one evaluator of (Γ, λ, φ) off the scan, batched: it forms Γ
+in one :func:`gamma` call and solves the quotients as stacks of at most
+``_BLOCK_ENTRIES`` entries, the scan's block rule.  :meth:`SubsystemCurves.loops`
+hands it a row of ω, :meth:`SubsystemCurves.loop` and ``loop_at`` a row of one.
 
 ``_quotient`` is the one formula of the quotient −S_P + j·(ω0/ω)·S_Q: the
 scan forms each block's matrices with it, and ``_eig``, which solves every
@@ -229,10 +229,6 @@ class _Symmetry:
         lifted by the sums (columns 0..g−1), then the differences."""
         return self.values(vals, omega_r), np.hstack((self.sums @ psi, self.diffs))
 
-    def eig(self, omega0: float, omega: float) -> tuple[np.ndarray, np.ndarray]:
-        """All n eigenpairs of G′_net(jω) (see :meth:`lift`)."""
-        return self.lift(*_eig(self.s_p, self.s_q, omega0, omega), omega0 / omega)
-
 
 def _classes(net: ReducedNetwork, op: OperatingPoint) -> list[list[int]]:
     """Classes of interchangeable converters, each in config order; n
@@ -356,8 +352,7 @@ def build_gnet_sym(omega: float, net: ReducedNetwork, op: OperatingPoint,
                    omega0: float) -> np.ndarray:
     """Symmetric similar form of :func:`build_gnet` (same eigenvalues)."""
     omega = _omega(omega, "G_net")
-    s_p, s_q = sym_parts(net, op)
-    return -s_p + 1j * (omega0 / omega) * s_q
+    return _quotient(*sym_parts(net, op), omega0, omega)
 
 
 def resolve_pll_gains(spec: SystemSpec, *, force_first_pll: bool = False
@@ -367,8 +362,12 @@ def resolve_pll_gains(spec: SystemSpec, *, force_first_pll: bool = False
     The decoupled-subsystem construction requires every converter to run the
     same PLL.  Differing gains raise ``AnalysisError`` (NONIDENTICAL_PLL)
     unless ``force_first_pll`` is set, in which case converter 1's gains are
-    used and a warning string is returned.
+    used and a warning string is returned.  A ``force_first_pll`` that is
+    not a bool raises (FORCE_FIRST_PLL_INVALID), whatever the gains.
     """
+    if not isinstance(force_first_pll, (bool, np.bool_)):
+        raise AnalysisError(f"force_first_pll must be a bool, got {force_first_pll!r}",
+                            code="FORCE_FIRST_PLL_INVALID")
     first = spec.converters[0]
     warnings: list[str] = []
     identical = all(
@@ -388,22 +387,36 @@ def resolve_pll_gains(spec: SystemSpec, *, force_first_pll: bool = False
 
 
 class _Loop:
-    """The loop Γ(jω) + λ_i(G′_net(jω)) of one operating point over a checked
-    grid ``omega``, with the errors of :func:`resolve_pll_gains`,
-    :func:`gamma` at every grid point and :func:`_split` in this order.
-    ``parts`` (S_P, S_Q) is kept only for :func:`crossing_window`."""
+    """The loop Γ(jω) + λ_i(G′_net(jω)) of one operating point over the grid
+    ``f_hz`` = :func:`_scan_grid` (``grid_hz``), with the errors of that,
+    :func:`resolve_pll_gains`, :func:`gamma` at every grid point and
+    :func:`_split` in this order, and the slice ``window`` of its grid."""
 
     def __init__(self, spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
-                 grid_hz: np.ndarray, force_first_pll: bool, keep_parts: bool = False):
+                 grid_hz, force_first_pll: bool):
+        self.f_hz = _scan_grid(spec, grid_hz)
         self.kp, self.ki, self.warnings = resolve_pll_gains(
             spec, force_first_pll=force_first_pll)
-        self.omega0 = spec.omega0
+        self.omega0 = omega0 = spec.omega0
         with np.errstate(over="ignore"):       # gamma refuses an ω that overflows
-            self.omega = 2.0 * np.pi * grid_hz
+            self.omega = 2.0 * np.pi * self.f_hz
         self.u_ref = float(np.mean(op.u_pu))
-        self.gamma = gamma(self.omega, self.u_ref, self.kp, self.ki, self.omega0)
-        self.sym, *parts = _split(net, op, self.omega0, self.omega[0])
-        self.parts = parts if keep_parts else None
+        self.gamma = gamma(self.omega, self.u_ref, self.kp, self.ki, omega0)
+        self.sym, s_p, s_q = _split(net, op, omega0, self.omega[0])
+        q_min, q_max = np.linalg.eigvalsh(s_q)[[0, -1]]
+        with np.errstate(over="ignore"):       # an infinite h or pad only widens the window
+            pad = _WINDOW_PAD * (np.linalg.norm(s_p) * (self.omega[-1] / omega0)
+                                 + max(-q_min, q_max))
+            h = -self.gamma.imag * (self.omega / omega0)
+        lo, hi = np.minimum(h[:-1], h[1:]), np.maximum(h[:-1], h[1:])
+        cells = np.flatnonzero((hi >= q_min - pad) & (lo <= q_max + pad))
+        self.window = slice(cells[0], cells[-1] + 2) if len(cells) else slice(0, 0)
+
+    def narrow(self) -> None:
+        """Keep only the window's points, as copies: the full grid is freed."""
+        self.f_hz, self.omega, self.gamma = (
+            a[self.window].copy() for a in (self.f_hz, self.omega, self.gamma))
+        self.window = slice(None)
 
     def at(self, omega, picks) -> list[tuple[complex, complex, np.ndarray]]:
         """(Γ, λ, φ) at each ω of the row ``omega`` for the eigenpair of
@@ -576,20 +589,8 @@ def crossing_window(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint, *
     coded errors of :func:`trace_curves` on the spec's grid, in its order,
     up to its first eigensolve; it solves no eigenproblem of G′_net.
     """
-    grid_hz = _scan_grid(spec)
-    loop = _Loop(spec, net, op, grid_hz, force_first_pll, keep_parts=True)
-    s_p, s_q = loop.parts
-    omega0 = spec.omega0
-    q_min, q_max = np.linalg.eigvalsh(s_q)[[0, -1]]
-    with np.errstate(over="ignore"):       # an infinite h or pad only widens the window
-        pad = _WINDOW_PAD * (np.linalg.norm(s_p) * (loop.omega[-1] / omega0)
-                             + max(-q_min, q_max))
-        h = -loop.gamma.imag * (loop.omega / omega0)
-    lo, hi = np.minimum(h[:-1], h[1:]), np.maximum(h[:-1], h[1:])
-    cells = np.flatnonzero((hi >= q_min - pad) & (lo <= q_max + pad))
-    if not len(cells):
-        return grid_hz[:0]
-    return grid_hz[cells[0]:cells[-1] + 2]
+    loop = _Loop(spec, net, op, None, force_first_pll)
+    return loop.f_hz[loop.window]
 
 
 def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
@@ -621,14 +622,25 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     sums basis, which keeps the lifted eigenvectors' overlaps.  A difference
     branch keeps its Helmert vector and closed-form eigenvalue throughout.
     """
-    grid_hz = _scan_grid(spec, grid_hz)
-    loop = _Loop(spec, net, op, grid_hz, force_first_pll)
+    return _scan(_Loop(spec, net, op, grid_hz, force_first_pll))
+
+
+def _scan(loop: _Loop) -> SubsystemCurves:
+    """The curves of :func:`trace_curves` over ``loop``'s grid; an empty
+    grid (window) gives curves of no points and solves nothing."""
     omega0, omega_grid, sym = loop.omega0, loop.omega, loop.sym
-    n, m = op.n, len(grid_hz)
-    g = len(sym.classes)                           # columns matched by overlap
+    (n, g), m = sym.sums.shape, len(omega_grid)    # g: columns matched by overlap
     lam = np.empty((n, m), dtype=complex)
     columns = np.empty((m, n), dtype=np.min_scalar_type(n))
     jumps: list[tuple[int, int]] = []
+    # the curves view lam and columns, which the scan fills in below
+    curves = SubsystemCurves(
+        f_hz=loop.f_hz, omega_rad_s=omega_grid,
+        d_con=loop.gamma.real, k_con=loop.gamma.imag,
+        d_net=lam.real, k_net=lam.imag,
+        columns=columns, branch_jumps=jumps, _loop=loop)
+    if not m:
+        return curves
 
     # the lowest point fixes the branch order over all n eigenvalues
     block = max(1, _BLOCK_ENTRIES // g**2)         # grid points per block
@@ -682,12 +694,7 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     # difference branches one row at a time: an (n − g, m) block raises the peak memory
     for i in np.flatnonzero(order >= g):
         lam[i] = -sym.a[order[i] - g] + 1j * (omega0 / omega_grid) * sym.b[order[i] - g]
-
-    return SubsystemCurves(
-        f_hz=grid_hz, omega_rad_s=omega_grid,
-        d_con=loop.gamma.real, k_con=loop.gamma.imag,
-        d_net=lam.real, k_net=lam.imag,
-        columns=columns, branch_jumps=jumps, _loop=loop)
+    return curves
 
 
 def per_converter_gamma(spec: SystemSpec, op: OperatingPoint,
@@ -695,9 +702,14 @@ def per_converter_gamma(spec: SystemSpec, op: OperatingPoint,
     """Diagnostic Γ_i(jω) per converter with its own U_i and own gains.
 
     Returns an (n, m) complex array; the aggregate analysis never consumes
-    this (it assumes identical PLLs and a common U).
+    this (it assumes identical PLLs and a common U).  Raises
+    ``AnalysisError`` (GRID_INVALID) for a grid that :func:`_scan_grid`
+    refuses, and (OP_INVALID) unless ``op`` has one entry per converter.
     """
-    omega_grid = 2.0 * np.pi * np.asarray(grid_hz, dtype=float)
+    omega_grid = 2.0 * np.pi * _scan_grid(spec, grid_hz)
+    if op.n != len(spec.converters):
+        raise AnalysisError(f"operating point has {op.n} converters, the spec "
+                            f"{len(spec.converters)}", code="OP_INVALID")
     kp = np.array([c.pll_kp for c in spec.converters])[:, None]
     ki = np.array([c.pll_ki for c in spec.converters])[:, None]
     return gamma(omega_grid, op.u_pu[:, None], kp, ki, spec.omega0)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import SystemSpec
 from .errors import AnalysisError
-from .frequency_response import OperatingPoint, _is_int, _omega, _require_fit, _split
+from .frequency_response import OperatingPoint, _eig, _is_int, _omega, _require_fit, _split
 from .network import ReducedNetwork
 from .pipeline import assess_point
 from .stability import StabilityReport
@@ -83,7 +83,8 @@ def modal_weights(net: ReducedNetwork, op: OperatingPoint, omega_c1: float,
     and > 0.
     """
     omega_c1 = _omega(omega_c1, "modal_weights")
-    vals, vecs = _split(net, op, omega0, omega_c1)[0].eig(omega0, omega_c1)
+    sym = _split(net, op, omega0, omega_c1)[0]
+    vals, vecs = sym.lift(*_eig(sym.s_p, sym.s_q, omega0, omega_c1), omega0 / omega_c1)
     j = int(np.argmin(vals.real))
     return _weights(net, op, omega_c1, omega0, vals[j], vecs[:, j])
 

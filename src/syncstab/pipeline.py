@@ -4,12 +4,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import SystemSpec
-from .frequency_response import (OperatingPoint, SubsystemCurves, crossing_window,
-                                 resolve_pll_gains, trace_curves)
+from .frequency_response import OperatingPoint, SubsystemCurves, _Loop, _scan, trace_curves
 from .network import ReducedNetwork, build_reduced_network
 from .powerflow import SteadyState, solve_steady_state
-from .stability import (StabilityReport, SubsystemAssessment, _require_root_tol, _verdict,
-                        assess)
+from .stability import StabilityReport, assess
 from .statespace import CrossCheck, ModeSet, StateSpace, assemble_state_space, crosscheck, modes
 
 __all__ = ["AnalysisResult", "operating_point", "run_analysis", "assess_point", "run_oracle"]
@@ -53,19 +51,16 @@ def assess_point(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint, *,
                  force_first_pll: bool = False) -> StabilityReport:
     """The report of one operating point, traced over its crossing window only.
 
-    Its critical crossing, margin and verdict are bit-identical to
-    ``assess(spec, trace_curves(spec, net, op))`` on the full grid, and so
-    are its coded errors (:func:`~syncstab.frequency_response.crossing_window`);
-    its branch numbers and ``branch overlap`` note cover the window only.  An
+    The point's one loop over the spec's grid is narrowed to its window
+    (:func:`~syncstab.frequency_response.crossing_window`) before the scan.
+    The critical crossing, margin, verdict and coded errors are bit-identical
+    to ``assess(spec, trace_curves(spec, net, op))`` on the full grid; the
+    branch numbers and ``branch overlap`` note cover the window only.  An
     empty window is NoCrossing without an eigensolve.
     """
-    window = crossing_window(spec, net, op, force_first_pll=force_first_pll)
-    if len(window):
-        return assess(spec, trace_curves(spec, net, op, window,
-                                         force_first_pll=force_first_pll))
-    _require_root_tol(spec.options.root_tol_hz)
-    _kp, _ki, warnings = resolve_pll_gains(spec, force_first_pll=force_first_pll)
-    return _verdict(tuple(SubsystemAssessment(i, ()) for i in range(op.n)), warnings)
+    loop = _Loop(spec, net, op, None, force_first_pll)
+    loop.narrow()
+    return assess(spec, _scan(loop))
 
 
 def oracle_model(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint) -> StateSpace:

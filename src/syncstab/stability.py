@@ -244,12 +244,6 @@ def assess(spec: SystemSpec, curves: SubsystemCurves) -> StabilityReport:
     notes = [f"branch overlap below threshold at {len(curves.branch_jumps)} "
              f"grid point(s)"] if curves.branch_jumps else []
     notes.extend(curves.warnings)
-    return _verdict(assessments, notes)
-
-
-def _verdict(assessments: tuple[SubsystemAssessment, ...], notes: list[str]) -> StabilityReport:
-    """The report on ``assessments``: the globally worst crossing, or
-    NoCrossing (with a note appended to ``notes``) when there is none."""
     all_crossings = [c for a in assessments for c in a.crossings]
     if not all_crossings:
         notes.append("NO_CROSSING: K_con + K_neti has no zero in the scan "

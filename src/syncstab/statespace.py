@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_SIM_STEPS, _real
+from .config import MAX_SIM_STEPS, _number, _real
 from .errors import AnalysisError
 from .frequency_response import OperatingPoint, _require_fit
 from .network import ReducedNetwork
@@ -115,14 +115,19 @@ def assemble_state_space(net: ReducedNetwork, op: OperatingPoint,
 
     ``kp``/``ki`` may be scalars (shared PLL) or per-converter vectors.
     Raises ``AnalysisError`` (OP_INVALID) when ``op`` does not fit ``net``,
-    (ORACLE_PARAMS_INVALID) for a non-finite gain or ω0, and
+    (ORACLE_PARAMS_INVALID) unless each gain is a finite real number or a
+    vector of one per converter and ω0 a finite real number, and
     (ALGEBRAIC_LOOP_SINGULAR) when the Δω loop matrix is numerically singular.
     """
     _require_fit(net, op)
     n = op.n
     u = op.u_pu
-    kp_v = np.broadcast_to(np.asarray(kp, dtype=float), (n,))
-    ki_v = np.broadcast_to(np.asarray(ki, dtype=float), (n,))
+    kp_v, ki_v, omega0 = _real(kp), _real(ki), _number(omega0)
+    if (kp_v is None or ki_v is None or omega0 is None
+            or kp_v.shape not in ((), (n,)) or ki_v.shape not in ((), (n,))):
+        raise AnalysisError(f"PLL gains must be real numbers, one or one per converter "
+                            f"({n}), and omega0 one real number", code="ORACLE_PARAMS_INVALID")
+    kp_v, ki_v = np.broadcast_to(kp_v, (n,)), np.broadcast_to(ki_v, (n,))
     if not np.isfinite([*kp_v, *ki_v, omega0]).all():
         raise AnalysisError("PLL gains and omega0 must be finite",
                             code="ORACLE_PARAMS_INVALID")

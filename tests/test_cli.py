@@ -721,9 +721,9 @@ def test_analyze_out_parses_config_once(station_cfg, tmp_path, monkeypatch, caps
 
 
 def test_adjust_traces_each_point_once(station_cfg, monkeypatch, capsys):
-    calls = _count_calls(monkeypatch, "trace_curves",
-                         ["syncstab.frequency_response", "syncstab.cli",
-                          "syncstab.pipeline", "syncstab.modal"])
+    # every trace, full or windowed, is one _scan of the point's one loop
+    calls = _count_calls(monkeypatch, "_scan",
+                         ["syncstab.frequency_response", "syncstab.pipeline"])
     code = main(["adjust", "--config", station_cfg, "--case", "heavy",
                  "--set", "ES1=-0.8,ES2=-0.6"])
     capsys.readouterr()

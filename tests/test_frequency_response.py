@@ -26,7 +26,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from syncstab import frequency_response, stability
+from syncstab import frequency_response, pipeline, stability
 from syncstab.config import MAX_SCAN_POINTS, PowerSetpoint, load_system_spec, parse_system_spec
 from syncstab.errors import AnalysisError, SyncstabError
 from syncstab.frequency_response import (OVERLAP_THRESHOLD, OperatingPoint,
@@ -154,9 +154,11 @@ def test_a_grid_that_is_not_a_row_of_real_numbers_is_grid_invalid(grid):
     spec = parse_system_spec(TWO_BUS_CFG)
     net = build_reduced_network(spec)
     _name, _steady, op = operating_point(spec, "inject", flat_voltage=True)
-    with pytest.raises(AnalysisError) as exc:
-        trace_curves(spec, net, op, grid)
-    assert exc.value.code == "GRID_INVALID"
+    for call in (lambda: trace_curves(spec, net, op, grid),
+                 lambda: per_converter_gamma(spec, op, grid)):
+        with pytest.raises(AnalysisError) as exc:
+            call()
+        assert exc.value.code == "GRID_INVALID"
 
 
 def test_resolve_pll_gains_identical_and_forced():
@@ -229,6 +231,8 @@ _MISFIT_CALLS = {
     "build_gnet": lambda spec, net, op, op4: build_gnet(2 * np.pi * 20, net, op4, W0),
     "build_gnet_sym": lambda spec, net, op, op4: build_gnet_sym(2 * np.pi * 20, net, op4, W0),
     "assemble_state_space": lambda spec, net, op, op4: assemble_state_space(net, op4, KP, KI, W0),
+    "per_converter_gamma":
+        lambda spec, net, op, op4: per_converter_gamma(spec, op4, np.linspace(1.0, 30.0, 25)),
     "adjustment_compare":
         lambda spec, net, op, op4: adjustment_compare(spec, net, op, op4.p_pu),
     "finite_difference_check": lambda spec, net, op, op4: finite_difference_check(spec, net, op, 7),
@@ -595,8 +599,8 @@ def test_curves_hold_no_per_point_eigenvectors():
     for f in dataclasses.fields(curves):
         value = getattr(curves, f.name)
         assert np.ndim(value) <= 2, f.name
-    # nor the full S_P and S_Q: the loop keeps only its symmetry split
-    assert curves._loop.parts is None
+    # nor the full S_P and S_Q: the loop's only matrices are in its symmetry split
+    assert all(np.ndim(value) <= 1 for value in vars(curves._loop).values())
     assert curves.columns.shape == (curves.m, curves.n)
     for k in range(curves.m):
         assert sorted(curves.columns[k].tolist()) == list(range(curves.n))
@@ -1427,3 +1431,77 @@ def test_options_that_are_not_numbers_are_refused_with_a_code(field, value, code
         with pytest.raises(SyncstabError) as exc:
             call()
         assert exc.value.code == code
+
+
+def test_a_force_first_pll_that_is_not_a_bool_is_refused_with_a_code():
+    # "no" and 1 used to force converter 1's gains on a plant of mixed gains,
+    # and None used to raise NONIDENTICAL_PLL
+    spec, net, op = _station_point()
+    spec = _mixed(spec)
+    calls = {
+        "resolve_pll_gains": lambda force: resolve_pll_gains(spec, force_first_pll=force),
+        "trace_curves": lambda force: trace_curves(spec, net, op, force_first_pll=force),
+        "crossing_window": lambda force: crossing_window(spec, net, op, force_first_pll=force),
+        "assess_point": lambda force: assess_point(spec, net, op, force_first_pll=force),
+        "run_analysis": lambda force: run_analysis(spec, "heavy", force_first_pll=force),
+        "adjustment_compare": lambda force: adjustment_compare(spec, net, op, op.p_pu,
+                                                               force_first_pll=force),
+    }
+    for name, call in calls.items():
+        for force in ("no", 1, None):
+            with pytest.raises(SyncstabError) as exc:
+                call(force)
+            assert exc.value.code == "FORCE_FIRST_PLL_INVALID", (name, force)
+            assert repr(force) in str(exc.value)
+    # refused whatever the gains
+    with pytest.raises(SyncstabError) as exc:
+        resolve_pll_gains(parse_system_spec(TWO_BUS_CFG), force_first_pll="no")
+    assert exc.value.code == "FORCE_FIRST_PLL_INVALID"
+    # a NumPy bool is a bool
+    kp, _ki, notes = calls["resolve_pll_gains"](np.True_)
+    assert kp == 7.0 and len(notes) == 1
+    full = assess(spec, calls["trace_curves"](np.True_))
+    assert full.verdict in ("Stable", "Unstable", "Marginal")
+    assert len(calls["crossing_window"](np.True_)) == len(crossing_window(
+        spec, net, op, force_first_pll=True)) > 0
+    _same_report(calls["assess_point"](np.True_), full)
+    _same_report(calls["run_analysis"](np.True_).report, full)
+    _same_report(calls["adjustment_compare"](np.True_).before, full)
+
+
+_ONE_LOOP_INPUTS = [(case, flat, None) for case in ("light", "heavy", "peak")
+                    for flat in (True, False)] + [("heavy", True, 30.0)]
+
+
+@pytest.mark.parametrize("case, flat, fmin", _ONE_LOOP_INPUTS)
+def test_assess_point_resolves_the_gains_and_splits_the_loop_once(monkeypatch, case, flat,
+                                                                  fmin):
+    # the window is read off the point's one loop, which the scan then runs on;
+    # above 30 Hz the window is empty
+    spec = load_system_spec(STATION_CFG_PATH)
+    spec = _with_options(spec, scan_fmin_hz=fmin) if fmin else spec
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, case, flat_voltage=flat)
+    window = crossing_window(spec, net, op)
+    own = frequency_response._Loop(spec, net, op, window, False) if len(window) else None
+    calls = dict.fromkeys(("resolve_pll_gains", "sym_parts", "_classes"), 0)
+    for name in calls:
+        def spy(*args, _name=name, _call=getattr(frequency_response, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        for module in (frequency_response, pipeline):
+            monkeypatch.setattr(module, name, spy, raising=False)
+    scanned = []
+    monkeypatch.setattr(pipeline, "_scan", lambda loop: scanned.append(loop) or
+                        frequency_response._scan(loop))
+    report = assess_point(spec, net, op)
+    assert calls == dict.fromkeys(calls, 1)
+    assert (report.verdict == "NoCrossing") == (own is None)
+    # the scan sees the window only, as copies, so the full grid is freed first;
+    # the window's Γ is the one a loop of the window alone computes
+    (loop,) = scanned
+    assert loop.f_hz.tobytes() == window.tobytes()
+    assert loop.f_hz.base is None and loop.omega.base is None and loop.gamma.base is None
+    if own is not None:
+        assert (loop.omega.tobytes(), loop.gamma.tobytes()) == (own.omega.tobytes(),
+                                                                own.gamma.tobytes())

@@ -322,6 +322,9 @@ def test_simulate_is_bit_equal_to_the_full_loop(station_path, case, pulse):
 @pytest.mark.parametrize("kp, ki, omega0", [
     (np.nan, KI, W0), (KP, np.inf, W0), (KP, KI, np.nan),
     (np.array([KP, np.nan]), KI, W0),
+    # not one real number, nor one per converter
+    ([KP] * 3, KI, W0), ("a", KI, W0), (1 + 1j, KI, W0), (True, KI, W0),
+    (KP, np.full((2, 1), KI), W0), (KP, KI, "x"), (KP, KI, [W0]),
 ])
 def test_assemble_rejects_non_finite_parameters(kp, ki, omega0, capfd):
     net = ReducedNetwork.from_b_matrix(np.array([[4.0, -1.0], [-1.0, 3.0]]))
