@@ -196,19 +196,30 @@ def simulate(ss: StateSpace, disturbance: AnglePulse | None = None,
     """Trapezoidal integration of ż = A·z + b·d(t) from rest.
 
     ``d(t)`` is the rectangular pulse; the state is zero, and is not stepped,
-    before the first nonzero input sample.  Outputs are reconstructed per step
-    (Δω from the loop solution, the active-power proxy as P̃·Δδ).  Raises
-    ``AnalysisError`` (SIM_PARAMS_INVALID) for a bad step or duration, or
-    more than ``MAX_SIM_STEPS`` steps, before anything is allocated, and
-    (SIM_NOT_FINITE) when the response overflows.
+    before the first nonzero input sample.  From there each step writes its
+    row of the state in place, with no temporaries: the input term
+    ``step_in·(d[k] + d[k+1])`` is formed once per distinct input sum (at
+    most three for a pulse) and added to ``step_mat·z[k]``, the same
+    operations in the same order as forming both per step.  Outputs are
+    reconstructed per step (Δω from the loop solution, the active-power proxy
+    as P̃·Δδ).  Raises ``AnalysisError`` (SIM_PARAMS_INVALID) when ``dt`` or
+    ``duration`` is not one real number (text, a bool, an array) or not
+    ``0 < dt < duration < inf``, for more than ``MAX_SIM_STEPS`` steps, all
+    before anything is allocated, and when ``disturbance`` is neither an
+    ``AnglePulse`` nor None; and (SIM_NOT_FINITE) when the response overflows.
     """
-    if not 0 < dt < duration < math.inf:       # also false for NaN
-        raise AnalysisError(f"need 0 < dt < duration < inf, got dt={dt}, "
+    step, length = _number(dt), _number(duration)
+    if step is None or length is None or not 0 < step < length < math.inf:   # NaN too
+        raise AnalysisError(f"need real numbers 0 < dt < duration < inf, got dt={dt}, "
                             f"duration={duration}", code="SIM_PARAMS_INVALID")
+    dt, duration = step, length
     if duration / dt > MAX_SIM_STEPS:
         raise AnalysisError(f"duration/dt = {duration / dt:.6g} exceeds the "
                             f"{MAX_SIM_STEPS} steps allowed", code="SIM_PARAMS_INVALID")
-    pulse = disturbance or AnglePulse()
+    if not isinstance(disturbance, (AnglePulse, type(None))):
+        raise AnalysisError(f"the disturbance must be an AnglePulse or None, got "
+                            f"{type(disturbance).__name__}", code="SIM_PARAMS_INVALID")
+    pulse = AnglePulse() if disturbance is None else disturbance
 
     steps = int(round(duration / dt))
     t = np.arange(steps + 1) * dt
@@ -227,10 +238,19 @@ def simulate(ss: StateSpace, disturbance: AnglePulse | None = None,
     z = np.zeros((steps + 1, n2))
     nonzero = np.flatnonzero(d)
     first = max(int(nonzero[0]) - 1, 0) if len(nonzero) else steps
+    # one forcing vector per distinct input sum: 0 + 0, 0 + a, a + a for a
+    # pulse of amplitude a != 0 (the loop never runs when a is ±0), so -0.0
+    # never occurs and the sums are safe dict keys
+    forcing = {}
     # a huge input overflows; the check below reports it once, with a code
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(first, steps):
-            z[k + 1] = step_mat @ z[k] + step_in * (d[k] + d[k + 1])
+        for prev, nxt, d0, d1 in zip(z[first:-1], z[first + 1:], d[first:-1], d[first + 1:]):
+            total = d0 + d1
+            push = forcing.get(total)
+            if push is None:
+                push = forcing[total] = step_in * total
+            np.matmul(step_mat, prev, out=nxt)
+            np.add(nxt, push, out=nxt)
 
         n = ss.n
         theta, x = z[:, :n], z[:, n:]

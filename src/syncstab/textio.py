@@ -1,5 +1,12 @@
 """Deterministic text output: one CSV writer, ``write_table`` (text cells as
-they are, numbers at 12 significant digits), and the report writer."""
+they are, numbers at 12 significant digits), and the report writer.
+
+``write_table`` formats a block of rows with one ``%`` operation.  A numeric
+column that holds one bit pattern through a block (the zeros of a time
+series at rest) is formatted once per block and enters the block's row
+format as text, so those rows cost about what their moving cells cost.  The
+bytes are the same as formatting every cell: equal bits format to equal text,
+and ``0.0`` and ``-0.0``, which differ in their bits, never fold together."""
 from __future__ import annotations
 
 from typing import Sequence, TextIO
@@ -27,17 +34,47 @@ def write_table(fh: TextIO, header: Sequence[str], columns: Sequence) -> None:
 
     A text column (a NumPy ``U`` array or a sequence of ``str``) renders
     with ``"%s"``, every other cell with ``"%.12g"``, which renders a float
-    exactly as ``format(x, ".12g")`` does.  Rows are formatted a block at a time.
+    exactly as ``format(x, ".12g")`` does.  Rows are formatted a block at a
+    time.  Within a block, a numeric CSV column whose cells all have the
+    bits of its first cell is formatted once, with ``"%.12g"``, and that
+    text goes into the block's row format as a literal; only the other
+    cells pass through the ``%`` operation.  Equal bits give equal text, so
+    the bytes are those of formatting every cell; bits, not values, are
+    compared, so ``0.0`` and ``-0.0`` (``0`` and ``-0``) never fold together,
+    while a constant NaN or inf folds like any other value.
     """
     fh.write(",".join(header) + "\n")
     columns = [np.asarray(c) for c in columns]
-    row_fmt = ",".join("%s" if c.dtype.kind == "U" else "%.12g" for c in columns
-                       for _ in range(c.shape[1] if c.ndim == 2 else 1)) + "\n"
-    if "%s" in row_fmt:      # beside text a float must stay a float, not become a str
-        columns = [c.astype(object) for c in columns]
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
+    text = any(c.dtype.kind == "U" for c in columns)
+    rows = len(columns[0])
+    for start in range(0, rows, _BLOCK_ROWS):
+        cells, moving = [], []
+        for c in columns:
+            part = c[start:start + _BLOCK_ROWS]
+            if part.ndim == 1:
+                part = part[:, None]
+            fmt = "%s" if c.dtype.kind == "U" else "%.12g"
+            same = _same_bits(part)
+            cells += [fmt % v if fold else fmt for v, fold in zip(part[0], same)]
+            if not same.all():
+                moving.append(part[:, ~same] if same.any() else part)
+        row_fmt = ",".join(cells) + "\n"
+        if not moving:
+            fh.write(row_fmt * min(_BLOCK_ROWS, rows - start))
+            continue
+        if text:     # beside text a float must stay a float, not become a str
+            moving = [m.astype(object) for m in moving]
+        block = np.column_stack(moving)
         fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _same_bits(part: np.ndarray) -> np.ndarray:
+    """Per column of the 2-D ``part``, whether every cell has the bits of
+    the first; False for cells that are not real numbers (text, objects)."""
+    if part.dtype.kind not in "biuf":
+        return np.zeros(part.shape[1], dtype=bool)
+    bits = part.view(f"u{part.itemsize}")
+    return (bits == bits[0]).all(axis=0)
 
 
 class KVWriter:

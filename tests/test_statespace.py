@@ -297,15 +297,17 @@ def _simulate_reference(ss, pulse, dt, duration):
     AnglePulse(start_s=0.5),                          # past the end
     AnglePulse(start_s=0.1, amplitude_rad=0.0),
     AnglePulse(start_s=0.1, amplitude_rad=-0.0),
+    AnglePulse(),                                     # the CLI's pulse at 2.0 s
 ], ids=["at_zero", "at_zero_wide", "mid_run", "last_sample", "past_end",
-        "amplitude_zero", "amplitude_minus_zero"])
+        "amplitude_zero", "amplitude_minus_zero", "default"])
 @pytest.mark.parametrize("case", ["light", "peak"])
-def test_simulate_is_bit_equal_to_the_full_loop(station_path, case, pulse):
+@pytest.mark.parametrize("duration", [0.3, 3.0], ids=["short", "cli_default"])
+def test_simulate_is_bit_equal_to_the_full_loop(station_path, case, pulse, duration):
     from syncstab.config import load_system_spec
     result = run_analysis(load_system_spec(station_path), case, flat_voltage=False)
     ss, _ms, _chk = run_oracle(result)
-    sim = simulate(ss, pulse, dt=1e-4, duration=0.3)
-    z = _simulate_reference(ss, pulse, 1e-4, 0.3)
+    sim = simulate(ss, pulse, dt=1e-4, duration=duration)
+    z = _simulate_reference(ss, pulse, 1e-4, duration)
     n = ss.n
     # tobytes compares bit patterns, so the sign of every zero counts
     assert sim.theta.tobytes() == np.ascontiguousarray(z[:, :n]).tobytes()
@@ -344,6 +346,31 @@ def test_simulate_rejects_bad_step_or_duration(dt, duration):
     with pytest.raises(AnalysisError) as exc:
         simulate(_scalar_ss(0.4), AnglePulse(), dt=dt, duration=duration)
     assert exc.value.code == "SIM_PARAMS_INVALID"
+
+
+@pytest.mark.parametrize("dt, duration, disturbance", [
+    ("a", 3.0, None), (1e-3, "3", None), (1e-3, 1 + 0j, None), (1e-3, [1.0], None),
+    (np.array([1e-3]), 3.0, None), (True, 3.0, None), (1e-3, None, None),
+    (1e-3, 3.0, 0.1), (1e-3, 3.0, "pulse"), (1e-3, 3.0, (2.0, 0.02, 0.1)),
+], ids=["text-dt", "text-duration", "complex-duration", "list-duration",
+        "array-dt", "bool-dt", "none-duration", "float-disturbance",
+        "text-disturbance", "tuple-disturbance"])
+def test_simulate_rejects_arguments_that_are_not_its_types(dt, duration, disturbance):
+    # one real number each for dt and duration (a bool is not 1 s), and an
+    # AnglePulse or None for the disturbance
+    with pytest.raises(AnalysisError) as exc:
+        simulate(_scalar_ss(0.4), disturbance, dt=dt, duration=duration)
+    assert exc.value.code == "SIM_PARAMS_INVALID"
+
+
+def test_simulate_reads_numpy_and_integer_numbers_as_floats():
+    ss = _scalar_ss(0.4)
+    pulse = AnglePulse(start_s=0.5)
+    expect = simulate(ss, pulse, dt=0.25, duration=2.0)
+    for dt, duration in [(np.float64(0.25), np.int64(2)), (np.array(0.25), 2)]:
+        sim = simulate(ss, pulse, dt=dt, duration=duration)
+        assert sim.t_s.dtype == np.float64
+        assert sim.theta.tobytes() == expect.theta.tobytes()
 
 
 @pytest.mark.parametrize("field", ["start_s", "width_s", "amplitude_rad"])
