@@ -48,7 +48,7 @@ from .textio import KVWriter, g12, write_table
 
 _EXIT = {STABLE: 0, UNSTABLE: 2, MARGINAL: 3, NO_CROSSING: 3}
 
-MAX_SWEEP_POINTS = 100_000     # ~10 ms per station point: about 17 min
+MAX_SWEEP_POINTS = 100_000     # 2-3 ms per station point: about 3-5 min
 _MIN_EXP, _MAX_EXP = sys.float_info.min_10_exp, sys.float_info.max_10_exp
 
 # flags every command takes

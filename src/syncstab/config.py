@@ -84,6 +84,17 @@ def _number(value) -> float | None:
     return None if array is None or array.ndim else float(array)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_bool(value) -> bool:
+    """Whether ``value`` is a bool, Python's or NumPy's: the rule of every
+    bool setting (``flat_voltage`` in :func:`validate` and at run time)."""
+    return isinstance(value, (bool, np.bool_))
+
+
 # --------------------------------------------------------------------------
 # data model
 # --------------------------------------------------------------------------
@@ -115,11 +126,33 @@ class PowerSetpoint:
     q_pu: float
 
 
+def _setpoint_ok(setpoint: PowerSetpoint) -> bool:
+    """Whether both powers of ``setpoint`` are one real number each (not
+    text, a bool or a sequence): the rule of :func:`validate` and of
+    :meth:`SystemSpec.case_injections`."""
+    return _number(setpoint.p_pu) is not None and _number(setpoint.q_pu) is not None
+
+
 # Caps on what option text may make the program allocate.  The scan holds
 # (n, scan_points) arrays and solves scan_points eigenproblems; the simulation
 # holds a (steps + 1, 2n) array, 16·n MB at the cap.
 MAX_SCAN_POINTS = 100_000        # the default is 1,200
 MAX_SIM_STEPS = 1_000_000        # the default is 30,000 (3 s at 0.1 ms)
+# the smallest branch inductance whose susceptance 1/L is a finite float
+_L_MIN = 1.0 / np.finfo(float).max
+
+
+def _scan_points_ok(points) -> bool:
+    """Whether ``points`` is an integer in 2..``MAX_SCAN_POINTS`` (not a
+    float or a bool): the rule of :func:`validate` and of the scan."""
+    return _is_int(points) and 2 <= points <= MAX_SCAN_POINTS
+
+
+def _inductance_ok(value) -> bool:
+    """Whether ``value`` is one real number with a finite, positive inverse:
+    the rule of :func:`validate` and of the Laplacian's assembly."""
+    inductance = _number(value)
+    return inductance is not None and _L_MIN < inductance < math.inf
 
 
 @dataclass(frozen=True)
@@ -197,12 +230,12 @@ class SystemSpec:
         if missing:
             raise SyncstabError(f"operating point {name!r} has no setpoint for "
                                 f"{', '.join(missing)}", code="CASE_INCOMPLETE")
-        p = _real([block[c.name].p_pu for c in self.converters])
-        q = _real([block[c.name].q_pu for c in self.converters])
-        if p is None or q is None:
+        setpoints = [block[c.name] for c in self.converters]
+        if not all(map(_setpoint_ok, setpoints)):
             raise SyncstabError(f"operating point {name!r} has a setpoint that is not "
                                 f"a real number", code="OP_INVALID")
-        return p, q
+        return (np.array([s.p_pu for s in setpoints], dtype=float),
+                np.array([s.q_pu for s in setpoints], dtype=float))
 
     def with_case(self, name: str, setpoints: dict[str, PowerSetpoint]) -> "SystemSpec":
         """Copy of this spec with one case added/replaced (normalized)."""
@@ -410,7 +443,11 @@ def validate(spec: SystemSpec) -> list[Violation]:
     """Collect every semantic problem with ``spec`` (empty list = valid).
 
     A field that is not a real number (text or a bool, in a spec built in
-    code) is a violation of its range check, not a ``TypeError``.
+    code) is a violation of its range check, not a ``TypeError``.  Each
+    rule that a run also checks is the run's own, with its code: the
+    inductance, ``scan_points``, ``flat_voltage`` and each case's setpoints
+    (OP_INVALID, as :meth:`SystemSpec.case_injections` gives it), so a spec
+    that passes is not refused by those checks later.
     """
     out: list[Violation] = []
     node_set = set(spec.nodes)
@@ -430,10 +467,11 @@ def validate(spec: SystemSpec) -> list[Violation]:
         if b.from_node == b.to_node:
             out.append(Violation("BRANCH_SELF_LOOP",
                                  f"branch {b.from_node}-{b.to_node} is a self loop"))
-        if not _positive(b.inductance_pu):
+        if not _inductance_ok(b.inductance_pu):
             out.append(Violation("BRANCH_NONPOSITIVE_L",
                                  f"branch {b.from_node}-{b.to_node} has inductance "
-                                 f"{b.inductance_pu} (must be > 0)"))
+                                 f"{b.inductance_pu} (need a real number with a finite, "
+                                 f"positive inverse)"))
 
     if spec.slack_node not in node_set:
         out.append(Violation("SLACK_UNKNOWN", f"slack node {spec.slack_node!r} is not declared"))
@@ -483,16 +521,23 @@ def validate(spec: SystemSpec) -> list[Violation]:
             out.append(Violation("GRAPH_DISCONNECTED",
                                  f"node(s) not connected to the slack: {', '.join(stranded)}"))
 
+    for case, block in spec.operating_points.items():
+        if not all(_setpoint_ok(block[c.name]) for c in spec.converters if c.name in block):
+            out.append(Violation("OP_INVALID", f"case {case!r} has a setpoint that is not "
+                                               f"a real number"))
+
     opt = spec.options
     fmin, fmax = _number(opt.scan_fmin_hz), _number(opt.scan_fmax_hz)
     if fmin is None or fmax is None or not 0 < fmin < fmax:
         out.append(Violation("SCAN_RANGE_INVALID",
                              f"need 0 < scan_fmin_hz < scan_fmax_hz, got "
                              f"[{opt.scan_fmin_hz}, {opt.scan_fmax_hz}]"))
-    points = _number(opt.scan_points)
-    if points is None or not 2 <= points <= MAX_SCAN_POINTS:
-        out.append(Violation("SCAN_POINTS_INVALID", f"scan_points must be in "
-                             f"2..{MAX_SCAN_POINTS}, got {opt.scan_points}"))
+    if not _scan_points_ok(opt.scan_points):
+        out.append(Violation("SCAN_POINTS_INVALID", f"scan_points must be an integer in "
+                             f"2..{MAX_SCAN_POINTS}, got {opt.scan_points!r}"))
+    if not _is_bool(opt.flat_voltage):
+        out.append(Violation("FLAT_VOLTAGE_INVALID",
+                             f"flat_voltage must be a bool, got {opt.flat_voltage!r}"))
     if not _positive(opt.root_tol_hz):
         out.append(Violation("ROOT_TOL_INVALID",
                              f"root_tol_hz must be > 0, got {opt.root_tol_hz}"))

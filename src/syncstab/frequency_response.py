@@ -47,11 +47,12 @@ re-derive or widen the window; the containment tests in
 
 One private ``_Loop`` per operating point holds the loop's gains, ω0,
 ``u_ref``, Γ over the grid, the symmetry split and the crossing window;
-:func:`_scan` scans it, over the full grid or narrowed to the window.  Its
-``at`` is the one evaluator of (Γ, λ, φ) off the scan, batched: it forms Γ
-in one :func:`gamma` call and solves the quotients as stacks of at most
-``_BLOCK_ENTRIES`` entries, the scan's block rule.  :meth:`SubsystemCurves.loops`
-hands it a row of ω, :meth:`SubsystemCurves.loop` and ``loop_at`` a row of one.
+:func:`_scan` scans a slice of its grid, the whole grid or the window, and
+the curves view that slice.  Its ``at`` is the one evaluator of (Γ, λ, φ)
+off the scan, batched: it forms Γ in one :func:`gamma` call and solves the
+quotients as stacks of at most ``_BLOCK_ENTRIES`` entries, the scan's block
+rule.  :meth:`SubsystemCurves.loops` hands it a row of ω, the only way to
+ask it.
 
 ``_quotient`` is the one formula of the quotient −S_P + j·(ω0/ω)·S_Q: the
 scan forms each block's matrices with it, and ``_eig``, which solves every
@@ -64,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MAX_SCAN_POINTS, SystemSpec, _number, _real
+from .config import MAX_SCAN_POINTS, SystemSpec, _is_bool, _number, _real, _scan_points_ok
 from .errors import AnalysisError
 from .network import ReducedNetwork
 from .textio import write_table
@@ -156,11 +157,6 @@ def _require_fit(net: ReducedNetwork, op: OperatingPoint) -> None:
     if op.n != net.n:
         raise AnalysisError(f"operating point has {op.n} converters, the network "
                             f"{net.n}", code="OP_INVALID")
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is an integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _omega(omega, what: str, *, scalar: bool = True):
@@ -365,7 +361,7 @@ def resolve_pll_gains(spec: SystemSpec, *, force_first_pll: bool = False
     used and a warning string is returned.  A ``force_first_pll`` that is
     not a bool raises (FORCE_FIRST_PLL_INVALID), whatever the gains.
     """
-    if not isinstance(force_first_pll, (bool, np.bool_)):
+    if not _is_bool(force_first_pll):
         raise AnalysisError(f"force_first_pll must be a bool, got {force_first_pll!r}",
                             code="FORCE_FIRST_PLL_INVALID")
     first = spec.converters[0]
@@ -412,12 +408,6 @@ class _Loop:
         cells = np.flatnonzero((hi >= q_min - pad) & (lo <= q_max + pad))
         self.window = slice(cells[0], cells[-1] + 2) if len(cells) else slice(0, 0)
 
-    def narrow(self) -> None:
-        """Keep only the window's points, as copies: the full grid is freed."""
-        self.f_hz, self.omega, self.gamma = (
-            a[self.window].copy() for a in (self.f_hz, self.omega, self.gamma))
-        self.window = slice(None)
-
     def at(self, omega, picks) -> list[tuple[complex, complex, np.ndarray]]:
         """(Γ, λ, φ) at each ω of the row ``omega`` for the eigenpair of
         G′_net(jω) that ``picks`` names: an eigensolver column, or a
@@ -446,9 +436,9 @@ class SubsystemCurves:
 
     ``d_net[i, k] + 1j*k_net[i, k]`` is tracked eigenvalue branch i at grid
     point k; ``columns[k, i]`` the column of the eigensolver output at point k
-    that became branch i (see :meth:`loop_at`).  :meth:`loop` and
-    :meth:`loop_at` evaluate the loop Γ(jω) + λ_i(G′_net(jω)) of a tracked
-    branch off the grid or again on it, through the point's one loop object.
+    that became branch i.  :meth:`loops` evaluates the loop
+    Γ(jω) + λ_i(G′_net(jω)) of tracked branches off the grid, or again on it
+    from a column, through the point's one loop object.
     """
 
     f_hz: np.ndarray              # (m,)
@@ -480,15 +470,6 @@ class SubsystemCurves:
         tracked branch.  One evaluation, solved as stacks; each result is
         bit-identical to that ω's alone."""
         return self._loop.at(omega, picks)
-
-    def loop(self, omega: float, ref: np.ndarray) -> tuple[complex, complex, np.ndarray]:
-        """(Γ, λ, φ) at ω for the eigenpair of G′_net(jω) whose eigenvector
-        overlaps ``ref`` most (the tracked branch)."""
-        return self.loops([omega], [np.asarray(ref)])[0]
-
-    def loop_at(self, k: int, i: int) -> tuple[complex, complex, np.ndarray]:
-        """(Γ, λ, φ) of branch i at grid point k, solved again (bit-identical)."""
-        return self.loops([self.omega_rad_s[k]], [self.columns[k, i]])[0]
 
 
 def _match_branches(prev_vecs: np.ndarray, vals: np.ndarray, vecs: np.ndarray
@@ -544,7 +525,7 @@ def _scan_grid(spec: SystemSpec, grid_hz=None) -> np.ndarray:
     if grid_hz is None:
         opt = spec.options
         points = opt.scan_points
-        if not _is_int(points) or not 2 <= points <= MAX_SCAN_POINTS:
+        if not _scan_points_ok(points):
             raise AnalysisError(f"scan_points must be an integer in 2..{MAX_SCAN_POINTS}, "
                                 f"got {points!r}", code="SCAN_POINTS_INVALID")
         if _number(opt.scan_fmin_hz) is None or _number(opt.scan_fmax_hz) is None:
@@ -554,7 +535,7 @@ def _scan_grid(spec: SystemSpec, grid_hz=None) -> np.ndarray:
         if _number(opt.root_tol_hz) is None:
             raise AnalysisError(f"root_tol_hz must be a real number, got {opt.root_tol_hz!r}",
                                 code="ROOT_TOL_INVALID")
-        if not isinstance(opt.flat_voltage, (bool, np.bool_)):
+        if not _is_bool(opt.flat_voltage):
             raise AnalysisError(f"flat_voltage must be a bool, got {opt.flat_voltage!r}",
                                 code="FLAT_VOLTAGE_INVALID")
         with np.errstate(over="ignore", invalid="ignore"):   # a non-finite grid is refused below
@@ -611,8 +592,8 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     ``_BLOCK_ENTRIES`` eigenvector entries.  A block's quotient matrices
     are formed in one vectorised :func:`_quotient` call, in place in the
     block's eigenvector buffer, and each point still has its own eigensolve,
-    so every matrix is bit for bit the one :meth:`SubsystemCurves.loop_at`
-    solves there.  One batched product gives the overlaps of each point's
+    so every matrix is bit for bit the one :meth:`SubsystemCurves.loops`
+    solves at that ω.  One batched product gives the overlaps of each point's
     eigenvectors with the point before's (the last of the previous block
     carried over).  A point whose row-wise best overlaps are distinct strict
     maxima takes them (:func:`_strict_bests`); any other point takes
@@ -625,18 +606,19 @@ def trace_curves(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
     return _scan(_Loop(spec, net, op, grid_hz, force_first_pll))
 
 
-def _scan(loop: _Loop) -> SubsystemCurves:
-    """The curves of :func:`trace_curves` over ``loop``'s grid; an empty
-    grid (window) gives curves of no points and solves nothing."""
-    omega0, omega_grid, sym = loop.omega0, loop.omega, loop.sym
+def _scan(loop: _Loop, part: slice = slice(None)) -> SubsystemCurves:
+    """The curves of :func:`trace_curves` over the slice ``part`` of
+    ``loop``'s grid, whose arrays they view; an empty slice (window) gives
+    curves of no points and solves nothing."""
+    omega0, omega_grid, sym = loop.omega0, loop.omega[part], loop.sym
     (n, g), m = sym.sums.shape, len(omega_grid)    # g: columns matched by overlap
     lam = np.empty((n, m), dtype=complex)
     columns = np.empty((m, n), dtype=np.min_scalar_type(n))
     jumps: list[tuple[int, int]] = []
     # the curves view lam and columns, which the scan fills in below
     curves = SubsystemCurves(
-        f_hz=loop.f_hz, omega_rad_s=omega_grid,
-        d_con=loop.gamma.real, k_con=loop.gamma.imag,
+        f_hz=loop.f_hz[part], omega_rad_s=omega_grid,
+        d_con=loop.gamma.real[part], k_con=loop.gamma.imag[part],
         d_net=lam.real, k_net=lam.imag,
         columns=columns, branch_jumps=jumps, _loop=loop)
     if not m:

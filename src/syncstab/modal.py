@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemSpec
+from .config import SystemSpec, _is_int
 from .errors import AnalysisError
-from .frequency_response import OperatingPoint, _eig, _is_int, _omega, _require_fit, _split
+from .frequency_response import OperatingPoint, _eig, _omega, _require_fit, _split
 from .network import ReducedNetwork
 from .pipeline import assess_point
 from .stability import StabilityReport

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemSpec, _real
+from .config import SystemSpec, _inductance_ok, _real
 from .errors import NetworkError
 
 __all__ = ["ReducedNetwork", "assemble_laplacian", "kron_reduce", "build_reduced_network"]
@@ -24,8 +24,6 @@ __all__ = ["ReducedNetwork", "assemble_laplacian", "kron_reduce", "build_reduced
 _COND_LIMIT = 1e12
 # relative eigenvalue floor below which B is rejected as not positive definite
 _PD_REL_FLOOR = 1e-10
-# the smallest branch inductance whose susceptance 1/L is a finite float
-_L_MIN = 1.0 / np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -49,11 +47,24 @@ class ReducedNetwork:
 
     @classmethod
     def from_b_matrix(cls, b: np.ndarray, names: tuple[str, ...] | None = None) -> "ReducedNetwork":
-        """Wrap an explicit reduced matrix (used by synthetic-ensemble tests)."""
-        b = np.asarray(b, dtype=float)
-        if names is None:
-            names = tuple(f"c{i + 1}" for i in range(b.shape[0]))
-        return cls(b, _inv_sqrt_pd(b), {name: i for i, name in enumerate(names)})
+        """Wrap an explicit reduced matrix (used by synthetic-ensemble tests).
+
+        Raises ``NetworkError`` (NOT_REAL) unless ``b`` holds real numbers
+        (text, complex and bool entries are refused, not cast), the codes of
+        the definiteness check (NOT_SQUARE, NO_CONVERTERS for a 0×0 matrix,
+        NOT_FINITE, NOT_SYMMETRIC, NOT_POSITIVE_DEFINITE), and
+        (NAMES_INVALID) unless ``names`` gives n distinct names.
+        """
+        matrix = _real(b)
+        if matrix is None:
+            raise NetworkError("reduced matrix must hold real numbers", code="NOT_REAL")
+        inv_sqrt = _inv_sqrt_pd(matrix)
+        n = len(matrix)
+        names = tuple(f"c{i + 1}" for i in range(n)) if names is None else tuple(names)
+        if len(names) != n or len(set(names)) != n:
+            raise NetworkError(f"need {n} distinct converter names, got {names!r}",
+                               code="NAMES_INVALID")
+        return cls(matrix, inv_sqrt, {name: i for i, name in enumerate(names)})
 
 
 def _inv_sqrt_pd(b: np.ndarray) -> np.ndarray:
@@ -61,9 +72,11 @@ def _inv_sqrt_pd(b: np.ndarray) -> np.ndarray:
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise NetworkError(f"reduced matrix must be square, got shape {b.shape}",
                            code="NOT_SQUARE")
+    if not b.size:
+        raise NetworkError("reduced matrix has no converter", code="NO_CONVERTERS")
     if not np.isfinite(b).all():
         raise NetworkError("reduced matrix has non-finite entries", code="NOT_FINITE")
-    asymmetry = np.max(np.abs(b - b.T)) if b.size else 0.0
+    asymmetry = np.max(np.abs(b - b.T))
     if asymmetry > 1e-9 * max(1.0, np.max(np.abs(b))):
         raise NetworkError(f"reduced matrix is not symmetric (|B - B^T| up to {asymmetry:.3e})",
                            code="NOT_SYMMETRIC")
@@ -90,12 +103,11 @@ def assemble_laplacian(spec: SystemSpec) -> tuple[np.ndarray, dict[str, int]]:
     index = {name: i for i, name in enumerate(spec.nodes)}
     lap = np.zeros((len(index), len(index)))
     for br in spec.branches:
-        inductance = _real(br.inductance_pu)
-        if inductance is None or inductance.ndim or not _L_MIN < inductance < np.inf:
+        if not _inductance_ok(br.inductance_pu):
             raise NetworkError(f"branch {br.from_node}-{br.to_node} has inductance "
                                f"{br.inductance_pu!r}; need a real number with a finite, "
                                f"positive inverse", code="BRANCH_NONPOSITIVE_L")
-        b = 1.0 / float(inductance)
+        b = 1.0 / float(br.inductance_pu)
         i, j = index[br.from_node], index[br.to_node]
         with np.errstate(over="ignore"):    # an overflowing sum is refused below
             lap[i, i] += b

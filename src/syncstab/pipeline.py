@@ -51,16 +51,16 @@ def assess_point(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint, *,
                  force_first_pll: bool = False) -> StabilityReport:
     """The report of one operating point, traced over its crossing window only.
 
-    The point's one loop over the spec's grid is narrowed to its window
-    (:func:`~syncstab.frequency_response.crossing_window`) before the scan.
+    The point's one loop is built over the spec's grid and scanned over its
+    window (:func:`~syncstab.frequency_response.crossing_window`) only, a
+    slice of that grid that the curves view.
     The critical crossing, margin, verdict and coded errors are bit-identical
     to ``assess(spec, trace_curves(spec, net, op))`` on the full grid; the
     branch numbers and ``branch overlap`` note cover the window only.  An
     empty window is NoCrossing without an eigensolve.
     """
     loop = _Loop(spec, net, op, None, force_first_pll)
-    loop.narrow()
-    return assess(spec, _scan(loop))
+    return assess(spec, _scan(loop, loop.window))
 
 
 def oracle_model(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint) -> StateSpace:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemSpec, _real
+from .config import SystemSpec, _is_bool, _real
 from .errors import PowerFlowError
 from .network import assemble_laplacian
 
@@ -74,7 +74,7 @@ def solve_steady_state(
         raise PowerFlowError("injections must be real, finite numbers", code="PF_NOT_FINITE")
 
     flat = spec.options.flat_voltage if flat_voltage is None else flat_voltage
-    if not isinstance(flat, (bool, np.bool_)):
+    if not _is_bool(flat):
         raise PowerFlowError(f"flat_voltage must be a bool, got {flat!r}",
                              code="FLAT_VOLTAGE_INVALID")
     if flat:

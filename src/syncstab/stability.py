@@ -7,7 +7,8 @@ sum defines the critical subsystem, its crossing frequency ω_c1, and the
 stability indicator D_net1 = D_neti(ω_c1).
 
 Crossings are bracketed on the scan grid and refined by safeguarded regula
-falsi (Illinois steps with a bisection fallback, see :func:`_refine_steps`).
+falsi (Illinois steps with a bisection fallback); one step sequence per
+crossing, :func:`_refine_steps`, also takes an exact zero at a grid point.
 Each trial frequency re-evaluates the loop exactly through
 :meth:`SubsystemCurves.loops`, which selects the eigenpair by overlap with a
 carried reference eigenvector (no interpolation of eigenvalues); this module
@@ -28,9 +29,9 @@ from itertools import islice
 
 import numpy as np
 
-from .config import SystemSpec, _number
+from .config import SystemSpec, _is_int, _number
 from .errors import AnalysisError
-from .frequency_response import SubsystemCurves, _is_int
+from .frequency_response import SubsystemCurves
 
 __all__ = [
     "MARGINAL_BAND",
@@ -89,11 +90,14 @@ class StabilityReport:
     notes: tuple[str, ...] = ()
 
 
-def _refine_steps(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float):
-    """The refinement of the sign change of subsystem i inside grid cell
-    [k_lo, k_lo+1], as a step sequence for :func:`_run`: it yields each
-    evaluation it needs as (ω, pick) (see :meth:`SubsystemCurves.loops`),
-    is sent its (Γ, λ, φ), and returns the :class:`Crossing`.
+def _refine_steps(curves: SubsystemCurves, i: int, k: int, root_tol_hz: float):
+    """The crossing of subsystem i that starts at grid point k, as a step
+    sequence for :func:`_run`: it yields each evaluation it needs as
+    (ω, pick) (see :meth:`SubsystemCurves.loops`), is sent its (Γ, λ, φ),
+    and returns the :class:`Crossing`.  The first step re-solves point k
+    through its column; where K_con + K_neti is exactly zero there, that is
+    the crossing, and otherwise the sign change inside the grid cell
+    [k, k+1] is refined.
 
     Illinois regula falsi (Dowell & Jarratt 1971): each trial point is the
     chord point of the bracket, with the chord weight of an end kept twice
@@ -104,10 +108,13 @@ def _refine_steps(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float
     step.  The crossing is the chord point of the final bracket's true end
     values, or its midpoint if that chord point falls outside.
     """
-    f_lo, f_hi = curves.f_hz[k_lo], curves.f_hz[k_lo + 1]
-    g_lo = w_lo = curves.k_con[k_lo] + curves.k_net[i, k_lo]          # w: chord weights
-    g_hi = w_hi = curves.k_con[k_lo + 1] + curves.k_net[i, k_lo + 1]
-    ref = (yield curves.omega_rad_s[k_lo], curves.columns[k_lo, i])[2]
+    on_grid = yield curves.omega_rad_s[k], curves.columns[k, i]
+    g_lo = w_lo = curves.k_con[k] + curves.k_net[i, k]             # w: chord weights
+    if g_lo == 0.0:
+        return _make_crossing(i, curves.omega_rad_s[k], *on_grid)
+    g_hi = w_hi = curves.k_con[k + 1] + curves.k_net[i, k + 1]
+    f_lo, f_hi = curves.f_hz[k], curves.f_hz[k + 1]
+    ref = on_grid[2]
     kept, misses, bisect = 0, 0, False   # kept: +1 low end, -1 high end
 
     while (f_hi - f_lo) > root_tol_hz:
@@ -137,13 +144,6 @@ def _refine_steps(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float
     return _make_crossing(i, omega_c, *(yield omega_c, ref))
 
 
-def _zero_steps(curves: SubsystemCurves, i: int, k: int):
-    """The crossing of subsystem i at grid point k, where K_con + K_neti is
-    exactly zero, as a step sequence of one evaluation (see :func:`_run`)."""
-    return _make_crossing(i, curves.omega_rad_s[k],
-                          *(yield curves.omega_rad_s[k], curves.columns[k, i]))
-
-
 def _run(curves: SubsystemCurves, sequences: list) -> list[Crossing]:
     """The results of the step ``sequences``, in their order, run in rounds:
     each round sends every pending evaluation to one
@@ -167,12 +167,6 @@ def _run(curves: SubsystemCurves, sequences: list) -> list[Crossing]:
         for (s, _request), answer in zip(asked, answers):
             advance(s, answer)
     return results
-
-
-def _refine(curves: SubsystemCurves, i: int, k_lo: int, root_tol_hz: float
-            ) -> Crossing:
-    """The crossing of :func:`_refine_steps` on its own."""
-    return _run(curves, [_refine_steps(curves, i, k_lo, root_tol_hz)])[0]
 
 
 def _make_crossing(i: int, omega_c: float, g: complex, lam: complex,
@@ -199,7 +193,7 @@ def _sequences(curves: SubsystemCurves, i: int, root_tol_hz: float) -> list:
     g = curves.k_con + curves.k_net[i]
     zero, neg = g == 0.0, g < 0.0
     cell = np.append((neg[:-1] != neg[1:]) & ~zero[:-1] & ~zero[1:], False)
-    return [_zero_steps(curves, i, k) if zero[k] else _refine_steps(curves, i, k, root_tol_hz)
+    return [_refine_steps(curves, i, k, root_tol_hz)
             for k in np.flatnonzero(zero | cell).tolist()]
 
 

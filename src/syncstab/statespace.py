@@ -202,7 +202,9 @@ def simulate(ss: StateSpace, disturbance: AnglePulse | None = None,
     most three for a pulse) and added to ``step_mat·z[k]``, the same
     operations in the same order as forming both per step.  Outputs are
     reconstructed per step (Δω from the loop solution, the active-power proxy
-    as P̃·Δδ).  Raises ``AnalysisError`` (SIM_PARAMS_INVALID) when ``dt`` or
+    as P̃·Δδ), each built in place in an (steps + 1, n) array of its own;
+    the 2n-wide state is freed before the proxy is formed.  Raises
+    ``AnalysisError`` (SIM_PARAMS_INVALID) when ``dt`` or
     ``duration`` is not one real number (text, a bool, an array) or not
     ``0 < dt < duration < inf``, for more than ``MAX_SIM_STEPS`` steps, all
     before anything is allocated, and when ``disturbance`` is neither an
@@ -238,31 +240,41 @@ def simulate(ss: StateSpace, disturbance: AnglePulse | None = None,
     z = np.zeros((steps + 1, n2))
     nonzero = np.flatnonzero(d)
     first = max(int(nonzero[0]) - 1, 0) if len(nonzero) else steps
-    # one forcing vector per distinct input sum: 0 + 0, 0 + a, a + a for a
-    # pulse of amplitude a != 0 (the loop never runs when a is ±0), so -0.0
-    # never occurs and the sums are safe dict keys
-    forcing = {}
+    n = ss.n
     # a huge input overflows; the check below reports it once, with a code
     with np.errstate(over="ignore", invalid="ignore"):
-        for prev, nxt, d0, d1 in zip(z[first:-1], z[first + 1:], d[first:-1], d[first + 1:]):
-            total = d0 + d1
-            push = forcing.get(total)
-            if push is None:
-                push = forcing[total] = step_in * total
-            np.matmul(step_mat, prev, out=nxt)
-            np.add(nxt, push, out=nxt)
-
-        n = ss.n
-        theta, x = z[:, :n], z[:, n:]
-        a11 = ss.a_matrix[:n, :n]
-        a12 = ss.a_matrix[:n, n:]
-        omega = theta @ a11.T + x @ a12.T + np.outer(d, ss.b_omega)
+        _march(z[first:], d[first:], step_mat, step_in)
+        omega = z[:, :n] @ ss.a_matrix[:n, :n].T
+        omega += z[:, n:] @ ss.a_matrix[:n, n:].T
+        omega += np.outer(d, ss.b_omega)
+        # theta gets rows of its own, so the integrator half is freed with z
+        theta = z[:, :n].copy()
+        del z
         # Δδ is not kept, so the check below does not add to the peak memory
-        dp = ((omega / ss.omega0) @ ss.m_p.T + theta @ ss.m_q.T) * ss.p_tilde
+        dp = (omega / ss.omega0) @ ss.m_p.T
+        dp += theta @ ss.m_q.T
+        dp *= ss.p_tilde
     if not all(np.isfinite(a).all() for a in (theta, omega, dp)):
         raise AnalysisError(f"the response to {pulse} is not finite",
                             code="SIM_NOT_FINITE")
     return SimResult(t_s=t, theta=theta, omega=omega, dp=dp)
+
+
+def _march(z: np.ndarray, d: np.ndarray, step_mat: np.ndarray, step_in: np.ndarray
+           ) -> None:
+    """z[k + 1] = step_mat·z[k] + step_in·(d[k] + d[k + 1]) in place, for each
+    row k of ``z`` but the last.  The forcing vector is formed once per
+    distinct input sum: 0 + 0, 0 + a, a + a for a pulse of amplitude a != 0
+    (``simulate`` never marches when a is ±0), so -0.0 never occurs and the
+    sums are safe dict keys."""
+    forcing = {}
+    for prev, nxt, d0, d1 in zip(z[:-1], z[1:], d[:-1], d[1:]):
+        total = d0 + d1
+        push = forcing.get(total)
+        if push is None:
+            push = forcing[total] = step_in * total
+        np.matmul(step_mat, prev, out=nxt)
+        np.add(nxt, push, out=nxt)
 
 
 def crosscheck(report: StabilityReport, modeset: ModeSet) -> CrossCheck:

@@ -884,3 +884,64 @@ def test_a_sweep_csv_matches_the_retired_row_rule(tmp_path, sweep_rows, capsys, 
     assert capsys.readouterr().out == _reference_rows(["value", "D_net1", "f_c1", "verdict"],
                                                       sweep_rows)
     assert [row[3] for row in sweep_rows] == verdicts
+
+
+# ------------------------------------------------ report and argument branches
+
+def test_analyze_eta_complex_lines_have_the_modulus_of_eta(station_cfg, capsys):
+    code = main(["analyze", "--config", station_cfg, "--case", "heavy", "--eta-complex"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    fields = dict(line.split(" = ", 1) for line in lines if " = " in line)
+    names = load_system_spec(station_cfg).converter_names
+    assert sum(line.startswith("eta_complex_") for line in lines) == len(names) == 5
+    for name in names:
+        # |φ_b1,i²|/U_i² = |φ_b1,i|²/U_i², each printed to 12 digits
+        assert abs(complex(fields[f"eta_complex_{name}"])) == pytest.approx(
+            float(fields[f"eta_{name}"]), rel=1e-10)
+
+
+def test_a_plant_without_an_oscillatory_mode_says_so(tmp_path, capsys):
+    # kp² > 4·ki: every oracle eigenvalue is real, so there is no dominant mode
+    cfg = tmp_path / "overdamped.cfg"
+    cfg.write_text(TWO_BUS_CFG.replace("C1 bus1 6.5 15782", "C1 bus1 100 100"),
+                   encoding="utf-8")
+    code = main(["analyze", "--config", str(cfg), "--case", "absorb"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert ("# state-space oracle\ndominant_mode = none\n# note: NO_OSC_MODE\n"
+            "crosscheck = SKIPPED\n# note: oracle found no oscillatory mode\n") in out
+    code = main(["simulate", "--config", str(cfg), "--case", "absorb"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == "syncstab: NO_OSC_MODE\n"
+    assert captured.out.startswith("re,im,f_hz,damping_ratio\n")
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("0:1", "range must be START:STOP:STEP, got '0:1'"),
+    ("0:1:0.1:2", "range must be START:STOP:STEP, got '0:1:0.1:2'"),
+    ("a:b:c", "range values must be numbers: 'a:b:c'"),
+    ("0:1:x", "range values must be numbers: '0:1:x'"),
+], ids=["two-fields", "four-fields", "words", "word-step"])
+def test_sweep_range_of_other_than_three_numbers_exits_one(two_bus_cfg, capsys, bad,
+                                                           message):
+    code = main(["sweep", "--config", two_bus_cfg, "--converter", "C1",
+                 "--quantity", "p", "--range", bad])
+    assert code == 1
+    assert capsys.readouterr().err == f"syncstab: error [RANGE_INVALID]: {message}\n"
+
+
+def test_adjust_skips_empty_items_and_refuses_words(station_cfg, capsys):
+    code = main(["adjust", "--config", station_cfg, "--case", "heavy",
+                 "--set", "ES1=-0.8,ES2=-0.6"])
+    expected = capsys.readouterr().out
+    assert code == 0
+    code = main(["adjust", "--config", station_cfg, "--case", "heavy",
+                 "--set", ",ES1=-0.8,, ,ES2=-0.6,", "--set", ""])
+    assert code == 0
+    assert capsys.readouterr().out == expected
+    code = main(["adjust", "--config", station_cfg, "--case", "heavy", "--set", "ES1=abc"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "syncstab: error [ASSIGN_INVALID]: assignment value 'abc' is not a number\n")

@@ -472,3 +472,50 @@ def test_mutated_station_text_raises_only_coded_errors(steps):
         parse_system_spec("\n".join(lines) + "\n")
     except SyncstabError as exc:
         assert isinstance(exc.code, str) and exc.code
+
+
+@pytest.mark.parametrize("header, message", [
+    ("[ ]", "empty section header"),
+    ("[operating_point]", "[operating_point] needs exactly one case name"),
+    ("[operating_point a b]", "[operating_point] needs exactly one case name"),
+    ("[options extra]", "section [options] takes no argument"),
+], ids=["empty", "case-missing", "two-cases", "argument"])
+def test_section_header_messages(header, message):
+    text = TWO_BUS_CFG + "\n" + header + "\n"
+    line = len(text.splitlines())
+    err = _syntax_error(text)
+    assert err.line == line
+    assert str(err) == f"line {line}: {message}"
+
+
+def _run_refuses(spec):
+    """The code of the error that a two-bus run of ``spec`` raises."""
+    with pytest.raises(SyncstabError) as exc:
+        run_analysis(spec, "inject")
+    return exc.value.code
+
+
+@pytest.mark.parametrize("change, code", [
+    (lambda s: _options(s, scan_points=2.5), "SCAN_POINTS_INVALID"),
+    (lambda s: _options(s, scan_points=1200.0), "SCAN_POINTS_INVALID"),
+    (lambda s: _options(s, scan_points=True), "SCAN_POINTS_INVALID"),
+    (lambda s: _options(s, flat_voltage="no"), "FLAT_VOLTAGE_INVALID"),
+    (lambda s: _options(s, flat_voltage=1), "FLAT_VOLTAGE_INVALID"),
+    (lambda s: _branch(s, inductance_pu=1e-320), "BRANCH_NONPOSITIVE_L"),
+    (lambda s: _branch(s, inductance_pu=np.inf), "BRANCH_NONPOSITIVE_L"),
+    (lambda s: s.with_case("inject", {"C1": PowerSetpoint("a", 0.0)}), "OP_INVALID"),
+    (lambda s: s.with_case("inject", {"C1": PowerSetpoint(0.5, True)}), "OP_INVALID"),
+    (lambda s: s.with_case("inject", {"C1": PowerSetpoint([0.5], 0.0)}), "OP_INVALID"),
+], ids=["points-float", "points-whole-float", "points-bool", "flat-text", "flat-int",
+        "inductance-subnormal", "inductance-inf", "p-text", "q-bool", "p-list"])
+def test_validate_reports_the_code_a_run_raises(change, code):
+    spec = change(parse_system_spec(TWO_BUS_CFG))
+    assert [v.code for v in validate(spec)] == [code]
+    assert _run_refuses(spec) == code
+
+
+def test_an_inductance_without_a_finite_inverse_fails_at_parse_time():
+    # 1e-320 > 0, but 1/1e-320 overflows: the text is refused before any reduction
+    with pytest.raises(SpecValidationError) as exc:
+        parse_system_spec(_mutated("bus1 grid 0.3", "bus1 grid 1e-320"))
+    assert [v.code for v in exc.value.violations] == ["BRANCH_NONPOSITIVE_L"]

@@ -542,12 +542,12 @@ def test_loop_at_reproduces_the_scan_bit_for_bit(setpoints):
     curves = _station_curves(setpoints)
     for k in range(curves.m):
         for i in range(curves.n):
-            g, lam, phi = curves.loop_at(k, i)
+            g, lam, phi = curves.loops([curves.omega_rad_s[k]], [curves.columns[k, i]])[0]
             assert g == curves.d_con[k] + 1j * curves.k_con[k], (k, i)
             assert lam == curves.d_net[i, k] + 1j * curves.k_net[i, k], (k, i)
             assert abs(np.linalg.norm(phi) - 1.0) < 1e-12
-            # loop's overlap rule picks the branch its reference vector names
-            assert curves.loop(curves.omega_rad_s[k], phi)[1] == lam, (k, i)
+            # the overlap rule picks the branch its reference vector names
+            assert curves.loops([curves.omega_rad_s[k]], [phi])[0][1] == lam, (k, i)
 
 
 # the station's three cases flat and solved, and the degenerate repro
@@ -567,7 +567,7 @@ def test_loop_reproduces_every_reported_crossing_bit_for_bit(case, flat, setpoin
     crossings = [c for a in result.report.per_subsystem for c in a.crossings]
     assert crossings
     for c in crossings:
-        g, lam, phi = result.curves.loop(c.omega_ci, c.phi)
+        g, lam, phi = result.curves.loops([c.omega_ci], [c.phi])[0]
         assert (g.real, lam) == (c.d_con, c.lam)
         assert phi.tobytes() == c.phi.tobytes()
 
@@ -585,10 +585,10 @@ def test_the_forced_loop_at_solved_voltages_is_gamma_at_the_mean_u():
     first = spec.converters[0]
     loop_args = (float(np.mean(op.u_pu)), first.pll_kp, first.pll_ki, spec.omega0)
     for k, i in ((0, 0), (curves.m // 2, 2), (curves.m - 2, curves.n - 1)):
-        on_grid = curves.loop_at(k, i)
+        on_grid = curves.loops([curves.omega_rad_s[k]], [curves.columns[k, i]])[0]
         off_grid = 0.5 * (curves.omega_rad_s[k] + curves.omega_rad_s[k + 1])
         for omega, (g, lam, _phi) in ((curves.omega_rad_s[k], on_grid),
-                                      (off_grid, curves.loop(off_grid, on_grid[2]))):
+                                      (off_grid, curves.loops([off_grid], [on_grid[2]])[0])):
             assert g == gamma(omega, *loop_args), (k, i, omega)
             eigs = np.linalg.eigvals(build_gnet_sym(omega, net, op, spec.omega0))
             assert np.min(np.abs(eigs - lam)) <= 1e-9 * np.max(np.abs(eigs)), (k, i, omega)
@@ -1066,8 +1066,8 @@ def _eig_inputs():
 # blocks of 44)
 @pytest.mark.parametrize("setpoints", [None, _REPRO], ids=["heavy", "identical_units"])
 def test_the_scan_solves_the_matrix_that_loop_at_solves(setpoints):
-    # one formula: a block of the scan and loop_at's stack of one hold the same
-    # bits at a grid point, so loop_at's column restarts the branch the scan took
+    # one formula: a block of the scan and a stack of one ω in loops hold the
+    # same bits at a grid point, so a column restarts the branch the scan took
     given, spy = _eig_inputs()
     with mock.patch.object(np.linalg, "eig", spy):
         curves = _station_curves(setpoints)
@@ -1078,7 +1078,7 @@ def test_the_scan_solves_the_matrix_that_loop_at_solves(setpoints):
         for i in (0, curves.n - 1):
             given.clear()
             with mock.patch.object(np.linalg, "eig", spy):
-                curves.loop_at(k, i)
+                curves.loops([curves.omega_rad_s[k]], [curves.columns[k, i]])
             (stack,) = given
             assert stack.shape == (1, *scan[k].shape)
             assert stack[0].tobytes() == scan[k].tobytes(), (k, i)
@@ -1492,16 +1492,25 @@ def test_assess_point_resolves_the_gains_and_splits_the_loop_once(monkeypatch, c
         for module in (frequency_response, pipeline):
             monkeypatch.setattr(module, name, spy, raising=False)
     scanned = []
-    monkeypatch.setattr(pipeline, "_scan", lambda loop: scanned.append(loop) or
-                        frequency_response._scan(loop))
+
+    def scan(loop, part):
+        curves = frequency_response._scan(loop, part)
+        scanned.append((loop, part, curves))
+        return curves
+
+    monkeypatch.setattr(pipeline, "_scan", scan)
     report = assess_point(spec, net, op)
     assert calls == dict.fromkeys(calls, 1)
     assert (report.verdict == "NoCrossing") == (own is None)
-    # the scan sees the window only, as copies, so the full grid is freed first;
-    # the window's Γ is the one a loop of the window alone computes
-    (loop,) = scanned
-    assert loop.f_hz.tobytes() == window.tobytes()
-    assert loop.f_hz.base is None and loop.omega.base is None and loop.gamma.base is None
+    # the scan sees the window only, as views of the loop's own full grid, not
+    # copies; the window's Γ is the one a loop of the window alone computes
+    ((loop, part, curves),) = scanned
+    assert part == loop.window
+    assert loop.f_hz[part].tobytes() == window.tobytes()
+    for held, grid in ((curves.f_hz, loop.f_hz), (curves.omega_rad_s, loop.omega),
+                       (curves.k_con, loop.gamma)):
+        assert (held.base if held.base is not None else held) is (
+            grid.base if grid.base is not None else grid)
     if own is not None:
-        assert (loop.omega.tobytes(), loop.gamma.tobytes()) == (own.omega.tobytes(),
-                                                                own.gamma.tobytes())
+        assert (loop.omega[part].tobytes(), loop.gamma[part].tobytes()) == (
+            own.omega.tobytes(), own.gamma.tobytes())

@@ -126,7 +126,7 @@ def test_weights_read_off_the_critical_crossing(station_path, monkeypatch,
         spec, case = spec.with_case("_repro", {**block, **setpoints}), "_repro"
     result = run_analysis(spec, case, flat_voltage=flat)
     net, op, c = result.net, result.op, result.report.critical
-    _g, lam, phi = result.curves.loop(c.omega_c1, c.phi)
+    _g, lam, phi = result.curves.loops([c.omega_c1], [c.phi])[0]
     resolved = _weights(net, op, c.omega_c1, spec.omega0, lam, phi)
 
     def refuse(*args, **kwargs):
@@ -315,3 +315,14 @@ def test_the_finite_difference_check_equals_the_full_grids_bit_for_bit(monkeypat
                         lambda spec, net, op, force_first_pll: assess(
                             spec, trace_curves(spec, net, op, force_first_pll=force_first_pll)))
     assert [finite_difference_check(spec, net, op, i) for i in range(op.n)] == window
+
+
+def test_weights_of_a_report_without_a_crossing_are_refused():
+    # two-bus inject above 25 Hz has no crossing
+    spec = parse_system_spec(TWO_BUS_CFG)
+    spec = replace(spec, options=replace(spec.options, scan_fmin_hz=25.0))
+    result = run_analysis(spec, "inject")
+    assert result.report.verdict == "NoCrossing"
+    with pytest.raises(AnalysisError) as exc:
+        modal_weights_from_report(result.net, result.op, result.report, spec.omega0)
+    assert exc.value.code == "NO_CROSSING"

@@ -6,6 +6,7 @@ Schur complement over interior nodes.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -231,3 +232,38 @@ def test_susceptances_that_add_up_past_the_float_range_are_not_finite(station_pa
         with pytest.raises(NetworkError) as exc:
             call()
         assert exc.value.code == "NOT_FINITE"
+
+
+@pytest.mark.parametrize("b, names, code", [
+    (np.zeros((0, 0)), None, "NO_CONVERTERS"),
+    ([["2", "-1"], ["-1", "2"]], None, "NOT_REAL"),
+    (np.array([[2.0, -1.0], [-1.0, 2.0]], dtype=complex), None, "NOT_REAL"),
+    ([[True, False], [False, True]], None, "NOT_REAL"),
+    ([[2.0, -1.0], [-1.0]], None, "NOT_REAL"),
+    (np.ones(3), None, "NOT_SQUARE"),
+    (np.ones((2, 3)), None, "NOT_SQUARE"),
+    ([[2.0, -1.0], [-1.0, 2.0]], ("a",), "NAMES_INVALID"),
+    ([[2.0, -1.0], [-1.0, 2.0]], ("a", "b", "c"), "NAMES_INVALID"),
+    ([[2.0, -1.0], [-1.0, 2.0]], ("a", "a"), "NAMES_INVALID"),
+], ids=["empty", "text", "complex", "bool", "ragged", "vector", "two-by-three",
+        "too-few-names", "too-many-names", "repeated-name"])
+def test_from_b_matrix_refuses_with_a_code(b, names, code):
+    # no uncoded ValueError, and no ComplexWarning cast of a complex B
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NetworkError) as exc:
+            ReducedNetwork.from_b_matrix(b, names)
+    assert exc.value.code == code
+
+
+def test_from_b_matrix_names_each_converter():
+    b = [[2.0, -1.0], [-1.0, 2.0]]
+    assert ReducedNetwork.from_b_matrix(b).converter_index == {"c1": 0, "c2": 1}
+    assert ReducedNetwork.from_b_matrix(np.array(b), ["x", "y"]).converter_index == {
+        "x": 0, "y": 1}
+
+
+def test_a_spec_built_without_converters_reduces_to_a_coded_error(station_path):
+    with pytest.raises(NetworkError) as exc:
+        build_reduced_network(replace(load_system_spec(station_path), converters=()))
+    assert exc.value.code == "NO_CONVERTERS"

@@ -197,3 +197,15 @@ def test_a_flat_voltage_that_is_not_a_bool_is_refused_before_the_solve(station_p
 def test_a_numpy_bool_flat_voltage_is_read_as_its_value(spec, flat):
     st8 = solve_steady_state(spec, np.array([0.5]), np.array([0.1]), flat_voltage=flat)
     assert st8.flat == bool(flat) and (st8.iterations == 0) == bool(flat)
+
+
+def test_a_flat_slack_balance_that_overflows_is_coded():
+    spec = parse_system_spec(TWO_BUS_CFG.replace(
+        "[converters]\nC1 bus1 6.5 15782",
+        "[converters]\nC1 bus1 6.5 15782\nC2 bus2 6.5 15782").replace(
+        "bus1\ngrid", "bus1\nbus2\ngrid").replace(
+        "bus1 grid 0.3", "bus1 grid 0.3\nbus2 grid 0.3"))
+    with pytest.raises(PowerFlowError) as exc:
+        solve_steady_state(spec, np.array([1e308, 1e308]), np.zeros(2), flat_voltage=True)
+    assert exc.value.code == "PF_NOT_FINITE"
+    assert str(exc.value) == "the slack's balance -sum(P) overflows"

@@ -275,14 +275,27 @@ def test_find_crossings_visits_the_same_points_as_the_loop_rule(values):
         events.append((kind, k))
         yield from ()
 
-    curves = SimpleNamespace(k_con=np.zeros_like(g), k_net=g[None, :])
-    original = (stability._zero_steps, stability._refine_steps)
-    stability._zero_steps = lambda curves, i, k: no_steps("zero", k)
-    stability._refine_steps = lambda curves, i, k, tol: no_steps("cell", k)
+    f_hz = np.arange(1.0, len(g) + 1.0)
+    curves = SimpleNamespace(k_con=np.zeros_like(g), k_net=g[None, :], f_hz=f_hz,
+                             omega_rad_s=2.0 * np.pi * f_hz,
+                             columns=np.zeros((len(g), 1), dtype=np.uint8))
+    steps = stability._refine_steps
+
+    def first_steps(curves, i, k, tol):
+        # the real sequence, sent its grid re-solve: an exact zero ends there
+        sequence = steps(curves, i, k, tol)
+        next(sequence)
+        try:
+            sequence.send((0j, 0j, np.ones(1)))
+        except StopIteration:
+            return no_steps("zero", k)
+        return no_steps("cell", k)
+
+    stability._refine_steps = first_steps
     try:
         stability.find_crossings(curves, 0)
     finally:
-        stability._zero_steps, stability._refine_steps = original
+        stability._refine_steps = steps
     assert events == _crossing_events_reference(g)
 
 
@@ -468,7 +481,7 @@ def test_a_refined_crossing_lies_within_tolerance_of_a_root_at_bounded_cost(cell
     assume(_sign_change(cell))
     g, roots, f_lo, f_hi, tol = cell
     curves, calls, _batches = _synthetic_cells([(g, f_lo, f_hi)])
-    crossing = stability._refine(curves, 0, 0, tol)
+    (crossing,) = stability._run(curves, [stability._refine_steps(curves, 0, 0, tol)])
     # a few ulps of slack: f -> ω -> f in the fake loop rounds once each way
     assert min(abs(crossing.f_ci - r) for r in roots) <= tol + 1e-12
     # trial evaluations, after the one grid re-solve
@@ -493,7 +506,8 @@ def test_refining_cells_together_is_refining_each_alone(cells):
     alone, alone_calls = [], []
     for j, cell in enumerate(cells):
         curves_j, calls_j, _batches = _synthetic_cells(shape)
-        alone.append(stability._refine(curves_j, j, 2 * j, cell[4]))
+        alone.extend(stability._run(curves_j, [stability._refine_steps(curves_j, j, 2 * j,
+                                                                       cell[4])]))
         alone_calls.append(calls_j[j])
     assert [_crossing_bits(c) for c in together] == [_crossing_bits(c) for c in alone]
     assert calls == alone_calls

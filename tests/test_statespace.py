@@ -13,6 +13,7 @@ Independent oracles:
 """
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -321,6 +322,28 @@ def test_simulate_is_bit_equal_to_the_full_loop(station_path, case, pulse, durat
     assert sim.dp.tobytes() == dp.tobytes()
 
 
+@pytest.mark.parametrize("pulse", [AnglePulse(), AnglePulse(amplitude_rad=0.0)],
+                         ids=["default", "never_steps"])
+def test_simulate_holds_no_2n_wide_array(station_path, pulse):
+    # theta has rows of its own, so the result keeps no view of the (steps + 1)
+    # x 2n state and its integrator half is freed, whether the loop ran or not
+    from syncstab.config import load_system_spec
+    result = run_analysis(load_system_spec(station_path), "light", flat_voltage=True)
+    ss, _ms, _chk = run_oracle(result)
+    n = ss.n
+    tracemalloc.start()
+    try:
+        sim = simulate(ss, pulse)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m = len(sim.t_s)
+    for a in (sim.theta, sim.omega, sim.dp):
+        assert a.base is None and a.shape == (m, n)
+    # the three (m, n) outputs and t_s, and no (m, 2n) state
+    assert held <= 8 * m * (3 * n + 1) + 16_384 < 8 * m * (5 * n + 1)
+
+
 @pytest.mark.parametrize("kp, ki, omega0", [
     (np.nan, KI, W0), (KP, np.inf, W0), (KP, KI, np.nan),
     (np.array([KP, np.nan]), KI, W0),
@@ -419,3 +442,21 @@ def test_simulate_overflow_is_coded(amplitude):
         simulate(_scalar_ss(0.4), AnglePulse(start_s=0.01, amplitude_rad=amplitude),
                  dt=1e-3, duration=0.1)
     assert exc.value.code == "SIM_NOT_FINITE"
+
+
+def test_an_overdamped_plant_has_no_oscillatory_mode():
+    # kp² > 4·ki/U: s² + kp·U·s + ki·U has two real roots per converter
+    net = ReducedNetwork.from_b_matrix(np.array([[4.0, -1.0], [-1.0, 3.0]]))
+    op = OperatingPoint(np.zeros(2), np.zeros(2), np.ones(2))
+    modeset = modes(assemble_state_space(net, op, 100.0, 100.0, W0))
+    assert modeset.dominant is None and modeset.note == "NO_OSC_MODE"
+    assert not np.any(modeset.eigenvalues.imag)
+
+
+def test_a_singular_algebraic_loop_is_coded():
+    # kp·U·M_P = ω0 makes the Δω loop matrix I − K_P·U·M_P/ω0 exactly zero
+    net = ReducedNetwork.from_b_matrix(np.array([[1.0]]))
+    op = OperatingPoint(np.array([2.0]), np.array([0.0]), np.ones(1))
+    with pytest.raises(AnalysisError) as exc:
+        assemble_state_space(net, op, 1.0, 100.0, 2.0)
+    assert exc.value.code == "ALGEBRAIC_LOOP_SINGULAR"
