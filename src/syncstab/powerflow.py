@@ -106,6 +106,14 @@ def solve_steady_state(
 
     theta = np.zeros(n_nodes)
     u = np.ones(n_nodes)
+    # the full Jacobian [[dP/dθ, dP/dU], [dQ/dθ, dQ/dU]] is written in place,
+    # and its free rows and columns are gathered by one precomputed index
+    full = np.empty((2 * n_nodes, 2 * n_nodes))
+    h, nmat = full[:n_nodes, :n_nodes], full[:n_nodes, n_nodes:]
+    m, lmat = full[n_nodes:, :n_nodes], full[n_nodes:, n_nodes:]
+    rows = np.concatenate((free, n_nodes + free))
+    pick = rows[:, None] * (2 * n_nodes) + rows
+    diagonal = np.arange(n_nodes)
 
     iterations = 0
     # a huge but finite injection overflows the mismatch; it is refused below
@@ -131,16 +139,17 @@ def solve_steady_state(
                     f"no convergence after {_MAX_ITER} iterations "
                     f"(residual {residual:.3e})", code="PF_DIVERGED")
 
-            uu = np.outer(u, u)
-            h = -uu * c_full + np.diag(u * a)             # dP/dtheta
-            nmat = u[:, None] * s_full + np.diag(s)       # dP/dU
-            m = -uu * s_full + np.diag(u * s)             # dQ/dtheta
-            lmat = -u[:, None] * c_full + np.diag(2.0 * d * u - a)   # dQ/dU
-
-            jac = np.block([[h[np.ix_(free, free)], nmat[np.ix_(free, free)]],
-                            [m[np.ix_(free, free)], lmat[np.ix_(free, free)]]])
+            minus_uu = -np.outer(u, u)
+            np.multiply(minus_uu, c_full, out=h)
+            h[diagonal, diagonal] += u * a
+            np.multiply(u[:, None], s_full, out=nmat)
+            nmat[diagonal, diagonal] += s
+            np.multiply(minus_uu, s_full, out=m)
+            m[diagonal, diagonal] += u * s
+            np.multiply(-u[:, None], c_full, out=lmat)
+            lmat[diagonal, diagonal] += 2.0 * d * u - a
             try:
-                step = np.linalg.solve(jac, mismatch)
+                step = np.linalg.solve(full.take(pick), mismatch)
             except np.linalg.LinAlgError:
                 raise PowerFlowError("singular power-flow Jacobian",
                                      code="PF_DIVERGED") from None

@@ -238,6 +238,13 @@ def assess(spec: SystemSpec, curves: SubsystemCurves) -> StabilityReport:
     notes = [f"branch overlap below threshold at {len(curves.branch_jumps)} "
              f"grid point(s)"] if curves.branch_jumps else []
     notes.extend(curves.warnings)
+    return _report(assessments, notes)
+
+
+def _report(assessments: tuple[SubsystemAssessment, ...], notes: list[str]
+            ) -> StabilityReport:
+    """The report of ``assessments``: the verdict of the minimal net damping
+    over all crossings (see :func:`assess`), and ``notes``."""
     all_crossings = [c for a in assessments for c in a.crossings]
     if not all_crossings:
         notes.append("NO_CROSSING: K_con + K_neti has no zero in the scan "

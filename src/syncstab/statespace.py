@@ -40,6 +40,14 @@ __all__ = [
 _LOOP_COND_LIMIT = 1e12
 # an eigenvalue counts as oscillatory above this angular frequency (0.5 Hz)
 _OSC_MIN_IM = 2.0 * math.pi * 0.5
+# the loop's crossings by bordered Newton: rounds before a seed counts as not
+# converged, the residual that stops it relative to |Γ| + ‖S_P‖ + (ω0/ω)·‖S_Q‖,
+# the floats of one stacked solve, and the relative step past the outermost
+# crossings at which the mode count is taken
+_NEWTON_ROUNDS = 12
+_NEWTON_TOL = 1e-12
+_NEWTON_ENTRIES = 1 << 14
+_COUNT_SHIFT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -137,20 +145,8 @@ def assemble_state_space(net: ReducedNetwork, op: OperatingPoint,
 
     kpu = kp_v * u                      # diag(K_P U) entries
     kiu = ki_v * u
-    loop = np.eye(n) - (kpu[:, None] * m_p) / omega0
-    if np.linalg.cond(loop) > _LOOP_COND_LIMIT:
-        raise AnalysisError("algebraic loop matrix is numerically singular",
-                            code="ALGEBRAIC_LOOP_SINGULAR")
-    loop_inv = np.linalg.inv(loop)
 
-    mq_minus_i = m_q - np.eye(n)
-    a11 = loop_inv @ (kpu[:, None] * mq_minus_i)     # dθ/dt wrt θ (= Δω part)
-    a12 = loop_inv                                   # dθ/dt wrt x
-    kium_p = (kiu[:, None] * m_p) / omega0
-    a21 = kiu[:, None] * mq_minus_i + kium_p @ a11   # dx/dt wrt θ
-    a22 = kium_p @ a12                               # dx/dt wrt x
-
-    a = np.block([[a11, a12], [a21, a22]])
+    a, loop_inv, kium_p = _closed_loop(m_p, m_q, kpu, kiu, omega0, coded=True)
     if not np.all(np.isfinite(a)):
         raise AnalysisError("non-finite entries in the assembled state matrix",
                             code="ALGEBRAIC_LOOP_SINGULAR")
@@ -163,6 +159,186 @@ def assemble_state_space(net: ReducedNetwork, op: OperatingPoint,
     return StateSpace(a_matrix=a, labels=labels, b_pulse=b_pulse,
                       b_omega=b_omega, m_p=m_p, m_q=m_q,
                       p_tilde=op.p_tilde.copy(), omega0=omega0)
+
+
+def _closed_loop(m_p: np.ndarray, m_q: np.ndarray, kpu: np.ndarray, kiu: np.ndarray,
+                 omega0: float, *, coded: bool = False
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, loop⁻¹, K_I·U·M_P/ω0) of ż = A·z over z = [Δθ; x] for the network
+    operators ``m_p``, ``m_q`` and the gains K_P·U, K_I·U per converter.
+    A singular algebraic loop matrix I − K_P·U·M_P/ω0 raises ``LinAlgError``;
+    with ``coded``, one whose condition number passes ``_LOOP_COND_LIMIT``
+    raises ``AnalysisError`` (ALGEBRAIC_LOOP_SINGULAR) first."""
+    n = len(kpu)
+    loop = np.eye(n) - (kpu[:, None] * m_p) / omega0
+    if coded and np.linalg.cond(loop) > _LOOP_COND_LIMIT:
+        raise AnalysisError("algebraic loop matrix is numerically singular",
+                            code="ALGEBRAIC_LOOP_SINGULAR")
+    loop_inv = np.linalg.inv(loop)
+
+    mq_minus_i = m_q - np.eye(n)
+    a11 = loop_inv @ (kpu[:, None] * mq_minus_i)     # dθ/dt wrt θ (= Δω part)
+    a12 = loop_inv                                   # dθ/dt wrt x
+    kium_p = (kiu[:, None] * m_p) / omega0
+    a21 = kiu[:, None] * mq_minus_i + kium_p @ a11   # dx/dt wrt θ
+    a22 = kium_p @ a12                               # dx/dt wrt x
+    return np.block([[a11, a12], [a21, a22]]), loop_inv, kium_p
+
+
+class _Fallback(Exception):
+    """A guard of :func:`_loop_crossings` failed; the message names it."""
+
+
+def _loop_crossings(loop) -> list[tuple[float, complex, np.ndarray]]:
+    """Every crossing of ``loop`` (a ``frequency_response._Loop``) in its
+    window, as (ω, λ, φ) ascending in ω, without a scan.
+
+    A crossing is a root of (T(jω) − x·I)·v = 0 with T = Γ(jω)·I + G′_net(jω)
+    and x real, the net damping.  So jω is an eigenvalue of the loop's
+    realization with M_P → S_P + x·I, M_Q → S_Q and the gains K·``u_ref``
+    (:func:`_closed_loop`).  Each difference vector of the symmetry split is
+    a scalar loop with a closed-form crossing.  On the quotient, each
+    eigenvalue of the unshifted realization with Im in the scan band seeds a
+    bordered Newton (Govaerts 2000) from (θ-part, Im s, 0); the crossings
+    go in stacks of at most ``_NEWTON_ENTRIES`` floats, one
+    ``np.linalg.solve`` per stack and round.  λ is the Rayleigh quotient
+    φ*·G′_net·φ of φ = v/‖v‖, phased as zgeev phases it.
+
+    Raises :class:`_Fallback`, naming the first guard that fails, cheapest
+    first: a seed that does not converge, a crossing outside the window,
+    one crossing reached twice (compared by φ too, so an exact double
+    crossing counts twice), no crossing, and the mode count.  That last
+    one needs the realization just below the smallest x to have no
+    right-half-plane eigenvalue, and just above the largest x as many
+    in-band right-half-plane modes as the quotient has crossings: a mode
+    that crosses more than once, or is born off the real axis, shows there
+    (``tests/test_frequency_response.py`` builds such a point).  A singular
+    solve or a non-finite matrix falls back too.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            return _guarded_crossings(loop)
+    except np.linalg.LinAlgError:
+        raise _Fallback("a solve is singular or not finite") from None
+
+
+def _guarded_crossings(loop) -> list[tuple[float, complex, np.ndarray]]:
+    """:func:`_loop_crossings`, which turns a ``LinAlgError`` into a fallback."""
+    sym, omega0 = loop.sym, loop.omega0
+    band = loop.omega[[0, -1]]
+    g = len(sym.classes)
+    found = _difference_crossings(loop, *band)
+    vals, vecs = np.linalg.eig(_realization(loop, 0.0))
+    seeds = np.flatnonzero((vals.imag >= band[0]) & (vals.imag <= band[1]))
+    stack = max(1, _NEWTON_ENTRIES // (2 * g + 2) ** 2)
+    parts = [_newton(loop, vecs[:g, part].T, vals.imag[part])
+             for part in np.split(seeds, range(stack, len(seeds), stack))]
+    omega, x, psi = (np.concatenate(arrays) for arrays in zip(*parts))
+    lam = (-np.einsum("ki,ij,kj->k", psi.conj(), sym.s_p, psi).real
+           + 1j * (omega0 / omega) * np.einsum("ki,ij,kj->k", psi.conj(), sym.s_q, psi).real)
+    found += zip(omega.tolist(), x.tolist(), lam.tolist(), psi @ sym.sums.T)
+    lo, hi = loop.omega[loop.window][[0, -1]]
+    if not all(lo <= w <= hi for w, _x, _lam, _phi in found):
+        raise _Fallback("a crossing lies outside the window")
+    for k, (w, x_k, _lam, phi) in enumerate(found):
+        for w2, x2, _lam2, phi2 in found[:k]:
+            if (abs(w - w2) <= 1e-8 * w and abs(x_k - x2) <= 1e-8 * max(1.0, abs(x_k))
+                    and abs(phi2.conj() @ phi) >= 1.0 - 1e-8):
+                raise _Fallback("one crossing is reached twice")
+    if not found:
+        raise _Fallback("no crossing")
+    xs = [x_k for _w, x_k, _lam, _phi in found]
+    shifts = [min(xs) - _COUNT_SHIFT * max(1.0, abs(min(xs))),
+              max(xs) + _COUNT_SHIFT * max(1.0, abs(max(xs)))]
+    below, above = np.linalg.eigvals(np.stack([_realization(loop, shift) for shift in shifts]))
+    if ((below.real > 0.0).any() or np.count_nonzero(
+            (above.real > 0.0) & (above.imag >= band[0]) & (above.imag <= band[1]))
+            != len(omega)):
+        raise _Fallback("the mode count differs from the crossings")
+    found.sort(key=lambda c: c[0])
+    return [(w, lam, phi) for w, _x, lam, phi in found]
+
+
+def _realization(loop, shift: float) -> np.ndarray:
+    """A of the loop's quotient with S_P + ``shift``·I for M_P and S_Q for M_Q."""
+    sym = loop.sym
+    g = len(sym.classes)
+    u = np.full(g, loop.u_ref)
+    return _closed_loop(sym.s_p + shift * np.eye(g), sym.s_q, loop.kp * u, loop.ki * u,
+                        loop.omega0)[0]
+
+
+def _newton(loop, seeds: np.ndarray, omega: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ω, x, ψ) of the quotient's crossing from each seed row (θ-parts) at
+    Im s = ``omega``, each ψ a unit row phased with its largest entry real
+    and positive.  The real bordered system of each seed is
+    [[T − x·I, dT/dω·ψ, −ψ], [c*, 0, 0]] over (ψ, ω, x), c the unit seed."""
+    sym, omega0, u, kp, ki = loop.sym, loop.omega0, loop.u_ref, loop.kp, loop.ki
+    m, g = seeds.shape
+    psi = seeds / np.linalg.norm(seeds, axis=1)[:, None]
+    omega, x = omega.copy(), np.zeros(m)
+    scale = np.linalg.norm(sym.s_p), np.linalg.norm(sym.s_q)
+    jac = np.zeros((m, 2 * g + 2, 2 * g + 2))
+    jac[:, 2 * g, :2 * g] = np.hstack((psi.real, psi.imag))      # border: Re c*ψ = 1
+    jac[:, 2 * g + 1, :2 * g] = np.hstack((-psi.imag, psi.real))  # and Im c*ψ = 0
+    c = psi.conj()
+    f = np.zeros((m, 2 * g + 2))
+    diagonal = np.arange(g)
+    for _round in range(_NEWTON_ROUNDS):
+        # Γ as frequency_response.gamma forms it, without its checks: a step
+        # that leaves ω > 0 is a seed that does not converge, not an error
+        jw = 1j * omega
+        g_pll = kp + ki / jw
+        gam = omega0 * (jw / g_pll + u) / (jw * u)
+        ratio = omega0 / omega
+        t = (1j * ratio)[:, None, None] * sym.s_q - sym.s_p
+        t[:, diagonal, diagonal] += (gam - x)[:, None]                # T(jω) − x·I
+        r = (t @ psi[:, :, None])[:, :, 0]
+        if (np.linalg.norm(r, axis=1)
+                <= _NEWTON_TOL * (np.abs(gam) + scale[0] + ratio * scale[1])).all():
+            break
+        jac[:, :g, :g] = jac[:, g:2 * g, g:2 * g] = t.real
+        jac[:, :g, g:2 * g] = -t.imag
+        jac[:, g:2 * g, :g] = t.imag
+        # dT/dω·ψ = Γ′·ψ − j·(ω0/ω²)·S_Q·ψ
+        slope = 1j * ratio / omega * (1.0 - ki / (u * g_pll**2))
+        d_t = slope[:, None] * psi - (1j * ratio / omega)[:, None] * (psi @ sym.s_q)
+        jac[:, :g, 2 * g], jac[:, g:2 * g, 2 * g] = d_t.real, d_t.imag
+        jac[:, :g, 2 * g + 1], jac[:, g:2 * g, 2 * g + 1] = -psi.real, -psi.imag
+        border = (c * psi).sum(axis=1) - 1.0
+        f[:, :g], f[:, g:2 * g] = r.real, r.imag
+        f[:, 2 * g], f[:, 2 * g + 1] = border.real, border.imag
+        step = np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
+        psi = psi + (step[:, :g] + 1j * step[:, g:2 * g])
+        omega, x = omega + step[:, 2 * g], x + step[:, 2 * g + 1]
+    else:
+        raise _Fallback("a seed does not converge")
+    rows = np.arange(m)
+    psi /= np.linalg.norm(psi, axis=1)[:, None]
+    top = np.abs(psi).argmax(axis=1)
+    psi *= (psi[rows, top].conj() / np.abs(psi[rows, top]))[:, None]
+    psi[rows, top] = psi[rows, top].real
+    return omega, x, psi
+
+
+def _difference_crossings(loop, lo: float, hi: float) -> list:
+    """(ω, x, λ, φ) of each difference vector's crossing in [lo, hi]: its loop
+    Γ(jω) − a + j·(ω0/ω)·b is scalar, so Im = 0 at ω² = u·k_i²·(1 − b) /
+    (k_i − u·k_p²·(1 − b)) and x = ω0·k_p·(1 − b)/k_i − a there."""
+    sym, omega0 = loop.sym, loop.omega0
+    u, kp, ki = loop.u_ref, loop.kp, loop.ki
+    one_b = 1.0 - sym.b
+    den = ki - u * kp**2 * one_b
+    found = []
+    for d in np.flatnonzero((one_b > 0.0) & (den > 0.0)):
+        w = math.sqrt(u * ki**2 * one_b[d] / den[d])
+        if lo <= w <= hi:
+            x = omega0 * kp * one_b[d] / ki - sym.a[d]
+            # a copy: a view would hold every difference vector while the crossing lives
+            found.append((w, x, -sym.a[d] + 1j * (omega0 / w) * sym.b[d],
+                          sym.diffs[:, d].copy()))
+    return found
 
 
 def modes(ss: StateSpace) -> ModeSet:
@@ -254,6 +430,7 @@ def simulate(ss: StateSpace, disturbance: AnglePulse | None = None,
         dp = (omega / ss.omega0) @ ss.m_p.T
         dp += theta @ ss.m_q.T
         dp *= ss.p_tilde
+        dp += 0.0           # a zero times a negative P̃ is -0.0; the proxy at rest reads 0
     if not all(np.isfinite(a).all() for a in (theta, omega, dp)):
         raise AnalysisError(f"the response to {pulse} is not finite",
                             code="SIM_NOT_FINITE")

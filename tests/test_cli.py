@@ -4,6 +4,7 @@ from __future__ import annotations
 import gc
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from syncstab.cli import main
 from syncstab.config import load_system_spec
 from syncstab.frequency_response import trace_curves
 from syncstab.modal import modal_weights_from_report, sensitivities
-from syncstab.pipeline import run_analysis, run_oracle
+from syncstab.pipeline import assess_point, run_analysis, run_oracle
 from syncstab.stability import assess
 
 from conftest import STATION_CFG_PATH, TWO_BUS_CFG
@@ -338,6 +339,27 @@ def _outputs(argv, out_dir, capsys):
     return code, *capsys.readouterr(), files
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _assert_same_but_digits(ours: str, theirs: str, tol: float = 1e-9) -> None:
+    """The same text but for the numbers in it, each within ``tol`` (relative
+    to its size, absolute below 1)."""
+    assert _NUMBER.split(ours) == _NUMBER.split(theirs)
+    for a, b in zip(_NUMBER.findall(ours), _NUMBER.findall(theirs)):
+        assert abs(float(a) - float(b)) <= tol * max(1.0, abs(float(b))), (a, b)
+
+
+def _assert_same_outputs(ours, theirs) -> None:
+    """Two :func:`_outputs` alike: the exit code and the file names equal,
+    every text equal but for numbers within 1e-9."""
+    assert ours[0] == theirs[0]
+    assert ours[3].keys() == theirs[3].keys()
+    for a, b in zip((ours[1], ours[2], *(f.decode() for f in ours[3].values())),
+                    (theirs[1], theirs[2], *(f.decode() for f in theirs[3].values()))):
+        _assert_same_but_digits(a, b)
+
+
 @pytest.mark.parametrize("argv", [
     *(["sweep", "--case", "heavy", voltage, "--converter", "ES1", "--quantity", quantity,
        f"--range={span}"]
@@ -353,13 +375,14 @@ def _outputs(argv, out_dir, capsys):
 ], ids=["sweep-p-flat", "sweep-p-solved", "sweep-q-flat", "sweep-q-solved", "sweep-peak",
         "adjust-heavy", "adjust-peak", "sensitivity", "sensitivity-eta-complex"])
 @pytest.mark.parametrize("banded", [False, True], ids=["band", "banded"])
-def test_the_window_writes_what_the_full_grid_writes(station_cfg, banded_station, tmp_path,
+def test_the_newton_writes_what_the_full_grid_writes(station_cfg, banded_station, tmp_path,
                                                       monkeypatch, capsys, argv, banded):
     argv = [argv[0], "--config", banded_station if banded else station_cfg, *argv[1:]]
+    # the Newton's crossings against the full scan's: numbers within 1e-9
     window = _outputs(argv, tmp_path / "window", capsys)
     monkeypatch.setattr(cli, "assess_point", _full_grid_assess_point)
     monkeypatch.setattr(modal, "assess_point", _full_grid_assess_point)
-    assert _outputs(argv, tmp_path / "full", capsys) == window
+    _assert_same_outputs(window, _outputs(argv, tmp_path / "full", capsys))
     if banded and argv[0] == "sweep" and argv[4] == "heavy":
         rows = window[3]["sweep.csv"].decode().splitlines()[1:]
         verdicts = [row.split(",")[3] for row in rows]
@@ -721,14 +744,16 @@ def test_analyze_out_parses_config_once(station_cfg, tmp_path, monkeypatch, caps
 
 
 def test_adjust_traces_each_point_once(station_cfg, monkeypatch, capsys):
-    # every trace, full or windowed, is one _scan of the point's one loop
-    calls = _count_calls(monkeypatch, "_scan",
+    # each point is one Newton on its one loop, and no scan
+    scans = _count_calls(monkeypatch, "_scan",
                          ["syncstab.frequency_response", "syncstab.pipeline"])
+    solves = _count_calls(monkeypatch, "_loop_crossings",
+                          ["syncstab.statespace", "syncstab.pipeline"])
     code = main(["adjust", "--config", station_cfg, "--case", "heavy",
                  "--set", "ES1=-0.8,ES2=-0.6"])
     capsys.readouterr()
     assert code in (0, 2, 3)
-    assert len(calls) == 2
+    assert (len(scans), len(solves)) == (0, 2)
 
 
 def test_a_repeated_command_leaves_no_reference_cycles(two_bus_cfg, capsys):
@@ -848,13 +873,15 @@ def test_small_csvs_match_the_retired_row_rule(two_bus_cfg, sweep_rows, capsys, 
         _reference_rows(["re", "im", "f_hz", "damping_ratio"], modes_rows)
         + _reference_rows(["node", *names], ([names[i], *b[i]] for i in range(len(names)))))
 
+    # sensitivity writes the weights of assess_point's critical crossing
+    report = assess_point(spec, result.net, result.op)
     for eta_complex in ([], ["--eta-complex"]):
         main(["sensitivity", *argv, *eta_complex])
         out = capsys.readouterr().out
-        if result.report.critical is None:
+        if report.critical is None:
             assert out == ""
             continue
-        weights = modal_weights_from_report(result.net, result.op, result.report, spec.omega0)
+        weights = modal_weights_from_report(result.net, result.op, report, spec.omega0)
         sens = sensitivities(weights)
         header = ["converter", "eta", "dD_dP", "dD_dQ", "dominant_flag"]
         rows = [[name, weights.eta[i], sens.dd_dp[i], sens.dd_dq[i],

@@ -26,7 +26,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from syncstab import frequency_response, pipeline, stability
+from syncstab import frequency_response, pipeline, stability, statespace
 from syncstab.config import MAX_SCAN_POINTS, PowerSetpoint, load_system_spec, parse_system_spec
 from syncstab.errors import AnalysisError, SyncstabError
 from syncstab.frequency_response import (OVERLAP_THRESHOLD, OperatingPoint,
@@ -1263,10 +1263,37 @@ def _same_report(window, full):
     np.testing.assert_array_equal(w.phi, f.phi)
 
 
-def _assert_window_holds(spec, net, op) -> int:
+def _fell_back(report) -> bool:
+    """Whether ``report`` came from the windowed scan after a Newton guard failed."""
+    return any(note.startswith("NEWTON_FALLBACK: ") for note in report.notes)
+
+
+def _agrees(report, full) -> bool:
+    """``assess_point``'s report against the full scan's: from the Newton, the
+    same verdict and number of crossings, and each crossing's ω and net
+    damping within 1e-9 (paired in ascending ω), as the critical one's; from
+    the fallback, the full scan's crossings bit for bit (:func:`_same_report`).
+    Returns whether the point fell back."""
+    if _fell_back(report):
+        _same_report(report, full)
+        return True
+    assert report.verdict == full.verdict
+    ours, theirs = ([(c.omega_ci, c.net_damping) for a in r.per_subsystem for c in a.crossings]
+                    for r in (report, full))
+    assert len(ours) == len(theirs)
+    np.testing.assert_allclose(sorted(ours), sorted(theirs), rtol=0, atol=1e-9)
+    if full.critical is not None:
+        w, f = report.critical, full.critical
+        np.testing.assert_allclose((w.omega_c1, w.d_net1, w.margin),
+                                   (f.omega_c1, f.d_net1, f.margin), rtol=0, atol=1e-9)
+    return False
+
+
+def _assert_window_holds(spec, net, op) -> tuple[int, bool]:
     """The full scan's sign-change cells and exact zeros all lie in the
-    window, the window is a slice of the scan's own floats, and the windowed
-    report equals the full one; returns the number of crossings."""
+    window, the window is a slice of the scan's own floats, and
+    ``assess_point`` agrees with the full scan (:func:`_agrees`); returns the
+    number of crossings and whether the point fell back to the scan."""
     curves = trace_curves(spec, net, op)
     window = crossing_window(spec, net, op)
     a = int(np.searchsorted(curves.f_hz, window[0])) if len(window) else 0
@@ -1279,8 +1306,8 @@ def _assert_window_holds(spec, net, op) -> int:
         assert all(a <= k and k + 1 <= b for k in cells), (i, cells, a, b)
         assert all(a <= k <= b for k in np.flatnonzero(zero)), (i, a, b)
     full = assess(spec, curves)
-    _same_report(assess_point(spec, net, op), full)
-    return sum(len(s.crossings) for s in full.per_subsystem)
+    fell_back = _agrees(assess_point(spec, net, op), full)
+    return sum(len(s.crossings) for s in full.per_subsystem), fell_back
 
 
 _STATION_INPUTS = [("station", case, flat) for case in ("light", "heavy", "peak")
@@ -1295,7 +1322,8 @@ def test_every_crossing_of_the_full_scan_lies_in_the_window(plant, case, flat):
             else parse_system_spec(TWO_BUS_CFG))
     net = build_reduced_network(spec)
     _name, _steady, op = operating_point(spec, case, flat_voltage=flat)
-    assert _assert_window_holds(spec, net, op) == (5 if plant == "station" else 1)
+    # the Newton takes every one of these inputs, with no fallback
+    assert _assert_window_holds(spec, net, op) == (5 if plant == "station" else 1, False)
     assert len(crossing_window(spec, net, op)) < spec.options.scan_points / 40
 
 
@@ -1304,7 +1332,7 @@ def test_every_crossing_of_a_grouped_grid_lies_in_the_window(seed):
     spec = grouped_grid_spec(seed)
     net = build_reduced_network(spec)
     _name, _steady, op = operating_point(spec)
-    assert _assert_window_holds(spec, net, op) == 20
+    assert _assert_window_holds(spec, net, op)[0] == 20
 
 
 def test_every_crossing_of_an_ensemble_sample_lies_in_the_window():
@@ -1314,7 +1342,7 @@ def test_every_crossing_of_an_ensemble_sample_lies_in_the_window():
     for net, op, _flat, _omegas in sample:
         spec = synthetic_spec(op.n)
         try:
-            crossings += _assert_window_holds(spec, net, op)
+            crossings += _assert_window_holds(spec, net, op)[0]
         except SyncstabError as exc:
             with pytest.raises(SyncstabError) as window:
                 assess_point(spec, net, op)
@@ -1335,7 +1363,7 @@ def test_a_cell_that_h_jumps_across_is_kept():
     omega = 2 * np.pi * window
     h = -gamma(omega, float(np.mean(op.u_pu)), KP, KI, W0).imag * omega / W0
     assert h[1] < q_range[0] <= q_range[-1] < h[0]
-    assert _assert_window_holds(spec, net, op) == 1
+    assert _assert_window_holds(spec, net, op) == (1, False)
 
 
 def _mixed(spec):
@@ -1464,9 +1492,9 @@ def test_a_force_first_pll_that_is_not_a_bool_is_refused_with_a_code():
     assert full.verdict in ("Stable", "Unstable", "Marginal")
     assert len(calls["crossing_window"](np.True_)) == len(crossing_window(
         spec, net, op, force_first_pll=True)) > 0
-    _same_report(calls["assess_point"](np.True_), full)
+    assert not _agrees(calls["assess_point"](np.True_), full)
     _same_report(calls["run_analysis"](np.True_).report, full)
-    _same_report(calls["adjustment_compare"](np.True_).before, full)
+    assert not _agrees(calls["adjustment_compare"](np.True_).before, full)
 
 
 _ONE_LOOP_INPUTS = [(case, flat, None) for case in ("light", "heavy", "peak")
@@ -1476,14 +1504,13 @@ _ONE_LOOP_INPUTS = [(case, flat, None) for case in ("light", "heavy", "peak")
 @pytest.mark.parametrize("case, flat, fmin", _ONE_LOOP_INPUTS)
 def test_assess_point_resolves_the_gains_and_splits_the_loop_once(monkeypatch, case, flat,
                                                                   fmin):
-    # the window is read off the point's one loop, which the scan then runs on;
-    # above 30 Hz the window is empty
+    # the Newton runs on the point's one loop, whose window is the crossing
+    # window; above 30 Hz the window is empty and only its empty scan runs
     spec = load_system_spec(STATION_CFG_PATH)
     spec = _with_options(spec, scan_fmin_hz=fmin) if fmin else spec
     net = build_reduced_network(spec)
     _name, _steady, op = operating_point(spec, case, flat_voltage=flat)
     window = crossing_window(spec, net, op)
-    own = frequency_response._Loop(spec, net, op, window, False) if len(window) else None
     calls = dict.fromkeys(("resolve_pll_gains", "sym_parts", "_classes"), 0)
     for name in calls:
         def spy(*args, _name=name, _call=getattr(frequency_response, name), **kwargs):
@@ -1491,26 +1518,216 @@ def test_assess_point_resolves_the_gains_and_splits_the_loop_once(monkeypatch, c
             return _call(*args, **kwargs)
         for module in (frequency_response, pipeline):
             monkeypatch.setattr(module, name, spy, raising=False)
+    scanned, solved = [], []
+
+    def scan(loop, part):
+        scanned.append((loop, part))
+        return frequency_response._scan(loop, part)
+
+    def newton(loop):
+        solved.append(loop)
+        return statespace._loop_crossings(loop)
+
+    monkeypatch.setattr(pipeline, "_scan", scan)
+    monkeypatch.setattr(pipeline, "_loop_crossings", newton)
+    report = assess_point(spec, net, op)
+    assert calls == dict.fromkeys(calls, 1)
+    assert (report.verdict == "NoCrossing") == (not len(window))
+    assert not _fell_back(report)
+    if len(window):
+        (loop,) = solved
+        assert scanned == []
+        assert loop.f_hz[loop.window].tobytes() == window.tobytes()
+    else:
+        ((loop, part),) = scanned
+        assert solved == [] and part == loop.window
+
+
+# ------------------------------------------------ crossings by the bordered Newton
+
+def _windowed(spec, net, op):
+    """The report of the window's scan and refinement: ``assess_point``'s
+    report before the Newton, and on every fallback."""
+    loop = frequency_response._Loop(spec, net, op, None, False)
+    return assess(spec, frequency_response._scan(loop, loop.window))
+
+
+def _newton_then(change):
+    """``statespace._newton`` with ``change`` applied to its (ω, x, ψ)."""
+    newton = statespace._newton
+    return lambda loop, seeds, omega: change(*newton(loop, seeds, omega))
+
+
+def _refuse(*_args):
+    raise np.linalg.LinAlgError("refused")
+
+
+# each patch makes the station's points fail the guard its note names, first
+_SINGULAR = "a solve is singular or not finite"
+_GUARDS = {
+    "rounds": ("a seed does not converge", (statespace, "_NEWTON_ROUNDS", 0)),
+    "outside": ("a crossing lies outside the window", (
+        statespace, "_newton", _newton_then(lambda w, x, psi: (w + 1e3, x, psi)))),
+    "twice": ("one crossing is reached twice", (
+        statespace, "_newton",
+        _newton_then(lambda w, x, psi: (np.tile(w, 2), np.tile(x, 2), np.tile(psi, (2, 1)))))),
+    "none": ("no crossing", (
+        statespace, "_newton", _newton_then(lambda w, x, psi: (w[:0], x[:0], psi[:0])))),
+    "count": ("the mode count differs from the crossings", (
+        statespace, "_newton", _newton_then(lambda w, x, psi: (w[1:], x[1:], psi[1:])))),
+    "singular": (_SINGULAR, (np.linalg, "solve", _refuse)),
+    "not-finite": (_SINGULAR, (statespace, "_realization",
+                               lambda loop, shift: np.full((2, 2), np.nan))),
+}
+
+
+@pytest.mark.parametrize("guard", list(_GUARDS))
+@pytest.mark.parametrize("case, flat", [("heavy", True), ("peak", False)])
+def test_a_failed_guard_falls_back_to_the_window_bit_for_bit(monkeypatch, guard, case, flat):
+    spec = load_system_spec(STATION_CFG_PATH)
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, case, flat_voltage=flat)
+    windowed = _windowed(spec, net, op)
     scanned = []
 
     def scan(loop, part):
-        curves = frequency_response._scan(loop, part)
-        scanned.append((loop, part, curves))
-        return curves
+        scanned.append((loop, part, frequency_response._scan(loop, part)))
+        return scanned[-1][2]
 
+    note, patch = _GUARDS[guard]
     monkeypatch.setattr(pipeline, "_scan", scan)
+    monkeypatch.setattr(*patch)
     report = assess_point(spec, net, op)
-    assert calls == dict.fromkeys(calls, 1)
-    assert (report.verdict == "NoCrossing") == (own is None)
-    # the scan sees the window only, as views of the loop's own full grid, not
-    # copies; the window's Γ is the one a loop of the window alone computes
+    _same_report(report, windowed)
+    assert report.notes == windowed.notes + (f"NEWTON_FALLBACK: {note}",)
+    # the fallback scans the window of the point's one loop, as views of its grid
     ((loop, part, curves),) = scanned
     assert part == loop.window
-    assert loop.f_hz[part].tobytes() == window.tobytes()
     for held, grid in ((curves.f_hz, loop.f_hz), (curves.omega_rad_s, loop.omega),
                        (curves.k_con, loop.gamma)):
-        assert (held.base if held.base is not None else held) is (
-            grid.base if grid.base is not None else grid)
-    if own is not None:
-        assert (loop.omega[part].tobytes(), loop.gamma[part].tobytes()) == (
-            own.omega.tobytes(), own.gamma.tobytes())
+        assert held.base is (grid.base if grid.base is not None else grid)
+
+
+def _shifted_modes(spec, net, op, x):
+    """The eigenvalues of the loop's 2n × 2n realization at the mean voltage
+    and the shared gains, with S_P + x·I for M_P and S_Q for M_Q."""
+    s_p, s_q = sym_parts(net, op)
+    kp, ki, _notes = resolve_pll_gains(spec)
+    u = np.full(op.n, float(np.mean(op.u_pu)))
+    return np.linalg.eigvals(statespace._closed_loop(s_p + x * np.eye(op.n), s_q, kp * u,
+                                                     ki * u, spec.omega0)[0])
+
+
+def _assert_crossings_are_modes(spec, net, op, report) -> int:
+    """Each crossing's jω_c is an eigenvalue of the realization shifted by its
+    net damping, to 1e-9 rad/s; returns the number of crossings."""
+    crossings = [c for a in report.per_subsystem for c in a.crossings]
+    for c in crossings:
+        gap = np.abs(_shifted_modes(spec, net, op, c.net_damping) - 1j * c.omega_ci).min()
+        assert gap <= 1e-9, (c.f_ci, gap)
+    return len(crossings)
+
+
+@pytest.mark.parametrize("case, flat", [(case, flat) for _p, case, flat in _STATION_INPUTS])
+def test_each_scan_crossing_is_a_mode_of_the_shifted_realization(case, flat):
+    spec = load_system_spec(STATION_CFG_PATH)
+    result = run_analysis(spec, case, flat_voltage=flat)
+    assert _assert_crossings_are_modes(spec, result.net, result.op, result.report) == 5
+
+
+def test_the_newton_agrees_with_the_scan_on_the_flat_ensemble():
+    # every scan crossing is a mode of the shifted realization, and the Newton
+    # gives the scan's verdict and crossings, or falls back to its window
+    from test_acceptance import ensemble
+    crossings = 0
+    for net, _spread, op, _omegas in ensemble():
+        spec = synthetic_spec(op.n)
+        try:
+            full = assess(spec, trace_curves(spec, net, op))
+        except SyncstabError as exc:
+            with pytest.raises(SyncstabError) as newton:
+                assess_point(spec, net, op)
+            assert newton.value.code == exc.code
+            continue
+        crossings += _assert_crossings_are_modes(spec, net, op, full)
+        _agrees(assess_point(spec, net, op), full)
+    assert crossings >= 4000
+
+
+@pytest.mark.parametrize("case, flat", [(case, flat) for _p, case, flat in _TWO_BUS_INPUTS])
+def test_the_newton_crossing_on_two_bus_is_the_closed_form(case, flat):
+    # scalar loop Γ − a + j·(ω0/ω)·b: Im = 0 at ω² = U·ki²(1 − b)/(ki − U·kp²(1 − b)),
+    # and there Re Γ − a = (ω0·kp/ki)(1 − b) − a
+    spec = parse_system_spec(TWO_BUS_CFG)
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, case, flat_voltage=flat)
+    report = assess_point(spec, net, op)
+    ((c,),) = (s.crossings for s in report.per_subsystem)
+    (a,), (b,) = (np.diag(s) for s in sym_parts(net, op))
+    u = op.u_pu[0]
+    assert c.omega_ci == pytest.approx(np.sqrt(u * KI**2 * (1 - b) / (KI - u * KP**2 * (1 - b))),
+                                       rel=1e-12)
+    assert report.margin == pytest.approx(W0 * KP / KI * (1 - b) - a, abs=1e-12)
+    assert not _fell_back(report)
+
+
+@pytest.mark.parametrize("flat", [True, False])
+def test_the_exact_double_crossing_is_found_twice(flat):
+    # WTG1-3 are one class: its two difference vectors cross at one (ω, x)
+    spec = _repro_spec()
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, "_repro", flat_voltage=flat)
+    report = assess_point(spec, net, op)
+    assert not _agrees(report, assess(spec, trace_curves(spec, net, op)))
+    crossings = [c for a in report.per_subsystem for c in a.crossings]
+    ((c, d),) = [(c, d) for k, c in enumerate(crossings) for d in crossings[:k]
+                 if abs(c.omega_ci - d.omega_ci) <= 1e-12 * c.omega_ci
+                 and abs(c.net_damping - d.net_damping) <= 1e-12]
+    assert abs(np.vdot(c.phi, d.phi)) <= 1e-12
+
+
+def test_two_crossings_in_one_grid_cell_are_both_found():
+    # the station's peak case: two branches cross 0.004 Hz apart, one grid cell
+    spec = load_system_spec(STATION_CFG_PATH)
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, "peak", flat_voltage=True)
+    curves = trace_curves(spec, net, op)
+    full = assess(spec, curves)
+    cells = [int(np.searchsorted(curves.f_hz, c.f_ci)) for a in full.per_subsystem
+             for c in a.crossings]
+    assert len(set(cells)) < len(cells) == 5
+    assert not _agrees(assess_point(spec, net, op), full)
+
+
+# two converters whose first branch's spring sum touches zero at 14.145 Hz when
+# Q = ±_TANGENT_Q: a root pair of that branch is born there
+_TANGENT_Q = 1.1548144110507883
+
+
+def _tangent_point(dq):
+    r_inv = np.array([[1.0, 0.5], [0.5, 1.0]])
+    r = np.linalg.inv(r_inv)
+    q = _TANGENT_Q + dq
+    return (synthetic_spec(2, scan_points=1200), ReducedNetwork.from_b_matrix(r @ r),
+            OperatingPoint([2.55, 2.45], [q, -q], [1.0, 1.0]))
+
+
+@pytest.mark.parametrize("dq", [0.0, 1e-9, 1e-5], ids=["tangent", "one-cell", "two-cells"])
+def test_a_tangent_crossing_or_a_root_pair_is_found_or_falls_back(dq):
+    spec, net, op = _tangent_point(dq)
+    fine = trace_curves(spec, net, op, np.linspace(14.0, 14.3, 20001))
+    top = (fine.k_con + fine.k_net).max(axis=1).max()
+    pair = [c.f_ci for a in assess(spec, fine).per_subsystem for c in a.crossings]
+    grid = spec.options
+    cell = (grid.scan_fmax_hz - grid.scan_fmin_hz) / (grid.scan_points - 1)
+    if dq == 0.0:
+        assert abs(top) <= 1e-6                       # the branch touches zero
+    else:
+        assert len(pair) == 2 and (pair[1] - pair[0] < cell) == (dq == 1e-9)
+    report = assess_point(spec, net, op)
+    if _fell_back(report):
+        _same_report(report, _windowed(spec, net, op))
+        assert report.notes[-1].startswith("NEWTON_FALLBACK: ")
+    else:
+        found = np.array([c.f_ci for a in report.per_subsystem for c in a.crossings])
+        assert all(np.abs(found - f).min() <= 1e-6 for f in pair)

@@ -318,7 +318,8 @@ def test_simulate_is_bit_equal_to_the_full_loop(station_path, case, pulse, durat
                  pulse.amplitude_rad, 0.0)
     omega = z[:, :n] @ a11.T + z[:, n:] @ a12.T + np.outer(d, ss.b_omega)
     assert sim.omega.tobytes() == omega.tobytes()
-    dp = ((omega / ss.omega0) @ ss.m_p.T + z[:, :n] @ ss.m_q.T) * ss.p_tilde
+    # + 0.0: a proxy at rest is 0, not the -0.0 of a zero times a negative P̃
+    dp = ((omega / ss.omega0) @ ss.m_p.T + z[:, :n] @ ss.m_q.T) * ss.p_tilde + 0.0
     assert sim.dp.tobytes() == dp.tobytes()
 
 
