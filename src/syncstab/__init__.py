@@ -29,7 +29,8 @@ from .modal import (AdjustmentResult, FDCheck, ModalWeights, Sensitivities,
                     adjustment_compare, finite_difference_check, modal_weights,
                     modal_weights_from_report, sensitivities)
 from .network import ReducedNetwork, assemble_laplacian, build_reduced_network, kron_reduce
-from .pipeline import AnalysisResult, assess_point, operating_point, run_analysis, run_oracle
+from .pipeline import (AnalysisResult, assess_point, assess_points, operating_point, run_analysis,
+                       run_oracle)
 from .powerflow import SteadyState, solve_steady_state
 from .stability import (MARGINAL_BAND, CriticalPoint, Crossing,
                         StabilityReport, SubsystemAssessment, assess,
@@ -65,5 +66,6 @@ __all__ = [
     "StateSpace", "DominantMode", "ModeSet", "AnglePulse", "SimResult",
     "CrossCheck", "assemble_state_space", "modes", "simulate", "crosscheck",
     # pipeline
-    "AnalysisResult", "operating_point", "run_analysis", "assess_point", "run_oracle",
+    "AnalysisResult", "operating_point", "run_analysis", "assess_point", "assess_points",
+    "run_oracle",
 ]

@@ -39,8 +39,8 @@ from .errors import SyncstabError
 from .frequency_response import OperatingPoint, per_converter_gamma, trace_curves, write_curves_csv
 from .modal import adjustment_compare, modal_weights_from_report, sensitivities, write_sensitivity_csv
 from .network import ReducedNetwork, build_reduced_network
-from .pipeline import (AnalysisResult, assess_point, operating_point, oracle_model, run_analysis,
-                       run_oracle)
+from .pipeline import (BATCH_POINTS, AnalysisResult, assess_point, assess_points, operating_point,
+                       oracle_model, run_analysis, run_oracle)
 from .powerflow import solve_steady_state
 from .stability import MARGINAL, NO_CROSSING, STABLE, UNSTABLE
 from .statespace import AnglePulse, modes, simulate, write_modes_csv, write_timeseries_csv
@@ -48,7 +48,7 @@ from .textio import KVWriter, g12, write_table
 
 _EXIT = {STABLE: 0, UNSTABLE: 2, MARGINAL: 3, NO_CROSSING: 3}
 
-MAX_SWEEP_POINTS = 100_000     # 2-3 ms per station point: about 3-5 min
+MAX_SWEEP_POINTS = 100_000     # 0.9-2 ms per station point: about 1.5-3.5 min
 _MIN_EXP, _MAX_EXP = sys.float_info.min_10_exp, sys.float_info.max_10_exp
 
 # flags every command takes
@@ -272,22 +272,35 @@ def _parse_range(text: str) -> list[float]:
     return [float(start_x + k * step_x) for k in range(int(count))]
 
 
-def _sweep_row(args, spec: SystemSpec, net: ReducedNetwork, p0: np.ndarray,
-               q0: np.ndarray, value: float) -> tuple[float, float, float, str]:
-    """One row of sweep.csv: the case with the swept P or Q set to ``value``;
-    a coded error becomes an ``Error[CODE]`` row."""
-    p, q = p0.copy(), q0.copy()
-    (p if args.quantity == "p" else q)[spec.converter_names.index(args.converter)] = value
-    try:
-        steady = solve_steady_state(spec, p, q, flat_voltage=args.flat_voltage)
-        report = assess_point(spec, net, OperatingPoint(p, q, steady.u_pu),
-                              force_first_pll=args.force_first_pll)
-    except SyncstabError as exc:
-        return value, float("nan"), float("nan"), f"Error[{exc.code}]"
-    critical = report.critical
-    if critical is None:
-        return value, float("nan"), float("nan"), report.verdict
-    return value, critical.d_net1, critical.f_c1, report.verdict
+def _sweep_rows(args, spec: SystemSpec, net: ReducedNetwork, p0: np.ndarray,
+                q0: np.ndarray, values: list[float]) -> list[tuple[float, float, float, str]]:
+    """The rows of sweep.csv for ``values``: the case with the swept P or Q
+    set to each, its power flow solved alone and the points assessed as one
+    batch; a coded error becomes an ``Error[CODE]`` row."""
+    index = spec.converter_names.index(args.converter)
+    points: list[OperatingPoint | SyncstabError] = []
+    for value in values:
+        p, q = p0.copy(), q0.copy()
+        (p if args.quantity == "p" else q)[index] = value
+        try:
+            steady = solve_steady_state(spec, p, q, flat_voltage=args.flat_voltage)
+            points.append(OperatingPoint(p, q, steady.u_pu))
+        except SyncstabError as exc:
+            points.append(exc)
+    reports = iter(assess_points(spec, net, [pt for pt in points
+                                             if isinstance(pt, OperatingPoint)],
+                                 force_first_pll=args.force_first_pll))
+    rows = []
+    for value, point in zip(values, points):
+        outcome = point if isinstance(point, SyncstabError) else next(reports)
+        if isinstance(outcome, SyncstabError):
+            rows.append((value, float("nan"), float("nan"), f"Error[{outcome.code}]"))
+        elif outcome.critical is None:
+            rows.append((value, float("nan"), float("nan"), outcome.verdict))
+        else:
+            rows.append((value, outcome.critical.d_net1, outcome.critical.f_c1,
+                         outcome.verdict))
+    return rows
 
 
 def _cmd_sweep(args, spec: SystemSpec, out: _Outputs) -> int:
@@ -297,7 +310,9 @@ def _cmd_sweep(args, spec: SystemSpec, out: _Outputs) -> int:
     values = _parse_range(args.range)
     net = build_reduced_network(spec)
     p0, q0 = spec.case_injections(args.case)
-    rows = [_sweep_row(args, spec, net, p0, q0, value) for value in values]
+    rows = []
+    for start in range(0, len(values), BATCH_POINTS):
+        rows += _sweep_rows(args, spec, net, p0, q0, values[start:start + BATCH_POINTS])
     # the rows transposed; an empty range writes the header alone
     out.emit("sweep.csv", partial(write_table, header=["value", "D_net1", "f_c1", "verdict"],
                                   columns=list(zip(*rows)) or [()] * 4))

@@ -38,7 +38,7 @@ points depends on those points only (up to exact overlap ties), so a trace of
 the window finds the same crossings, refined the same way, as the full
 scan.  ``sweep``, ``adjust``, ``sensitivity`` and the finite-difference
 check, which read only the critical crossing, find it by a bordered Newton
-that must land inside the window (:func:`~syncstab.pipeline.assess_point`),
+that must land inside the window (:func:`~syncstab.pipeline.assess_points`),
 within about 1e-10 of the scan's and not bit for bit; they trace the window
 only when a guard of the Newton fails.  ``analyze``, ``curves`` and
 ``run_analysis`` trace the full grid.  The certificate holds for this loop:

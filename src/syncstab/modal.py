@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemSpec, _is_int
-from .errors import AnalysisError
+from .errors import AnalysisError, SyncstabError
 from .frequency_response import OperatingPoint, _eig, _omega, _require_fit, _split
 from .network import ReducedNetwork
-from .pipeline import assess_point
+from .pipeline import assess_points
 from .stability import StabilityReport
 from .textio import write_table
 
@@ -131,14 +131,15 @@ def sensitivities(weights: ModalWeights) -> Sensitivities:
                          dominant=int(np.argmax(eta)))
 
 
-def _critical(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint,
-              force_first_pll: bool) -> StabilityReport:
-    """Assess one operating point; the report always has a critical crossing."""
-    report = assess_point(spec, net, op, force_first_pll=force_first_pll)
-    if report.critical is None:
+def _critical(outcome: StabilityReport | SyncstabError) -> StabilityReport:
+    """The report of an :func:`~syncstab.pipeline.assess_points` outcome,
+    which must have a critical crossing; a coded error is raised."""
+    if isinstance(outcome, SyncstabError):
+        raise outcome
+    if outcome.critical is None:
         raise AnalysisError("no crossing found while evaluating the indicator",
                             code="NO_CROSSING")
-    return report
+    return outcome
 
 
 def finite_difference_check(spec: SystemSpec, net: ReducedNetwork,
@@ -177,13 +178,14 @@ def adjustment_compare(spec: SystemSpec, net: ReducedNetwork, op: OperatingPoint
     small-perturbation voltage assumption.  So ``p_after`` must hold one
     finite value per converter (``AnalysisError`` OP_INVALID otherwise).
     Each point is assessed at its own critical frequency; either one without
-    a crossing raises NO_CROSSING.  Each is traced over its crossing window
-    only (:func:`~syncstab.pipeline.assess_point`); ``force_first_pll`` is
-    passed on.
+    a crossing raises NO_CROSSING.  The two points are one batch of
+    :func:`~syncstab.pipeline.assess_points`, which finds their crossings
+    together without a scan; ``force_first_pll`` is passed on.  The before
+    point's error or NO_CROSSING is raised first.
     """
     op_after = OperatingPoint(p_after, op.q_pu, op.u_pu)
-    before = _critical(spec, net, op, force_first_pll)
-    after = _critical(spec, net, op_after, force_first_pll)
+    before, after = map(_critical, assess_points(spec, net, [op, op_after],
+                                                 force_first_pll=force_first_pll))
     return AdjustmentResult(
         before=before, after=after,
         positive_inertia_before=int(np.sum(op.p_pu > 0)),

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,11 +43,13 @@ _LOOP_COND_LIMIT = 1e12
 _OSC_MIN_IM = 2.0 * math.pi * 0.5
 # the loop's crossings by bordered Newton: rounds before a seed counts as not
 # converged, the residual that stops it relative to |Γ| + ‖S_P‖ + (ω0/ω)·‖S_Q‖,
-# the floats of one stacked solve, and the relative step past the outermost
-# crossings at which the mode count is taken
+# the Jacobian floats of one stacked solve (21 of the station's 12 × 12
+# systems, whose round peaks near 80 KB, below the 117 KB of building one
+# point's loop), and the relative step past the outermost crossings at which
+# the mode count is taken
 _NEWTON_ROUNDS = 12
 _NEWTON_TOL = 1e-12
-_NEWTON_ENTRIES = 1 << 14
+_NEWTON_ENTRIES = 3 << 10
 _COUNT_SHIFT = 1e-6
 
 
@@ -165,33 +168,71 @@ def _closed_loop(m_p: np.ndarray, m_q: np.ndarray, kpu: np.ndarray, kiu: np.ndar
                  omega0: float, *, coded: bool = False
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A, loop⁻¹, K_I·U·M_P/ω0) of ż = A·z over z = [Δθ; x] for the network
-    operators ``m_p``, ``m_q`` and the gains K_P·U, K_I·U per converter.
+    operators ``m_p``, ``m_q`` and the gains K_P·U, K_I·U per converter, or
+    of each in a stack of them (ω0 then broadcast against the stack, as an
+    (k, 1, 1) array): each matrix of a stack gets the bits it gets alone.
     A singular algebraic loop matrix I − K_P·U·M_P/ω0 raises ``LinAlgError``;
     with ``coded``, one whose condition number passes ``_LOOP_COND_LIMIT``
     raises ``AnalysisError`` (ALGEBRAIC_LOOP_SINGULAR) first."""
-    n = len(kpu)
-    loop = np.eye(n) - (kpu[:, None] * m_p) / omega0
+    n = kpu.shape[-1]
+    loop = np.eye(n) - (kpu[..., None] * m_p) / omega0
     if coded and np.linalg.cond(loop) > _LOOP_COND_LIMIT:
         raise AnalysisError("algebraic loop matrix is numerically singular",
                             code="ALGEBRAIC_LOOP_SINGULAR")
     loop_inv = np.linalg.inv(loop)
 
     mq_minus_i = m_q - np.eye(n)
-    a11 = loop_inv @ (kpu[:, None] * mq_minus_i)     # dθ/dt wrt θ (= Δω part)
+    a11 = loop_inv @ (kpu[..., None] * mq_minus_i)   # dθ/dt wrt θ (= Δω part)
     a12 = loop_inv                                   # dθ/dt wrt x
-    kium_p = (kiu[:, None] * m_p) / omega0
-    a21 = kiu[:, None] * mq_minus_i + kium_p @ a11   # dx/dt wrt θ
+    kium_p = (kiu[..., None] * m_p) / omega0
+    a21 = kiu[..., None] * mq_minus_i + kium_p @ a11  # dx/dt wrt θ
     a22 = kium_p @ a12                               # dx/dt wrt x
     return np.block([[a11, a12], [a21, a22]]), loop_inv, kium_p
 
 
 class _Fallback(Exception):
-    """A guard of :func:`_loop_crossings` failed; the message names it."""
+    """A guard of :func:`_loop_crossings` failed for one point; the message names it."""
 
 
-def _loop_crossings(loop) -> list[tuple[float, complex, np.ndarray]]:
-    """Every crossing of ``loop`` (a ``frequency_response._Loop``) in its
-    window, as (ω, λ, φ) ascending in ω, without a scan.
+_SINGULAR = "a solve is singular or not finite"
+# the state of a seed after :func:`_newton`
+_CONVERGED, _STALLED, _REFUSED = 0, 1, 2
+
+
+class _Point(NamedTuple):
+    """What the crossing search keeps of one point's loop (a
+    ``frequency_response._Loop``) once the loop's grid is gone: the quotient
+    S_P and S_Q and the sums of its symmetry split, ``u_ref``, the PLL gains
+    and ω0, the ends of the scan band and of the crossing window in rad/s,
+    the difference vectors' crossings and the loop's warnings."""
+
+    s_p: np.ndarray
+    s_q: np.ndarray
+    sums: np.ndarray
+    u: float
+    kp: float
+    ki: float
+    omega0: float
+    band: tuple[float, float]
+    ends: tuple[float, float]
+    found: tuple
+    warnings: tuple[str, ...]
+
+
+def _point(loop) -> _Point:
+    """The :class:`_Point` of ``loop``, whose window is not empty; tuples,
+    so that an empty one is the shared empty tuple."""
+    sym = loop.sym
+    band = tuple(loop.omega[[0, -1]].tolist())
+    return _Point(sym.s_p, sym.s_q, sym.sums, loop.u_ref, loop.kp, loop.ki, loop.omega0, band,
+                  tuple(loop.omega[loop.window][[0, -1]].tolist()),
+                  tuple(_difference_crossings(loop, *band)), tuple(loop.warnings))
+
+
+def _loop_crossings(points: list[_Point]) -> list:
+    """For each point, every crossing of its loop in its window as (ω, λ, φ)
+    ascending in ω, found without a scan, or the :class:`_Fallback` that
+    names the first of its guards to fail.
 
     A crossing is a root of (T(jω) − x·I)·v = 0 with T = Γ(jω)·I + G′_net(jω)
     and x real, the net damping.  So jω is an eigenvalue of the loop's
@@ -199,127 +240,268 @@ def _loop_crossings(loop) -> list[tuple[float, complex, np.ndarray]]:
     (:func:`_closed_loop`).  Each difference vector of the symmetry split is
     a scalar loop with a closed-form crossing.  On the quotient, each
     eigenvalue of the unshifted realization with Im in the scan band seeds a
-    bordered Newton (Govaerts 2000) from (θ-part, Im s, 0); the crossings
-    go in stacks of at most ``_NEWTON_ENTRIES`` floats, one
-    ``np.linalg.solve`` per stack and round.  λ is the Rayleigh quotient
-    φ*·G′_net·φ of φ = v/‖v‖, phased as zgeev phases it.
+    bordered Newton (:func:`_newton`, Govaerts 2000) from (θ-part, Im s, 0).
+    λ is the Rayleigh quotient φ*·G′_net·φ of φ = v/‖v‖, phased as zgeev
+    phases it.
 
-    Raises :class:`_Fallback`, naming the first guard that fails, cheapest
-    first: a seed that does not converge, a crossing outside the window,
-    one crossing reached twice (compared by φ too, so an exact double
-    crossing counts twice), no crossing, and the mode count.  That last
-    one needs the realization just below the smallest x to have no
-    right-half-plane eigenvalue, and just above the largest x as many
-    in-band right-half-plane modes as the quotient has crossings: a mode
-    that crosses more than once, or is born off the real axis, shows there
-    (``tests/test_frequency_response.py`` builds such a point).  A singular
-    solve or a non-finite matrix falls back too.
+    The points share their solves and nothing else: the realizations of
+    one size are one ``eig`` stack, the pending seeds of every point of one
+    size go in one ``np.linalg.solve`` per Newton round (stacks of at most
+    ``_NEWTON_ENTRIES`` Jacobian floats), and the mode counts are one
+    ``eigvals`` stack.  LAPACK solves a stack one matrix at a time, a stack
+    that fails is solved again matrix by matrix, and each seed stops on its
+    own residual, so a point's crossings are bit for bit those it has alone.
+
+    A point falls back on the first of these, in the order they are met: a
+    singular solve or a non-finite matrix; a seed that does not converge; a
+    crossing outside the window; one crossing reached twice (compared by φ
+    too, so an exact double crossing counts twice); no crossing; and the
+    mode count.  That last one needs the realization just below the smallest
+    x to have no right-half-plane eigenvalue, and just above the largest x
+    as many in-band right-half-plane modes as the quotient has crossings: a
+    mode that crosses more than once, or is born off the real axis, shows
+    there (``tests/test_frequency_response.py`` builds such a point).
     """
-    try:
-        with np.errstate(all="ignore"):
-            return _guarded_crossings(loop)
-    except np.linalg.LinAlgError:
-        raise _Fallback("a solve is singular or not finite") from None
+    with np.errstate(all="ignore"):
+        return _guarded_crossings(points)
 
 
-def _guarded_crossings(loop) -> list[tuple[float, complex, np.ndarray]]:
-    """:func:`_loop_crossings`, which turns a ``LinAlgError`` into a fallback."""
-    sym, omega0 = loop.sym, loop.omega0
-    band = loop.omega[[0, -1]]
-    g = len(sym.classes)
-    found = _difference_crossings(loop, *band)
-    vals, vecs = np.linalg.eig(_realization(loop, 0.0))
-    seeds = np.flatnonzero((vals.imag >= band[0]) & (vals.imag <= band[1]))
-    stack = max(1, _NEWTON_ENTRIES // (2 * g + 2) ** 2)
-    parts = [_newton(loop, vecs[:g, part].T, vals.imag[part])
-             for part in np.split(seeds, range(stack, len(seeds), stack))]
-    omega, x, psi = (np.concatenate(arrays) for arrays in zip(*parts))
-    lam = (-np.einsum("ki,ij,kj->k", psi.conj(), sym.s_p, psi).real
-           + 1j * (omega0 / omega) * np.einsum("ki,ij,kj->k", psi.conj(), sym.s_q, psi).real)
-    found += zip(omega.tolist(), x.tolist(), lam.tolist(), psi @ sym.sums.T)
-    lo, hi = loop.omega[loop.window][[0, -1]]
+def _guarded_crossings(points: list[_Point]) -> list:
+    """:func:`_loop_crossings` inside its ``np.errstate``."""
+    out: list = [None] * len(points)
+    counted = []
+    for k, solved in _solve(points, _seeds(points, out)).items():
+        p = points[k]
+        if isinstance(solved, str):
+            out[k] = _Fallback(solved)
+            continue
+        omega, x, psi = solved
+        lam = (-np.einsum("ki,ij,kj->k", psi.conj(), p.s_p, psi).real
+               + 1j * (p.omega0 / omega) * np.einsum("ki,ij,kj->k", psi.conj(), p.s_q, psi).real)
+        found = [*p.found, *zip(omega.tolist(), x.tolist(), lam.tolist(), psi @ p.sums.T)]
+        guard = _guard(found, *p.ends)
+        if guard:
+            out[k] = _Fallback(guard)
+        else:
+            counted.append((k, found, len(omega)))
+    shifted = []
+    for k, found, _count in counted:
+        xs = [x_k for _w, x_k, _lam, _phi in found]
+        shifted += [(points[k], min(xs) - _COUNT_SHIFT * max(1.0, abs(min(xs)))),
+                    (points[k], max(xs) + _COUNT_SHIFT * max(1.0, abs(max(xs))))]
+    counts = _stacked(lambda a: (np.linalg.eigvals(a),), _realizations(shifted))
+    for (k, found, count), below, above in zip(counted, counts[::2], counts[1::2]):
+        band = points[k].band
+        if below is None or above is None:
+            out[k] = _Fallback(_SINGULAR)
+        elif ((below[0].real > 0.0).any() or np.count_nonzero(
+                (above[0].real > 0.0) & (above[0].imag >= band[0])
+                & (above[0].imag <= band[1])) != count):
+            out[k] = _Fallback("the mode count differs from the crossings")
+        else:
+            found.sort(key=lambda c: c[0])
+            out[k] = [(w, lam, phi) for w, _x, lam, phi in found]
+    return out
+
+
+def _seeds(points: list[_Point], out: list) -> list:
+    """(k, θ-parts, Im s) of the modes with Im s in the scan band of each
+    point k's unshifted realization; a point whose realization or ``eig``
+    fails gets its :class:`_Fallback` in ``out`` instead."""
+    seeds = []
+    modes = _stacked(np.linalg.eig, _realizations([(p, 0.0) for p in points]))
+    for k, (p, mode) in enumerate(zip(points, modes)):
+        if mode is None:
+            out[k] = _Fallback(_SINGULAR)
+        else:
+            vals, vecs = mode
+            pick = np.flatnonzero((vals.imag >= p.band[0]) & (vals.imag <= p.band[1]))
+            seeds.append((k, vecs[:len(p.s_p), pick].T, vals.imag[pick]))
+    return seeds
+
+
+def _guard(found: list, lo: float, hi: float) -> str | None:
+    """The first guard that the crossings ``found`` (ω, x, λ, φ) fail: one
+    outside the window [``lo``, ``hi``], one reached twice, or none."""
     if not all(lo <= w <= hi for w, _x, _lam, _phi in found):
-        raise _Fallback("a crossing lies outside the window")
+        return "a crossing lies outside the window"
     for k, (w, x_k, _lam, phi) in enumerate(found):
         for w2, x2, _lam2, phi2 in found[:k]:
             if (abs(w - w2) <= 1e-8 * w and abs(x_k - x2) <= 1e-8 * max(1.0, abs(x_k))
                     and abs(phi2.conj() @ phi) >= 1.0 - 1e-8):
-                raise _Fallback("one crossing is reached twice")
-    if not found:
-        raise _Fallback("no crossing")
-    xs = [x_k for _w, x_k, _lam, _phi in found]
-    shifts = [min(xs) - _COUNT_SHIFT * max(1.0, abs(min(xs))),
-              max(xs) + _COUNT_SHIFT * max(1.0, abs(max(xs)))]
-    below, above = np.linalg.eigvals(np.stack([_realization(loop, shift) for shift in shifts]))
-    if ((below.real > 0.0).any() or np.count_nonzero(
-            (above.real > 0.0) & (above.imag >= band[0]) & (above.imag <= band[1]))
-            != len(omega)):
-        raise _Fallback("the mode count differs from the crossings")
-    found.sort(key=lambda c: c[0])
-    return [(w, lam, phi) for w, _x, lam, phi in found]
+                return "one crossing is reached twice"
+    return None if found else "no crossing"
 
 
-def _realization(loop, shift: float) -> np.ndarray:
-    """A of the loop's quotient with S_P + ``shift``·I for M_P and S_Q for M_Q."""
-    sym = loop.sym
-    g = len(sym.classes)
-    u = np.full(g, loop.u_ref)
-    return _closed_loop(sym.s_p + shift * np.eye(g), sym.s_q, loop.kp * u, loop.ki * u,
-                        loop.omega0)[0]
+def _stacked(fn, items: list) -> list:
+    """``fn`` (a tuple of arrays from arrays) on each item, a sequence of
+    arrays or None, the items of one shape stacked along a new first axis:
+    a list of its results per item.  A stack that raises ``LinAlgError`` is
+    solved again item by item; an item that fails alone, or is None, gets
+    None."""
+    out: list = [None] * len(items)
+    groups: dict = {}
+    for k, item in enumerate(items):
+        if item is not None:
+            groups.setdefault(item[0].shape, []).append(k)
+    # lists, not generators, build the argument tuples: a tuple built from a
+    # generator is resized, which fills the interpreter's tuple free lists
+    for ks in groups.values():
+        try:
+            parts = [(ks, fn(*[np.stack(column) for column in zip(*[items[k] for k in ks])]))]
+        except np.linalg.LinAlgError:
+            parts = []
+            for k in ks:
+                try:
+                    parts.append(([k], fn(*[a[None] for a in items[k]])))
+                except np.linalg.LinAlgError:
+                    pass
+        for part, results in parts:
+            for j, k in enumerate(part):
+                out[k] = [r[j] for r in results]
+    return out
 
 
-def _newton(loop, seeds: np.ndarray, omega: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ω, x, ψ) of the quotient's crossing from each seed row (θ-parts) at
-    Im s = ``omega``, each ψ a unit row phased with its largest entry real
-    and positive.  The real bordered system of each seed is
-    [[T − x·I, dT/dω·ψ, −ψ], [c*, 0, 0]] over (ψ, ω, x), c the unit seed."""
-    sym, omega0, u, kp, ki = loop.sym, loop.omega0, loop.u_ref, loop.kp, loop.ki
+def _realizations(items: list) -> list:
+    """[A] of each (point, shift): the point's quotient realization with
+    S_P + shift·I for M_P and S_Q for M_Q (:func:`_closed_loop`), the
+    quotients of one size as one stack; None where the loop matrix is
+    singular."""
+    args = []
+    for p, shift in items:
+        g = len(p.s_p)
+        args.append((p.s_p + shift * np.eye(g), p.s_q, np.full(g, p.kp * p.u),
+                     np.full(g, p.ki * p.u), np.full((1, 1), p.omega0)))
+    return _stacked(lambda *arrays: _closed_loop(*arrays)[:1], args)
+
+
+def _solve(points: list[_Point], seeds: list) -> dict:
+    """For each seeded point (k, θ-parts, Im s), the (ω, x, ψ) of its
+    quotient's crossings by :func:`_newton`, in seed order, or the guard its
+    seeds fail.  The seeds of every point of one size are solved together,
+    in stacks of at most ``_NEWTON_ENTRIES`` Jacobian floats."""
+    solved: dict = {}
+    groups: dict = {}
+    for seed in seeds:
+        groups.setdefault(seed[1].shape[1], []).append(seed)
+    for g, group in groups.items():
+        owner = np.repeat(np.arange(len(group)), [len(omega) for _k, _t, omega in group])
+        mine = [points[k] for k, _t, _w in group]
+        s_p = np.stack([p.s_p for p in mine])[owner]
+        s_q = np.stack([p.s_q for p in mine])[owner]
+        params = np.array([(p.u, p.kp, p.ki, p.omega0, np.linalg.norm(p.s_p),
+                            np.linalg.norm(p.s_q)) for p in mine])[owner]
+        theta = np.concatenate([t for _k, t, _w in group])
+        omega = np.concatenate([w for _k, _t, w in group])
+        m = len(owner)
+        result = (np.empty(m), np.empty(m), np.empty((m, g), dtype=complex),
+                  np.empty(m, dtype=int))
+        stack = max(1, _NEWTON_ENTRIES // (2 * g + 2) ** 2)
+        for start in range(0, m, stack):
+            part = slice(start, start + stack)
+            for into, value in zip(result, _newton(s_p[part], s_q[part], params[part],
+                                                   theta[part], omega[part])):
+                into[part] = value
+        for j, (k, _t, _w) in enumerate(group):
+            rows = owner == j
+            state = result[3][rows]
+            solved[k] = (_SINGULAR if (state == _REFUSED).any()
+                         else "a seed does not converge" if (state == _STALLED).any()
+                         else [r[rows] for r in result[:3]])
+    return solved
+
+
+def _newton(s_p: np.ndarray, s_q: np.ndarray, params: np.ndarray, seeds: np.ndarray,
+            omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ω, x, ψ, state) of the quotient's crossing from each seed row (its
+    θ-part) at Im s = ``omega``, each on its own S_P and S_Q (stacks) and
+    ``params`` row (u, k_p, k_i, ω0, ‖S_P‖, ‖S_Q‖), each ψ a unit row phased
+    with its largest entry real and positive.  The real bordered system of
+    each seed is [[T − x·I, dT/dω·ψ, −ψ], [c*, 0, 0]] over (ψ, ω, x), c the
+    unit seed.
+
+    Each seed stops at the first of ``_NEWTON_ROUNDS`` rounds whose residual
+    ‖(T − x·I)·ψ‖ is at most ``_NEWTON_TOL``·(|Γ| + ‖S_P‖ + (ω0/ω)·‖S_Q‖)
+    (state ``_CONVERGED``), and only the seeds still pending are stepped,
+    with stacked products and one stacked solve per round.  So a seed's
+    bits are its own, whatever the stack holds.  A seed that never gets
+    there is ``_STALLED``, and one whose Jacobian LAPACK refuses alone is
+    ``_REFUSED`` and leaves the stack."""
     m, g = seeds.shape
     psi = seeds / np.linalg.norm(seeds, axis=1)[:, None]
-    omega, x = omega.copy(), np.zeros(m)
-    scale = np.linalg.norm(sym.s_p), np.linalg.norm(sym.s_q)
-    jac = np.zeros((m, 2 * g + 2, 2 * g + 2))
-    jac[:, 2 * g, :2 * g] = np.hstack((psi.real, psi.imag))      # border: Re c*ψ = 1
-    jac[:, 2 * g + 1, :2 * g] = np.hstack((-psi.imag, psi.real))  # and Im c*ψ = 0
-    c = psi.conj()
-    f = np.zeros((m, 2 * g + 2))
+    out = (omega.copy(), np.zeros(m), psi.copy(), np.full(m, _STALLED))
+    live, x, c = np.arange(m), np.zeros(m), psi.conj()
+    # the border rows of each system, Re c*ψ = 1 and Im c*ψ = 0
+    border = np.stack((np.hstack((psi.real, psi.imag)), np.hstack((-psi.imag, psi.real))),
+                      axis=1)
     diagonal = np.arange(g)
     for _round in range(_NEWTON_ROUNDS):
+        u, kp, ki, omega0, norm_p, norm_q = params.T
         # Γ as frequency_response.gamma forms it, without its checks: a step
         # that leaves ω > 0 is a seed that does not converge, not an error
         jw = 1j * omega
         g_pll = kp + ki / jw
         gam = omega0 * (jw / g_pll + u) / (jw * u)
         ratio = omega0 / omega
-        t = (1j * ratio)[:, None, None] * sym.s_q - sym.s_p
+        t = (1j * ratio)[:, None, None] * s_q - s_p
         t[:, diagonal, diagonal] += (gam - x)[:, None]                # T(jω) − x·I
         r = (t @ psi[:, :, None])[:, :, 0]
-        if (np.linalg.norm(r, axis=1)
-                <= _NEWTON_TOL * (np.abs(gam) + scale[0] + ratio * scale[1])).all():
-            break
+        done = np.linalg.norm(r, axis=1) <= _NEWTON_TOL * (np.abs(gam) + norm_p
+                                                            + ratio * norm_q)
+        if done.any():
+            rows = live[done]
+            out[0][rows], out[1][rows], out[2][rows], out[3][rows] = (
+                omega[done], x[done], psi[done], _CONVERGED)
+            (live, psi, omega, x, c, border, s_p, s_q, params, t, r, g_pll, ratio) = (
+                a[~done] for a in (live, psi, omega, x, c, border, s_p, s_q, params, t, r,
+                                   g_pll, ratio))
+            if not len(live):
+                break
+            u, ki = params[:, 0], params[:, 2]
+        # formed afresh each round, so that dropping a seed copies no Jacobian
+        jac = np.zeros((len(live), 2 * g + 2, 2 * g + 2))
+        jac[:, 2 * g:, :2 * g] = border
         jac[:, :g, :g] = jac[:, g:2 * g, g:2 * g] = t.real
         jac[:, :g, g:2 * g] = -t.imag
         jac[:, g:2 * g, :g] = t.imag
-        # dT/dω·ψ = Γ′·ψ − j·(ω0/ω²)·S_Q·ψ
+        # dT/dω·ψ = Γ′·ψ − j·(ω0/ω²)·S_Q·ψ, S_Q·ψ a matvec per seed
         slope = 1j * ratio / omega * (1.0 - ki / (u * g_pll**2))
-        d_t = slope[:, None] * psi - (1j * ratio / omega)[:, None] * (psi @ sym.s_q)
+        d_t = (slope[:, None] * psi
+               - (1j * ratio / omega)[:, None] * (psi[:, None, :] @ s_q)[:, 0, :])
         jac[:, :g, 2 * g], jac[:, g:2 * g, 2 * g] = d_t.real, d_t.imag
         jac[:, :g, 2 * g + 1], jac[:, g:2 * g, 2 * g + 1] = -psi.real, -psi.imag
-        border = (c * psi).sum(axis=1) - 1.0
-        f[:, :g], f[:, g:2 * g] = r.real, r.imag
-        f[:, 2 * g], f[:, 2 * g + 1] = border.real, border.imag
-        step = np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
+        offset = (c * psi).sum(axis=1) - 1.0
+        f = np.concatenate((r.real, r.imag, offset.real[:, None], offset.imag[:, None]),
+                           axis=1)
+        try:
+            step = np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            step, refused = _solve_each(jac, f)
+            out[3][live[refused]] = _REFUSED
+            (live, psi, omega, x, c, border, s_p, s_q, params, step) = (
+                a[~refused] for a in (live, psi, omega, x, c, border, s_p, s_q, params, step))
+            if not len(live):
+                break
         psi = psi + (step[:, :g] + 1j * step[:, g:2 * g])
         omega, x = omega + step[:, 2 * g], x + step[:, 2 * g + 1]
-    else:
-        raise _Fallback("a seed does not converge")
-    rows = np.arange(m)
+    psi, rows = out[2], np.arange(m)
     psi /= np.linalg.norm(psi, axis=1)[:, None]
     top = np.abs(psi).argmax(axis=1)
     psi *= (psi[rows, top].conj() / np.abs(psi[rows, top]))[:, None]
     psi[rows, top] = psi[rows, top].real
-    return omega, x, psi
+    return out
+
+
+def _solve_each(jac: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(steps, refused): each Newton system solved alone, as in its stack,
+    and which ones LAPACK refuses."""
+    step, refused = np.zeros(f.shape), np.zeros(len(f), dtype=bool)
+    for k in range(len(f)):
+        try:
+            step[k] = np.linalg.solve(jac[k:k + 1], -f[k:k + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            refused[k] = True
+    return step, refused
 
 
 def _difference_crossings(loop, lo: float, hi: float) -> list:

@@ -12,6 +12,7 @@ import pytest
 from syncstab import cli, modal, network
 from syncstab.cli import main
 from syncstab.config import load_system_spec
+from syncstab.errors import SyncstabError
 from syncstab.frequency_response import trace_curves
 from syncstab.modal import modal_weights_from_report, sensitivities
 from syncstab.pipeline import assess_point, run_analysis, run_oracle
@@ -330,6 +331,18 @@ def _full_grid_assess_point(spec, net, op, *, force_first_pll=False):
     return assess(spec, trace_curves(spec, net, op, force_first_pll=force_first_pll))
 
 
+def _full_grid_assess_points(spec, net, ops, *, force_first_pll=False):
+    """:func:`_full_grid_assess_point` of each point, or its coded error."""
+    outcomes = []
+    for op in ops:
+        try:
+            outcomes.append(_full_grid_assess_point(spec, net, op,
+                                                    force_first_pll=force_first_pll))
+        except SyncstabError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 def _outputs(argv, out_dir, capsys):
     """(exit code, stdout, stderr) of ``argv`` with --out ``out_dir``, and the
     bytes of every file but the manifest, whose wall time varies."""
@@ -381,7 +394,8 @@ def test_the_newton_writes_what_the_full_grid_writes(station_cfg, banded_station
     # the Newton's crossings against the full scan's: numbers within 1e-9
     window = _outputs(argv, tmp_path / "window", capsys)
     monkeypatch.setattr(cli, "assess_point", _full_grid_assess_point)
-    monkeypatch.setattr(modal, "assess_point", _full_grid_assess_point)
+    monkeypatch.setattr(cli, "assess_points", _full_grid_assess_points)
+    monkeypatch.setattr(modal, "assess_points", _full_grid_assess_points)
     _assert_same_outputs(window, _outputs(argv, tmp_path / "full", capsys))
     if banded and argv[0] == "sweep" and argv[4] == "heavy":
         rows = window[3]["sweep.csv"].decode().splitlines()[1:]
@@ -724,7 +738,7 @@ def _count_calls(monkeypatch, name, modules):
     original = getattr(importlib.import_module(modules[0]), name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for modname in modules:
@@ -744,7 +758,7 @@ def test_analyze_out_parses_config_once(station_cfg, tmp_path, monkeypatch, caps
 
 
 def test_adjust_traces_each_point_once(station_cfg, monkeypatch, capsys):
-    # each point is one Newton on its one loop, and no scan
+    # the two points are one batch of the Newton, each on its one loop, and no scan
     scans = _count_calls(monkeypatch, "_scan",
                          ["syncstab.frequency_response", "syncstab.pipeline"])
     solves = _count_calls(monkeypatch, "_loop_crossings",
@@ -753,7 +767,8 @@ def test_adjust_traces_each_point_once(station_cfg, monkeypatch, capsys):
                  "--set", "ES1=-0.8,ES2=-0.6"])
     capsys.readouterr()
     assert code in (0, 2, 3)
-    assert (len(scans), len(solves)) == (0, 2)
+    assert (len(scans), len(solves)) == (0, 1)
+    assert len(solves[0][0]) == 2
 
 
 def test_a_repeated_command_leaves_no_reference_cycles(two_bus_cfg, capsys):
@@ -845,8 +860,14 @@ def test_failed_command_with_dump_b_writes_no_file(two_bus_cfg, tmp_path, capsys
 def sweep_rows(monkeypatch):
     """The rows a sweep hands its writer, recorded as it makes them."""
     rows = []
-    sweep_row = cli._sweep_row
-    monkeypatch.setattr(cli, "_sweep_row", lambda *a: rows.append(sweep_row(*a)) or rows[-1])
+    sweep_rows = cli._sweep_rows
+
+    def record(*args):
+        made = sweep_rows(*args)
+        rows.extend(made)
+        return made
+
+    monkeypatch.setattr(cli, "_sweep_rows", record)
     return rows
 
 

@@ -1524,9 +1524,9 @@ def test_assess_point_resolves_the_gains_and_splits_the_loop_once(monkeypatch, c
         scanned.append((loop, part))
         return frequency_response._scan(loop, part)
 
-    def newton(loop):
-        solved.append(loop)
-        return statespace._loop_crossings(loop)
+    def newton(points):
+        solved.append(points)
+        return statespace._loop_crossings(points)
 
     monkeypatch.setattr(pipeline, "_scan", scan)
     monkeypatch.setattr(pipeline, "_loop_crossings", newton)
@@ -1535,12 +1535,12 @@ def test_assess_point_resolves_the_gains_and_splits_the_loop_once(monkeypatch, c
     assert (report.verdict == "NoCrossing") == (not len(window))
     assert not _fell_back(report)
     if len(window):
-        (loop,) = solved
+        ((point,),) = solved
         assert scanned == []
-        assert loop.f_hz[loop.window].tobytes() == window.tobytes()
+        assert point.ends == tuple((2.0 * np.pi * window[[0, -1]]).tolist())
     else:
         ((loop, part),) = scanned
-        assert solved == [] and part == loop.window
+        assert solved in ([], [[]]) and part == loop.window
 
 
 # ------------------------------------------------ crossings by the bordered Newton
@@ -1552,10 +1552,10 @@ def _windowed(spec, net, op):
     return assess(spec, frequency_response._scan(loop, loop.window))
 
 
-def _newton_then(change):
-    """``statespace._newton`` with ``change`` applied to its (ω, x, ψ)."""
-    newton = statespace._newton
-    return lambda loop, seeds, omega: change(*newton(loop, seeds, omega))
+def _solved_then(change):
+    """``statespace._solve`` with ``change`` applied to each point's (ω, x, ψ)."""
+    solve = statespace._solve
+    return lambda points, seeds: {k: change(*found) for k, found in solve(points, seeds).items()}
 
 
 def _refuse(*_args):
@@ -1567,17 +1567,17 @@ _SINGULAR = "a solve is singular or not finite"
 _GUARDS = {
     "rounds": ("a seed does not converge", (statespace, "_NEWTON_ROUNDS", 0)),
     "outside": ("a crossing lies outside the window", (
-        statespace, "_newton", _newton_then(lambda w, x, psi: (w + 1e3, x, psi)))),
+        statespace, "_solve", _solved_then(lambda w, x, psi: (w + 1e3, x, psi)))),
     "twice": ("one crossing is reached twice", (
-        statespace, "_newton",
-        _newton_then(lambda w, x, psi: (np.tile(w, 2), np.tile(x, 2), np.tile(psi, (2, 1)))))),
+        statespace, "_solve",
+        _solved_then(lambda w, x, psi: (np.tile(w, 2), np.tile(x, 2), np.tile(psi, (2, 1)))))),
     "none": ("no crossing", (
-        statespace, "_newton", _newton_then(lambda w, x, psi: (w[:0], x[:0], psi[:0])))),
+        statespace, "_solve", _solved_then(lambda w, x, psi: (w[:0], x[:0], psi[:0])))),
     "count": ("the mode count differs from the crossings", (
-        statespace, "_newton", _newton_then(lambda w, x, psi: (w[1:], x[1:], psi[1:])))),
+        statespace, "_solve", _solved_then(lambda w, x, psi: (w[1:], x[1:], psi[1:])))),
     "singular": (_SINGULAR, (np.linalg, "solve", _refuse)),
-    "not-finite": (_SINGULAR, (statespace, "_realization",
-                               lambda loop, shift: np.full((2, 2), np.nan))),
+    "not-finite": (_SINGULAR, (statespace, "_realizations",
+                               lambda items: [[np.full((2, 2), np.nan)] for _item in items])),
 }
 
 
@@ -1731,3 +1731,131 @@ def test_a_tangent_crossing_or_a_root_pair_is_found_or_falls_back(dq):
     else:
         found = np.array([c.f_ci for a in report.per_subsystem for c in a.crossings])
         assert all(np.abs(found - f).min() <= 1e-6 for f in pair)
+
+
+# ------------------------------------- many operating points, one set of solves
+
+def _report_bytes(report) -> tuple:
+    """Everything ``report`` holds, in order, each number as its bytes."""
+    def fields(record):
+        return tuple(np.asarray(getattr(record, f.name)).tobytes()
+                     for f in dataclasses.fields(record))
+    return (report.verdict, np.asarray(report.margin).tobytes(), report.notes,
+            report.critical and fields(report.critical),
+            tuple(tuple(fields(c) for c in a.crossings) for a in report.per_subsystem))
+
+
+def _heavy_sweep(spec, count=13):
+    """The station's heavy case with solved voltages and ES1's P stepped by
+    0.05 pu over ±0.3 pu, as ``sweep`` forms its points."""
+    p0, q0 = spec.case_injections("heavy")
+    ops = []
+    for step in range(count):
+        p = p0.copy()
+        p[0] += 0.05 * (step - 6)
+        ops.append(OperatingPoint(p, q0, solve_steady_state(spec, p, q0,
+                                                            flat_voltage=False).u_pu))
+    return ops
+
+
+_STACK_INPUTS = ([("station", case, flat) for _p, case, flat in _STATION_INPUTS]
+                 + [("grouped", seed, True) for seed in (0, 1, 2)])
+
+
+@pytest.mark.parametrize("plant, case, flat", _STACK_INPUTS)
+def test_one_seed_per_stack_leaves_every_crossing_unchanged(monkeypatch, plant, case, flat):
+    # each seed stops on its own residual and its products are stacked per
+    # seed, so its crossing does not depend on the other seeds of its stack
+    if plant == "station":
+        spec = load_system_spec(STATION_CFG_PATH)
+        _name, _steady, op = operating_point(spec, case, flat_voltage=flat)
+    else:
+        spec = grouped_grid_spec(case)
+        _name, _steady, op = operating_point(spec)
+    net = build_reduced_network(spec)
+    together = assess_point(spec, net, op)
+    assert not _fell_back(together)
+    monkeypatch.setattr(statespace, "_NEWTON_ENTRIES", 1)
+    assert _report_bytes(assess_point(spec, net, op)) == _report_bytes(together)
+
+
+def test_a_batch_reports_what_each_point_reports_alone():
+    spec = load_system_spec(STATION_CFG_PATH)
+    net = build_reduced_network(spec)
+    ops = _heavy_sweep(spec)
+    batch = pipeline.assess_points(spec, net, ops)
+    assert len(batch) == len(ops) > pipeline.BATCH_POINTS
+    for outcome, op in zip(batch, ops):
+        assert not _fell_back(outcome)
+        assert _report_bytes(outcome) == _report_bytes(assess_point(spec, net, op))
+
+
+def test_a_mixed_batch_keeps_each_points_outcome(monkeypatch):
+    # a point of another quotient size, a point whose guard fails and a point
+    # with a coded error, between points of the heavy sweep
+    spec = _repro_spec()
+    net = build_reduced_network(spec)
+    sweep = _heavy_sweep(spec, 3)
+    grouped = operating_point(spec, "_repro", flat_voltage=True)[2]
+    heavy = operating_point(spec, "heavy", flat_voltage=True)[2]
+    forced = OperatingPoint(heavy.p_pu, heavy.q_pu, np.full(heavy.n, 1.001))
+    broken = OperatingPoint(np.full(heavy.n, 1e200), heavy.q_pu, heavy.u_pu)
+    ops = [sweep[0], grouped, sweep[1], forced, broken, sweep[2]]
+    solve = statespace._solve
+
+    def no_crossing_at_the_forced_point(points, seeds):
+        solved = solve(points, seeds)
+        return {k: ("no crossing" if points[k].u == 1.001 else found)
+                for k, found in solved.items()}
+
+    monkeypatch.setattr(statespace, "_solve", no_crossing_at_the_forced_point)
+    monkeypatch.setattr(pipeline, "BATCH_POINTS", len(ops))
+    assert [len(statespace._point(frequency_response._Loop(spec, net, op, None, False)).s_p)
+            for op in (sweep[0], grouped)] == [5, 3]
+    outcomes = pipeline.assess_points(spec, net, ops)
+    with pytest.raises(SyncstabError) as alone:
+        assess_point(spec, net, broken)
+    assert alone.value.code == "OP_INVALID"
+    assert type(outcomes[4]) is type(alone.value) and str(outcomes[4]) == str(alone.value)
+    assert outcomes[3].notes[-1] == "NEWTON_FALLBACK: no crossing"
+    _same_report(outcomes[3], _windowed(spec, net, forced))
+    for k in (0, 1, 2, 3, 5):
+        assert _report_bytes(outcomes[k]) == _report_bytes(assess_point(spec, net, ops[k]))
+
+
+def test_adjustment_compare_raises_the_before_points_failure_first():
+    # above 30 Hz the station has no crossing; P of 1e200 overflows S_P
+    spec = _with_options(load_system_spec(STATION_CFG_PATH), scan_fmin_hz=30.0)
+    net = build_reduced_network(spec)
+    _name, _steady, op = operating_point(spec, "heavy")
+    huge = np.full(op.n, 1e200)
+    with pytest.raises(SyncstabError) as exc:
+        adjustment_compare(spec, net, op, huge)
+    assert exc.value.code == "NO_CROSSING"
+    with pytest.raises(SyncstabError) as exc:
+        adjustment_compare(spec, net, OperatingPoint(huge, op.q_pu, op.u_pu), op.p_pu)
+    assert exc.value.code == "OP_INVALID"
+
+
+def test_a_batch_holds_one_loop_and_a_few_splits(monkeypatch):
+    # the reports, which the caller keeps, are left out, so that the peak is
+    # the batch's own: one point's loop, the splits of its batch and the
+    # stacked solves, whatever the number of points
+    spec = load_system_spec(STATION_CFG_PATH)
+    net = build_reduced_network(spec)
+    ops = _heavy_sweep(spec)
+    monkeypatch.setattr(pipeline, "_settle", lambda *args: None)
+
+    def peak(points):
+        pipeline.assess_points(spec, net, points)
+        tracemalloc.start()
+        try:
+            pipeline.assess_points(spec, net, points)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    many = [ops[k % len(ops)] for k in range(200)]
+    one, thirteen, two_hundred = peak(ops[:1]), peak(ops), peak(many)
+    assert thirteen <= one + 4096, (one, thirteen)
+    assert abs(two_hundred - thirteen) <= 4096, (thirteen, two_hundred)

@@ -312,9 +312,10 @@ def test_the_finite_difference_check_agrees_with_the_full_grids(monkeypatch, cas
     net = build_reduced_network(spec)
     _name, _steady, op = operating_point(spec, case, flat_voltage=flat)
     newton = [finite_difference_check(spec, net, op, i) for i in range(op.n)]
-    monkeypatch.setattr(modal, "assess_point",
-                        lambda spec, net, op, force_first_pll: assess(
-                            spec, trace_curves(spec, net, op, force_first_pll=force_first_pll)))
+    monkeypatch.setattr(modal, "assess_points",
+                        lambda spec, net, ops, force_first_pll: [assess(
+                            spec, trace_curves(spec, net, op, force_first_pll=force_first_pll))
+                            for op in ops])
     full = [finite_difference_check(spec, net, op, i) for i in range(op.n)]
     for ours, theirs in zip(newton, full):
         np.testing.assert_allclose((ours.predicted, ours.measured, ours.rel_err),
